@@ -53,10 +53,10 @@ int main(int argc, char** argv) {
 
     FuzzyFdOptions opts;
     opts.matcher.model = model;
-    auto fuzzy =
-        FuzzyFullDisjunction(opts).RunToTuples(bench.tables, *aligned);
-    auto regular = RegularFdBaseline(bench.tables, *aligned, FdOptions(),
-                                     false, 0, nullptr);
+    FuzzyFullDisjunction pipeline(opts);
+    const TableList tables = BorrowTables(bench.tables);
+    auto fuzzy = pipeline.RunToTuples(tables, *aligned, /*fuzzy=*/true);
+    auto regular = pipeline.RunToTuples(tables, *aligned, /*fuzzy=*/false);
     if (!fuzzy.ok() || !regular.ok()) {
       std::fprintf(stderr, "integration failed on trial %zu\n", trial);
       return 1;

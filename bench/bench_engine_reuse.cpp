@@ -3,8 +3,8 @@
 // One lake (the 6-table IMDB benchmark), N sequential Integrate calls.
 // A LakeEngine pays model construction once and carries its embedding
 // cache across calls, so call 1 ("cold") embeds every distinct value and
-// calls 2..N ("warm") re-embed nothing; the legacy one-shot facade
-// (IntegrateTables) rebuilds the session per call and stays cold forever.
+// calls 2..N ("warm") re-embed nothing; a one-shot caller that builds a
+// throwaway engine per call stays cold forever.
 //
 //   --tuples=8000   IMDB scale (input tuples across the 6 tables)
 //   --calls=5       Integrate calls per engine session
@@ -13,9 +13,9 @@
 //   --json_out=PATH machine-readable artifact (BENCH_engine_reuse.json)
 //
 // JSON records: engine_reuse_cold (first call per session),
-// engine_reuse_warm (calls 2..N), oneshot_facade (IntegrateTables per
-// call). The warm record's match_ms_avg < cold's is the acceptance signal
-// for cross-call cache reuse.
+// engine_reuse_warm (calls 2..N), oneshot_facade (a throwaway engine per
+// call: create, register, Integrate). The warm record's match_ms_avg <
+// cold's is the acceptance signal for cross-call cache reuse.
 //
 // The three buckets hold different sample counts (cold: one per session,
 // warm: calls-1 per session), so total_s is NOT comparable across records —
@@ -24,10 +24,10 @@
 // plus explicit reps/calls extras; compare mean_ms or p50_ms, never raw
 // total_s.
 #include <cstdio>
+#include <memory>
 
 #include "bench_common.h"
 #include "core/engine.h"
-#include "core/pipeline.h"
 #include "datagen/imdb.h"
 #include "util/flags.h"
 
@@ -102,15 +102,23 @@ int main(int argc, char** argv) {
   const double warm_match_avg =
       warm_match_ms / (static_cast<double>(reps) * (calls - 1));
 
-  // Baseline: the deprecated one-shot facade, which rebuilds the session
-  // (model + empty cache) on every call.
+  // Baseline: one-shot calls, each rebuilding the session (model + empty
+  // cache) on a throwaway engine that borrows the tables.
   BenchRunStats oneshot_stats;
   double oneshot_match_ms = 0.0;
-  PipelineOptions oneshot_opts;
-  oneshot_opts.holistic_alignment = false;
+  auto one_shot = [&]() -> Result<PipelineResult> {
+    LAKEFUZZ_ASSIGN_OR_RETURN(
+        std::unique_ptr<LakeEngine> engine,
+        LakeEngine::Create(EngineOptions().SetModel(ModelKind::kMistral)));
+    for (const auto& t : bench.tables) {
+      LAKEFUZZ_RETURN_IF_ERROR(engine->RegisterTable(
+          t.name(), std::shared_ptr<const Table>(&t, [](const Table*) {})));
+    }
+    return engine->Integrate(names, req);
+  };
   for (int call = 0; call < calls; ++call) {
     Stopwatch watch;
-    auto result = IntegrateTables(bench.tables, oneshot_opts);
+    auto result = one_shot();
     double elapsed_ms = watch.ElapsedMillis();
     if (!result.ok()) {
       std::fprintf(stderr, "one-shot call failed: %s\n",

@@ -6,7 +6,7 @@
 // component-parallel executor ran that component on one worker no matter
 // how many threads the engine owned. This benchmark builds exactly that
 // shape (every tuple shares a hub value; a corrupted key column partitions
-// consistency), then sweeps the parallel executor across thread counts.
+// consistency), then sweeps the executor across pool sizes.
 // Intra-component splitting must keep output byte-identical at every
 // setting; the enumeration time column is the one the ROADMAP tracks.
 //
@@ -28,6 +28,7 @@
 #include "obs/stats_export.h"
 #include "util/rng.h"
 #include "util/str.h"
+#include "util/thread_pool.h"
 
 using namespace lakefuzz;
 
@@ -78,13 +79,14 @@ int main(int argc, char** argv) {
   std::string json_out = flags.GetString("json_out", "");
   BenchJsonWriter json;
 
-  FdOptions fd_options;
+  FuzzyFdOptions options;
   // Smoke instances are far below the production split threshold; lower it
   // so the CI bit-rot guard still drives the intra-component machinery.
-  if (smoke) fd_options.intra_component_min_size = 2;
+  if (smoke) options.fd.intra_component_min_size = 2;
 
-  auto tables = MakeSkewLake(num_tables, num_keys, rows_per_key, corrupt,
-                             /*seed=*/20260730);
+  auto owned_tables = MakeSkewLake(num_tables, num_keys, rows_per_key,
+                                   corrupt, /*seed=*/20260730);
+  const TableList tables = BorrowTables(owned_tables);
   auto aligned = AlignByName(tables);
   if (!aligned.ok()) {
     std::fprintf(stderr, "%s\n", aligned.status().ToString().c_str());
@@ -97,15 +99,15 @@ int main(int argc, char** argv) {
       num_tables, num_keys, rows_per_key,
       num_tables * num_keys * rows_per_key, corrupt);
 
-  // Serial reference (the pre-PR4 behavior for a single component).
+  // Serial reference: no pool, so the component enumerates on one lane.
   FdResult reference;
   double serial_enum = 1e100;
   BenchRunStats serial_run;
   FuzzyFdReport serial_report;
   for (int rep = 0; rep < reps; ++rep) {
     FuzzyFdReport report;
-    auto result = RegularFdBaseline(tables, *aligned, fd_options,
-                                    /*parallel=*/false, 0, &report);
+    auto result = FuzzyFullDisjunction(options).RunToTuples(
+        tables, *aligned, /*fuzzy=*/false, &report);
     if (!result.ok()) {
       std::fprintf(stderr, "serial FD failed: %s\n",
                    result.status().ToString().c_str());
@@ -147,10 +149,13 @@ int main(int argc, char** argv) {
     uint64_t intra_tasks = 0;
     FdStats best_stats;
     BenchRunStats run;
+    ThreadPool pool(ResolveNumThreads(t));
+    FuzzyFdOptions pooled = options;
+    pooled.pool = &pool;
     for (int rep = 0; rep < reps; ++rep) {
       FuzzyFdReport report;
-      auto result = RegularFdBaseline(tables, *aligned, fd_options,
-                                      /*parallel=*/true, t, &report);
+      auto result = FuzzyFullDisjunction(pooled).RunToTuples(
+          tables, *aligned, /*fuzzy=*/false, &report);
       if (!result.ok()) {
         std::fprintf(stderr, "parallel FD failed at t=%zu: %s\n", t,
                      result.status().ToString().c_str());

@@ -10,11 +10,10 @@
 //
 // Performance flags:
 //   --threads=N         matcher worker threads (0 = hardware concurrency)
-//   --fd_threads=a,b,c  additionally run both executors through
-//                       ParallelFullDisjunction once per listed thread
-//                       count (default "1,2,8"; empty disables the sweep).
-//                       Output cardinality is asserted identical across all
-//                       thread counts.
+//   --fd_threads=a,b,c  additionally run both pipelines on a caller-owned
+//                       pool of each listed size (default "1,2,8"; empty
+//                       disables the sweep). Output cardinality is asserted
+//                       identical across all thread counts.
 //   --json_out=PATH     machine-readable artifact with per-stage timings
 //                       (fd_index_s, fd_enum_s, subsumption_s) and the
 //                       interned-core counters.
@@ -28,6 +27,7 @@
 #include "metrics/report.h"
 #include "util/flags.h"
 #include "util/str.h"
+#include "util/thread_pool.h"
 
 using namespace lakefuzz;
 
@@ -76,6 +76,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", aligned.status().ToString().c_str());
       return 1;
     }
+    const TableList tables = BorrowTables(bench.tables);
 
     double best_regular = 1e100;
     double best_fuzzy = 1e100;
@@ -86,8 +87,9 @@ int main(int argc, char** argv) {
     FuzzyFdReport best_fuzzy_report;
     for (int rep = 0; rep < repetitions; ++rep) {
       FuzzyFdReport regular_report;
-      auto regular = RegularFdBaseline(bench.tables, *aligned, FdOptions(),
-                                       /*parallel=*/false, 0, &regular_report);
+      auto regular = FuzzyFullDisjunction(FuzzyFdOptions())
+                         .RunToTuples(tables, *aligned, /*fuzzy=*/false,
+                                      &regular_report);
       if (!regular.ok()) {
         std::fprintf(stderr, "regular FD failed at S=%zu: %s\n", s,
                      regular.status().ToString().c_str());
@@ -98,7 +100,7 @@ int main(int argc, char** argv) {
       opts.matcher.num_threads = threads;
       FuzzyFdReport fuzzy_report;
       auto fuzzy = FuzzyFullDisjunction(opts).RunToTuples(
-          bench.tables, *aligned, &fuzzy_report);
+          tables, *aligned, /*fuzzy=*/true, &fuzzy_report);
       if (!fuzzy.ok()) {
         std::fprintf(stderr, "fuzzy FD failed at S=%zu: %s\n", s,
                      fuzzy.status().ToString().c_str());
@@ -137,9 +139,9 @@ int main(int argc, char** argv) {
                   FormatDouble(best_overhead, 3),
                   WithThousandsSep(static_cast<int64_t>(results))});
 
-    // --fd_threads sweep: the same workload through the component-parallel
-    // executor (index build, enumeration, and subsumption all run on its
-    // pool). Output must be identical at every thread count.
+    // --fd_threads sweep: the same workload with a pool (index build,
+    // enumeration, subsumption, decode, and matcher fills all run on it).
+    // Output must be identical at every thread count.
     if (!fd_threads.empty()) {
       for (const std::string& part : Split(fd_threads, ',')) {
         size_t t = 0;
@@ -156,19 +158,18 @@ int main(int argc, char** argv) {
         size_t sweep_regular_results = 0;
         BenchRunStats sweep_run;
         FuzzyFdReport sweep_report;
+        ThreadPool pool(ResolveNumThreads(t));
+        FuzzyFdOptions opts;
+        opts.matcher.model = model;
+        opts.pool = &pool;
+        const FuzzyFullDisjunction pipeline(opts);
         for (int rep = 0; rep < repetitions; ++rep) {
           FuzzyFdReport regular_report;
-          auto regular =
-              RegularFdBaseline(bench.tables, *aligned, FdOptions(),
-                                /*parallel=*/true, t, &regular_report);
-          FuzzyFdOptions opts;
-          opts.matcher.model = model;
-          opts.matcher.num_threads = threads;
-          opts.parallel = true;
-          opts.num_threads = t;
+          auto regular = pipeline.RunToTuples(tables, *aligned,
+                                              /*fuzzy=*/false, &regular_report);
           FuzzyFdReport fuzzy_report;
-          auto fuzzy = FuzzyFullDisjunction(opts).RunToTuples(
-              bench.tables, *aligned, &fuzzy_report);
+          auto fuzzy = pipeline.RunToTuples(tables, *aligned, /*fuzzy=*/true,
+                                            &fuzzy_report);
           if (!regular.ok() || !fuzzy.ok()) {
             std::fprintf(stderr, "parallel FD failed at S=%zu t=%zu\n", s, t);
             return 1;

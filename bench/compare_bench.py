@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Compare a freshly produced --json_out benchmark artifact against the
-committed baseline under bench/results/ and fail on p50 regressions.
+committed baseline under bench/results/ and fail on p50 regressions or on
+any change in deterministic work.
 
 Records are matched by (name, threads). Records present on only one side are
 reported but never fail the run (benchmarks gain and retire configurations
@@ -23,6 +24,14 @@ baseline and candidate come from the same machine. The additive slack keeps
 sub-millisecond rows (where scheduler noise easily exceeds 25%) from
 producing false alarms.
 
+Deterministic work counters (EXACT_FIELDS: search nodes, output tuples,
+cost evaluations, cache traffic, catalog bytes, ...) are gated exactly: a
+record present on both sides fails when any of these fields, present in
+both, differs at all. A change in work is a change in behaviour, not noise,
+so a PR that changes work on purpose re-baselines. Counters that depend on
+scheduling (intra_tasks, task_nodes_*, pool_tasks, arena_peak_bytes,
+spans_per_request) are deliberately not in the list.
+
 Artifacts come in two shapes: the legacy bare JSON array of records, and
 the current object {"hardware": {...}, "records": [...]} whose hardware
 block records what the producing machine could actually run
@@ -38,8 +47,8 @@ the recorded core counts and does not fail; when the artifact predates the
 hardware block, the gate is also skipped, flagged as such. It only fails
 when the machine demonstrably had the cores and the speedup still missed.
 
-Exit status: 0 = no regressions, 1 = at least one regression or failed
-speedup gate, 2 = usage or I/O error.
+Exit status: 0 = no regressions, 1 = at least one regression, work-counter
+change, or failed speedup gate, 2 = usage or I/O error.
 """
 
 import argparse
@@ -53,6 +62,15 @@ import sys
 # Die quietly when stdout is a closed pipe (e.g. piped through `head`).
 with contextlib.suppress(AttributeError, ValueError):
     signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+
+# Record fields that count deterministic work; see the module docstring.
+EXACT_FIELDS = (
+    "search_nodes", "output_tuples", "rows", "cost_evaluations",
+    "pruned_evaluations", "posting_lists", "distinct_values",
+    "embedding_cache_hits", "embedding_cache_misses", "tables",
+    "indexed_columns", "tables_written", "bytes_written",
+    "columns_resketched", "resketched",
+)
 
 
 def load_artifact(path):
@@ -86,6 +104,23 @@ def load_artifact(path):
         key = (rec.get("name", "?"), rec.get("threads", 1))
         out[key] = rec
     return out, hardware
+
+
+def work_changes(baseline, candidate):
+    """Returns (key, field, base, cand) for every EXACT_FIELDS mismatch
+    between records present on both sides."""
+    changes = []
+    for key in sorted(baseline):
+        if key not in candidate:
+            continue
+        for field in EXACT_FIELDS:
+            if field not in baseline[key] or field not in candidate[key]:
+                continue
+            base = float(baseline[key][field])
+            cand = float(candidate[key][field])
+            if base != cand:
+                changes.append((key, field, base, cand))
+    return changes
 
 
 def check_speedup_gates(gates, candidate, hardware):
@@ -218,10 +253,18 @@ def main():
           f"{len(regressions)} regression(s) beyond "
           f"+{args.threshold * 100:.0f}% of the speed-adjusted baseline "
           f"(+{args.slack_ms:g} ms slack)")
+    changes = work_changes(baseline, candidate)
+    print(f"work counters: {len(changes)} change(s) across "
+          f"{len(EXACT_FIELDS)} exactly gated fields")
+    for (name, threads), field, base, cand in changes:
+        print(f"  {name} (threads={threads}): {field} {base:g} -> {cand:g}",
+              file=sys.stderr)
     gate_failures = 0
     if args.speedup_gate:
         gate_failures = check_speedup_gates(args.speedup_gate, candidate,
                                             cand_hw)
+    if changes:
+        gate_failures += 1
     if regressions:
         for (name, threads), base_p50, cand_p50 in regressions:
             print(f"  {name} (threads={threads}): "

@@ -6,7 +6,9 @@
 //
 //   ./imdb_scale_demo [--tuples=5000] [--parallel] [--threads=4]
 #include <cstdio>
+#include <memory>
 
+#include "assignment/parallel_cost.h"
 #include "core/fuzzy_fd.h"
 #include "datagen/imdb.h"
 #include "embedding/model_zoo.h"
@@ -14,6 +16,7 @@
 #include "metrics/report.h"
 #include "util/flags.h"
 #include "util/str.h"
+#include "util/thread_pool.h"
 
 using namespace lakefuzz;
 
@@ -38,22 +41,28 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // --parallel runs every stage on one pool of --threads workers (0 =
+  // hardware concurrency); without it everything runs inline.
+  std::unique_ptr<ThreadPool> pool;
+  if (parallel) pool = std::make_unique<ThreadPool>(ResolveNumThreads(threads));
+  FuzzyFdOptions opts;
+  opts.matcher.model = MakeModel(ModelKind::kMistral);
+  opts.pool = pool.get();
+  FuzzyFullDisjunction pipeline(opts);
+  const TableList tables = BorrowTables(bench.tables);
+
   FuzzyFdReport regular_report;
-  auto regular = RegularFdBaseline(bench.tables, *aligned, FdOptions(),
-                                   parallel, threads, &regular_report);
+  auto regular = pipeline.RunToTuples(tables, *aligned, /*fuzzy=*/false,
+                                      &regular_report);
   if (!regular.ok()) {
     std::fprintf(stderr, "regular FD failed: %s\n",
                  regular.status().ToString().c_str());
     return 1;
   }
 
-  FuzzyFdOptions opts;
-  opts.matcher.model = MakeModel(ModelKind::kMistral);
-  opts.parallel = parallel;
-  opts.num_threads = threads;
   FuzzyFdReport fuzzy_report;
-  auto fuzzy = FuzzyFullDisjunction(opts).RunToTuples(bench.tables, *aligned,
-                                                      &fuzzy_report);
+  auto fuzzy =
+      pipeline.RunToTuples(tables, *aligned, /*fuzzy=*/true, &fuzzy_report);
   if (!fuzzy.ok()) {
     std::fprintf(stderr, "fuzzy FD failed: %s\n",
                  fuzzy.status().ToString().c_str());

@@ -41,6 +41,30 @@ Status ReplicaForbidden(const char* op) {
       "%s is not available on a read-only replica engine", op));
 }
 
+/// The sink behind Integrate: builds the integrated table batch by batch.
+class TableSink : public RowSink {
+ public:
+  TableSink(std::string name, bool include_provenance)
+      : name_(std::move(name)), include_provenance_(include_provenance) {}
+
+  Status Begin(const std::vector<std::string>& universal_names) override {
+    table_ = FdResultsToTable({}, universal_names, name_, include_provenance_);
+    return Status::OK();
+  }
+
+  Status OnBatch(const std::vector<FdResultTuple>& batch) override {
+    AppendFdResults(batch, include_provenance_, &table_);
+    return Status::OK();
+  }
+
+  Table Take() { return std::move(table_); }
+
+ private:
+  std::string name_;
+  bool include_provenance_;
+  Table table_;
+};
+
 }  // namespace
 
 Status EngineOptions::Validate() const {
@@ -149,7 +173,7 @@ Result<std::unique_ptr<LakeEngine>> LakeEngine::Create(
   auto cache =
       std::make_shared<EmbeddingCache>(model, options.embedding_cache);
   // num_threads == 1 keeps the engine poolless: requests run serially and a
-  // shim-style throwaway engine costs no thread spawns.
+  // one-shot throwaway engine costs no thread spawns.
   std::unique_ptr<ThreadPool> pool;
   const size_t threads = ResolveNumThreads(options.num_threads);
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
@@ -715,18 +739,12 @@ Result<LakeEngine::PreparedRequest> LakeEngine::Prepare(
   eff.matcher.model = model_;
   eff.matcher.shared_cache = cache_;
   eff.session_dict = session_dict_.get();
-  eff.include_provenance = request.include_provenance;
   eff.context = ctx;
   eff.progress = request.progress;
   if (pool_ != nullptr) {
     eff.pool = pool_.get();
     eff.matcher.pool = pool_.get();
     eff.matcher.num_threads = pool_->num_threads();
-    // parallel_fd is authoritative on pooled engines: it also clears a
-    // caller-supplied fuzzy_fd.parallel, so "force the serial executor"
-    // means what it says.
-    eff.parallel = request.parallel_fd;
-    if (request.parallel_fd) eff.num_threads = pool_->num_threads();
   }
   prep.effective = std::move(eff);
   return prep;
@@ -755,37 +773,15 @@ Result<PipelineResult> LakeEngine::Integrate(
     if (!admitted.ok()) return finish(admitted);
   }
   AdmissionSlot slot(this);
-  Result<PreparedRequest> prepared = Prepare(names, request, ctx);
-  if (!prepared.ok()) return finish(prepared.status());
-  PreparedRequest prep = std::move(prepared).value();
-  FuzzyFdReport report;
-  Result<FdResult> fd = Status::Internal("unreachable");
-  if (request.fuzzy) {
-    fd = FuzzyFullDisjunction(prep.effective)
-             .RunToTuples(prep.tables, prep.aligned, &report);
-  } else {
-    fd = RegularFdBaseline(prep.tables, prep.aligned, prep.effective.fd,
-                           prep.effective.parallel,
-                           prep.effective.num_threads, &report,
-                           prep.effective.pool, prep.effective.context,
-                           prep.effective.progress,
-                           prep.effective.session_dict);
-  }
-  if (!fd.ok()) return finish(fd.status());
-  report.align_seconds = prep.align_seconds;
-
-  ReportProgress(request.progress, Stage::kEmit, 0, 1);
-  ScopedSpan emit_span(ctx, "emit");
-  emit_span.AddAttr("tuples", static_cast<int64_t>(fd->tuples.size()));
-  Table integrated = FdResultsToTable(
-      fd->tuples, prep.aligned.universal_names,
-      request.fuzzy ? "fuzzy_full_disjunction" : "full_disjunction",
-      request.include_provenance);
-  emit_span.End();
-  ReportProgress(request.progress, Stage::kEmit, 1, 1);
-  return finish(PipelineResult{std::move(integrated),
-                               std::move(prep.aligned), report,
-                               prep.align_seconds});
+  TableSink sink(request.fuzzy ? "fuzzy_full_disjunction" : "full_disjunction",
+                 request.include_provenance);
+  PipelineResult result;
+  Result<FuzzyFdReport> report =
+      IntegrateToSinkImpl(names, &sink, request, ctx, &result.aligned);
+  if (!report.ok()) return finish(report.status());
+  result.integrated = sink.Take();
+  result.report = std::move(report).value();
+  return finish(std::move(result));
 }
 
 Result<FuzzyFdReport> LakeEngine::IntegrateToSink(
@@ -816,7 +812,8 @@ Result<FuzzyFdReport> LakeEngine::IntegrateToSink(
 
 Result<FuzzyFdReport> LakeEngine::IntegrateToSinkImpl(
     const std::vector<std::string>& names, RowSink* sink,
-    const RequestOptions& request, const RequestContext& ctx) const {
+    const RequestOptions& request, const RequestContext& ctx,
+    AlignedSchema* aligned) const {
   if (sink == nullptr) {
     return Status::InvalidArgument("IntegrateToSink requires a sink");
   }
@@ -828,24 +825,17 @@ Result<FuzzyFdReport> LakeEngine::IntegrateToSinkImpl(
   LAKEFUZZ_RETURN_IF_ERROR(sink->Begin(prep.aligned.universal_names));
 
   FuzzyFdReport report;
-  FdBatchFn emit = [sink](const std::vector<FdResultTuple>& batch) {
-    return sink->OnBatch(batch);
+  FdBatchFn emit = [sink](std::vector<FdResultTuple>* batch) {
+    return sink->OnBatch(*batch);
   };
-  Result<size_t> emitted = Status::Internal("unreachable");
-  if (request.fuzzy) {
-    emitted = FuzzyFullDisjunction(prep.effective)
-                  .RunToBatches(prep.tables, prep.aligned,
-                                request.batch_rows, emit, &report);
-  } else {
-    emitted = RegularFdToBatches(
-        prep.tables, prep.aligned, prep.effective.fd,
-        prep.effective.parallel, prep.effective.num_threads,
-        prep.effective.pool, prep.effective.context, prep.effective.progress,
-        request.batch_rows, emit, &report, prep.effective.session_dict);
-  }
-  if (!emitted.ok()) return emitted.status();
+  LAKEFUZZ_RETURN_IF_ERROR(
+      FuzzyFullDisjunction(prep.effective)
+          .RunToBatches(prep.tables, prep.aligned, request.fuzzy,
+                        request.batch_rows, emit, &report)
+          .status());
   report.align_seconds = prep.align_seconds;
   LAKEFUZZ_RETURN_IF_ERROR(sink->End(report));
+  if (aligned != nullptr) *aligned = std::move(prep.aligned);
   return report;
 }
 

@@ -17,13 +17,10 @@
 //
 // Requests take per-call RequestOptions carrying matcher/FD knobs, a
 // CancelToken (cooperative abort → ErrorCode::kCancelled), and a
-// ProgressFn. IntegrateToSink streams result tuples to a RowSink in
-// batches without materializing the integrated table. One engine serves
-// concurrent Integrate calls; the registry, cache, and pool are all
-// thread-safe.
-//
-// The former free functions IntegrateTables / IntegrateCsvFiles
-// (core/pipeline.h) remain as deprecated shims over a temporary engine.
+// ProgressFn. Every request runs one path: IntegrateToSink streams result
+// tuples to a RowSink in batches, and Integrate is IntegrateToSink into a
+// sink that builds the integrated table. One engine serves concurrent
+// Integrate calls; the registry, cache, and pool are all thread-safe.
 #ifndef LAKEFUZZ_CORE_ENGINE_H_
 #define LAKEFUZZ_CORE_ENGINE_H_
 
@@ -65,9 +62,9 @@ struct EngineOptions {
   /// cache. Built once per engine.
   ModelKind model = ModelKind::kMistral;
   /// Session worker threads: 1 = serial (no pool is created), 0 = hardware
-  /// concurrency, N = exactly N. With a pool, requests run the
-  /// component-parallel FD executor and parallel matcher fills on it;
-  /// results are identical at every setting.
+  /// concurrency, N = exactly N. The pool is the engine's one parallelism
+  /// switch: FD components, subtree tasks, subsumption, decode, and matcher
+  /// fills all run on it. Results are identical at every setting.
   size_t num_threads = 1;
   /// Sizing of the cross-call embedding cache (max_entries 0 = unbounded).
   EmbeddingCacheOptions embedding_cache;
@@ -156,21 +153,17 @@ struct RequestOptions {
   /// Align columns by content (holistic schema matching); when false,
   /// columns align by equal header names.
   bool holistic_alignment = true;
-  /// Fuzzy matching on/off — off degrades to the regular-FD baseline.
+  /// Fuzzy matching on/off — off skips match and rewrite: the regular-FD
+  /// baseline on the same executor.
   bool fuzzy = true;
   /// Add the "TIDs" provenance column to the output table.
   bool include_provenance = false;
   /// Matcher/FD knobs. The engine overwrites the session-owned fields:
-  /// matcher.model, matcher.shared_cache, pool/matcher.pool, cancel,
-  /// progress, include_provenance — and, on a pooled engine with
-  /// `parallel_fd` left true, also `parallel`/`num_threads` (both point at
-  /// the session pool). The remaining knobs pass through untouched.
+  /// matcher.model, matcher.shared_cache, session_dict, context, progress,
+  /// and — on a pooled engine — pool, matcher.pool and matcher.num_threads
+  /// (all pointing at the session pool). The remaining knobs pass through
+  /// untouched.
   FuzzyFdOptions fuzzy_fd;
-  /// On a pooled engine, run the FD stage on the component-parallel
-  /// executor (the default; output is identical to serial). Set false to
-  /// force the serial executor for this request — profiling, bug
-  /// isolation — while matcher fills still use the session pool.
-  bool parallel_fd = true;
   /// Cooperative cancellation (CancelToken::Create(); fire from any
   /// thread). A cancelled request returns ErrorCode::kCancelled.
   CancelToken cancel;
@@ -188,7 +181,8 @@ struct RequestOptions {
   BudgetPolicy budget_policy = BudgetPolicy::kFail;
   /// Stage progress, invoked on the request thread.
   ProgressFn progress;
-  /// Sink mode: decoded tuples per OnBatch call (bounds peak memory).
+  /// Decoded tuples per batch: per OnBatch call in sink mode (bounds peak
+  /// memory), per decode window in Integrate.
   size_t batch_rows = 1024;
   /// Request tracing (obs/trace.h): when set, the engine opens a root
   /// "request" span and every stage hangs a timed child span off it —
@@ -238,15 +232,11 @@ class RowSink {
   }
 };
 
-/// End-to-end result of LakeEngine::Integrate (and the legacy
-/// IntegrateTables shim).
+/// End-to-end result of LakeEngine::Integrate.
 struct PipelineResult {
   Table integrated;
   AlignedSchema aligned;
   FuzzyFdReport report;
-  /// Deprecated: duplicate of report.align_seconds, kept for existing
-  /// callers; report.total_seconds() now covers alignment too.
-  double align_seconds = 0.0;
 };
 
 /// A long-lived integration session over one data lake. Create once, serve
@@ -288,10 +278,6 @@ class LakeEngine {
   /// index; in-flight requests holding the snapshot are unaffected, and any
   /// cached alignment involving the name stops validating (version bump).
   Status Unregister(const std::string& name);
-  /// Legacy boolean form of Unregister.
-  bool UnregisterTable(const std::string& name) {
-    return Unregister(name).ok();
-  }
   std::vector<std::string> TableNames() const;
   size_t NumTables() const;
 
@@ -344,7 +330,8 @@ class LakeEngine {
 
   // ------------------------------------------------------------ requests
   /// Integrates the named tables (registry lookup order = `names` order,
-  /// which defines TID numbering) into one table, with stage report.
+  /// which defines TID numbering) into one table, with stage report:
+  /// IntegrateToSink into a table-building sink.
   Result<PipelineResult> Integrate(
       const std::vector<std::string>& names,
       const RequestOptions& request = RequestOptions()) const;
@@ -481,11 +468,14 @@ class LakeEngine {
   Status Admit(const RequestContext& ctx) const;
   void ReleaseAdmission() const;
 
-  /// IntegrateToSink minus the admission gate, so DiscoverAndIntegrate
-  /// admits exactly once for its whole discover → integrate span.
+  /// The one request path behind Integrate, IntegrateToSink, and
+  /// DiscoverAndIntegrate, minus the admission gate (so DiscoverAndIntegrate
+  /// admits exactly once for its whole discover → integrate span). When
+  /// `aligned` is non-null it receives the request's alignment.
   Result<FuzzyFdReport> IntegrateToSinkImpl(
       const std::vector<std::string>& names, RowSink* sink,
-      const RequestOptions& request, const RequestContext& ctx) const;
+      const RequestOptions& request, const RequestContext& ctx,
+      AlignedSchema* aligned = nullptr) const;
 
   /// Stable pointers into the metrics registry, resolved once at
   /// construction (increments never take the registry lock).

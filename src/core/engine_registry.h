@@ -28,7 +28,7 @@ class TableRegistry {
   Status Register(std::string name, Table table);
 
   /// Shared-ownership form: registers an externally owned snapshot without
-  /// copying (the shims wrap caller-owned tables in non-owning aliases;
+  /// copying (one-shot callers wrap their tables in non-owning aliases;
   /// callers sharing real ownership just pass their shared_ptr). On
   /// success, a non-null `version` receives the registry version this
   /// registration produced — read under the same lock, so derived indexes

@@ -1,9 +1,9 @@
 #include "core/fuzzy_fd.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <unordered_map>
 
-#include "assignment/parallel_cost.h"
 #include "fd/session_dict.h"
 #include "fd/value_dict.h"
 #include "obs/trace.h"
@@ -21,49 +21,37 @@ using StringToValue = std::unordered_map<std::string, Value>;
 
 /// Output of the FD stage proper: the problem (owning the decode
 /// dictionary) plus the post-subsumption interned result rows. Keeping
-/// results interned here is what lets RunToBatches stream decoded tuples
+/// results interned here is what lets the pipeline decode in batches
 /// without ever materializing the full result set.
 struct FdStage {
   FdProblem problem;
   std::vector<FdCodeTuple> codes;
   FdStats stats;
-  /// Pool the stage ran on, alive for the caller's decode: the session
-  /// pool, a stage-owned one (parallel executor without a session), or
-  /// null in serial mode.
-  std::unique_ptr<ThreadPool> owned_pool;
-  ThreadPool* pool = nullptr;
 };
 
-/// Shared FD stage of the fuzzy pipeline and the regular-FD baseline:
-/// outer-union build + executor run to interned codes. With a session
-/// dictionary the build interns codes straight from the source tables
-/// (tables pinned in the dictionary scatter memoized column codes);
+/// The FD stage: outer-union build + executor run to interned codes. With a
+/// session dictionary the build interns codes straight from the source
+/// tables (tables pinned in the dictionary scatter memoized column codes);
 /// otherwise the legacy padded-row Build runs. Also fills
-/// `report->fd_build_seconds` / `report->fd_stats` when a report is given;
-/// the caller owns the fd_seconds watch (decode time differs per
-/// consumer).
+/// `report->fd_build_seconds` / `report->fd_stats` when a report is given.
 Result<FdStage> RunFdStage(const TableList& tables,
                            const AlignedSchema& aligned,
-                           const FdOptions& fd_options, bool parallel,
-                           size_t num_threads, ThreadPool* pool,
-                           SessionDict* session_dict,
-                           const RequestContext& ctx,
-                           const ProgressFn& progress,
-                           FuzzyFdReport* report) {
-  ReportProgress(progress, Stage::kFdBuild, 0, 1);
+                           const FuzzyFdOptions& options,
+                           const RequestContext& ctx, FuzzyFdReport* report) {
+  ReportProgress(options.progress, Stage::kFdBuild, 0, 1);
   LAKEFUZZ_FAULT_POINT("fd/build");
   ScopedSpan build_span(ctx, "fd_build");
   Stopwatch build_watch;
   Result<FdProblem> built =
-      session_dict != nullptr
-          ? FdProblem::BuildInterned(tables, aligned, session_dict)
+      options.session_dict != nullptr
+          ? FdProblem::BuildInterned(tables, aligned, options.session_dict)
           : FdProblem::Build(tables, aligned);
   if (!built.ok()) return built.status();
   FdProblem problem = std::move(built).value();
   const double build_seconds = build_watch.ElapsedSeconds();
   build_span.AddAttr("tuples", static_cast<int64_t>(problem.num_tuples()));
   build_span.End();
-  ReportProgress(progress, Stage::kFdBuild, 1, 1);
+  ReportProgress(options.progress, Stage::kFdBuild, 1, 1);
   // Post-build stop: under kTruncate a deadline that expired during the
   // build falls through to the executor, whose first per-component
   // checkpoint records the truncation (0 components completed) — the
@@ -73,47 +61,28 @@ Result<FdStage> RunFdStage(const TableList& tables,
     return post_build;
   }
 
-  std::unique_ptr<ThreadPool> owned_pool;
-  ThreadPool* stage_pool = pool;
-  if (parallel && stage_pool == nullptr) {
-    // Poolless parallel caller (the legacy executor path): one stage pool
-    // shared by the executor and the caller's decode, so decode stays
-    // parallel as it was before the RunCodes split.
-    owned_pool = std::make_unique<ThreadPool>(ResolveNumThreads(num_threads));
-    stage_pool = owned_pool.get();
-  }
   FdStats stats;
-  Result<std::vector<FdCodeTuple>> codes = Status::Internal("unreachable");
-  if (parallel) {
-    ParallelFdOptions popts;
-    popts.fd = fd_options;
-    popts.num_threads = num_threads;
-    popts.pool = stage_pool;
-    codes = ParallelFullDisjunction(popts).RunCodes(&problem, &stats, ctx,
-                                                    progress);
-  } else {
-    codes = FullDisjunction(fd_options).RunCodes(&problem, &stats, ctx,
-                                                 progress);
-  }
-  if (!codes.ok()) return codes.status();
-  std::vector<FdCodeTuple> code_vec = std::move(codes).value();
+  LAKEFUZZ_ASSIGN_OR_RETURN(
+      std::vector<FdCodeTuple> codes,
+      FullDisjunction(options.fd).RunCodes(&problem, options.pool, &stats,
+                                           ctx, options.progress));
 
-  // Result-tuple budget, enforced once here post-subsumption so both the
-  // materializing and the streaming consumers see the same cut.
+  // Result-tuple budget, enforced once here post-subsumption so every
+  // consumer sees the same cut.
   if (ctx.budget.max_result_tuples > 0 &&
-      code_vec.size() > ctx.budget.max_result_tuples) {
+      codes.size() > ctx.budget.max_result_tuples) {
     if (ctx.policy != BudgetPolicy::kTruncate) {
       return Status::ResourceExhausted(
           "result budget exhausted (ResourceBudget::max_result_tuples)");
     }
-    code_vec.resize(ctx.budget.max_result_tuples);
+    codes.resize(ctx.budget.max_result_tuples);
     if (!stats.truncation.truncated) {
       stats.truncation.truncated = true;
       stats.truncation.stage = Stage::kEmit;
       stats.truncation.reason =
           "result budget exhausted (ResourceBudget::max_result_tuples)";
     }
-    stats.truncation.tuples_emitted = code_vec.size();
+    stats.truncation.tuples_emitted = codes.size();
   }
 
   if (report != nullptr) {
@@ -121,61 +90,27 @@ Result<FdStage> RunFdStage(const TableList& tables,
     report->fd_stats = stats;
     report->truncation.Merge(stats.truncation);
   }
-  return FdStage{std::move(problem), std::move(code_vec), stats,
-                 std::move(owned_pool), stage_pool};
+  return FdStage{std::move(problem), std::move(codes), stats};
 }
 
-/// Decodes an FD stage's full code set into an FdResult (the
-/// materializing consumers' shared epilogue).
-FdResult DecodeStage(const FdStage& stage, ThreadPool* pool) {
-  FdResult result;
-  result.stats = stage.stats;
-  result.tuples.resize(stage.codes.size());
-  MaybeParallelFor(pool, stage.codes.size(), [&](size_t i) {
-    result.tuples[i] = DecodeCodeTuple(stage.codes[i], stage.problem.dict());
-  });
-  return result;
-}
-
-/// Shared argument guard of the streaming entry points, cheap enough to
-/// run before any pipeline work.
-Status ValidateStreamArgs(size_t batch_rows, const FdBatchFn& emit) {
-  if (batch_rows == 0) {
-    return Status::InvalidArgument("batch_rows must be positive");
-  }
-  if (emit == nullptr) {
-    return Status::InvalidArgument("streaming requires an emit callback");
-  }
-  return Status::OK();
-}
-
-/// Shared back half of the streaming entry points: FD stage over
-/// already-consistent tables, then batched decode + emission.
-Result<size_t> StreamFdStage(const TableList& tables,
-                             const AlignedSchema& aligned,
-                             const FdOptions& fd_options, bool parallel,
-                             size_t num_threads, ThreadPool* pool,
-                             SessionDict* session_dict,
-                             const RequestContext& ctx,
-                             const ProgressFn& progress, size_t batch_rows,
-                             const FdBatchFn& emit, FuzzyFdReport* report);
-
-/// Decodes `codes` in windows of `batch_rows` and hands each window to
-/// `emit` (reusing one batch buffer). Returns the number of tuples emitted.
-/// A stop between batches aborts the stream — except a deadline/budget stop
-/// under kTruncate, which ends it cleanly after the batches already
-/// delivered and records the cut in `truncation` (when given).
+/// Decodes `codes` on `pool` in windows of `batch_rows` and hands each
+/// window to `emit` (reusing one batch buffer). Returns the number of tuples
+/// emitted. A stop between batches aborts the stream — except a
+/// deadline/budget stop under kTruncate, which ends it cleanly after the
+/// batches already delivered and records the cut in `truncation` (when
+/// given).
 Result<size_t> EmitCodeBatches(const FdProblem& problem,
                                const std::vector<FdCodeTuple>& codes,
-                               size_t batch_rows, const FdBatchFn& emit,
+                               size_t batch_rows, ThreadPool* pool,
+                               const FdBatchFn& emit,
                                const RequestContext& ctx,
                                const ProgressFn& progress,
                                Truncation* truncation) {
   ScopedSpan emit_span(ctx, "emit");
   std::vector<FdResultTuple> batch;
-  batch.reserve(std::min(batch_rows, codes.size()));
   size_t emitted = 0;
-  for (size_t start = 0; start < codes.size(); start += batch_rows) {
+  size_t batches = 0;
+  while (emitted < codes.size()) {
     Status stop = ctx.CheckStop("result emission");
     if (!stop.ok()) {
       if (!ctx.ShouldTruncate(stop.code())) return stop;
@@ -190,57 +125,19 @@ Result<size_t> EmitCodeBatches(const FdProblem& problem,
       break;
     }
     LAKEFUZZ_FAULT_POINT("sink/write");
-    const size_t end = std::min(codes.size(), start + batch_rows);
-    batch.clear();
-    for (size_t i = start; i < end; ++i) {
-      batch.push_back(DecodeCodeTuple(codes[i], problem.dict()));
-    }
-    LAKEFUZZ_RETURN_IF_ERROR(emit(batch));
+    const size_t start = emitted;
+    batch.resize(std::min(batch_rows, codes.size() - start));
+    MaybeParallelFor(pool, batch.size(), [&](size_t i) {
+      batch[i] = DecodeCodeTuple(codes[start + i], problem.dict());
+    });
     emitted += batch.size();
+    ++batches;
+    LAKEFUZZ_RETURN_IF_ERROR(emit(&batch));
     ReportProgress(progress, Stage::kEmit, emitted, codes.size());
   }
   if (codes.empty()) ReportProgress(progress, Stage::kEmit, 0, 0);
   emit_span.AddAttr("tuples", static_cast<int64_t>(emitted));
-  emit_span.AddAttr(
-      "batches",
-      static_cast<int64_t>((emitted + batch_rows - 1) / batch_rows));
-  return emitted;
-}
-
-Result<size_t> StreamFdStage(const TableList& tables,
-                             const AlignedSchema& aligned,
-                             const FdOptions& fd_options, bool parallel,
-                             size_t num_threads, ThreadPool* pool,
-                             SessionDict* session_dict,
-                             const RequestContext& ctx,
-                             const ProgressFn& progress, size_t batch_rows,
-                             const FdBatchFn& emit, FuzzyFdReport* report) {
-  // The fd span brackets exactly the fd_watch region (build + enumerate +
-  // subsume + batch decode/emit), so its duration reconciles with
-  // FuzzyFdReport::fd_seconds; the sub-stages hang off it as children.
-  ScopedSpan fd_span(ctx, "fd");
-  const RequestContext fd_ctx = ctx.WithSpan(fd_span.id());
-  Stopwatch fd_watch;
-  LAKEFUZZ_ASSIGN_OR_RETURN(
-      FdStage stage,
-      RunFdStage(tables, aligned, fd_options, parallel, num_threads, pool,
-                 session_dict, fd_ctx, progress, report));
-  // Emitting an already-truncated partial is cleanup: it still honors
-  // cancellation but is not re-aborted by the expired deadline.
-  const RequestContext emit_ctx =
-      stage.stats.truncation.truncated ? fd_ctx.CancelOnly() : fd_ctx;
-  Result<size_t> emitted = EmitCodeBatches(
-      stage.problem, stage.codes, batch_rows, emit, emit_ctx, progress,
-      report != nullptr ? &report->truncation : nullptr);
-  fd_span.AddAttr("results", static_cast<int64_t>(stage.codes.size()));
-  fd_span.AddAttr("search_nodes",
-                  static_cast<int64_t>(stage.stats.search_nodes));
-  fd_span.AddAttr("components",
-                  static_cast<int64_t>(stage.stats.num_components));
-  fd_span.End();
-  // fd_seconds covers batch decode + sink emission, mirroring the
-  // materializing path where decode sits inside the fd watch.
-  if (report != nullptr) report->fd_seconds = fd_watch.ElapsedSeconds();
+  emit_span.AddAttr("batches", static_cast<int64_t>(batches));
   return emitted;
 }
 
@@ -254,7 +151,7 @@ struct RewrittenSet {
 };
 
 /// The match + rewrite stages (paper Sec 2.2): shared core of the public
-/// copying RewriteTables and the borrowing pipeline entry points.
+/// copying RewriteTables and the borrowing pipeline.
 Result<RewrittenSet> RewriteCore(const FuzzyFdOptions& options,
                                  const TableList& tables,
                                  const AlignedSchema& aligned,
@@ -463,113 +360,64 @@ Result<std::vector<Table>> FuzzyFullDisjunction::RewriteTables(
   return out;
 }
 
-Result<std::vector<Table>> FuzzyFullDisjunction::RewriteTables(
-    const std::vector<Table>& tables, const AlignedSchema& aligned,
-    FuzzyFdReport* report) const {
-  return RewriteTables(BorrowTables(tables), aligned, report);
-}
-
-Result<FdResult> FuzzyFullDisjunction::RunToTuples(
-    const TableList& tables, const AlignedSchema& aligned,
-    FuzzyFdReport* report) const {
-  LAKEFUZZ_ASSIGN_OR_RETURN(RewrittenSet set,
-                            RewriteCore(options_, tables, aligned, report));
-  ScopedSpan fd_span(options_.context, "fd");
-  const RequestContext fd_ctx = options_.context.WithSpan(fd_span.id());
+Result<size_t> FuzzyFullDisjunction::RunToBatches(
+    const TableList& tables, const AlignedSchema& aligned, bool fuzzy,
+    size_t batch_rows, const FdBatchFn& emit, FuzzyFdReport* report) const {
+  if (batch_rows == 0) {
+    return Status::InvalidArgument("batch_rows must be positive");
+  }
+  if (emit == nullptr) {
+    return Status::InvalidArgument("the pipeline requires an emit callback");
+  }
+  RewrittenSet rewritten;
+  if (fuzzy) {
+    LAKEFUZZ_ASSIGN_OR_RETURN(
+        rewritten, RewriteCore(options_, tables, aligned, report));
+  }
+  const TableList& fd_tables = fuzzy ? rewritten.list : tables;
+  // The fd span brackets exactly the fd_watch region (build + enumerate +
+  // subsume + batch decode/emit), so its duration reconciles with
+  // FuzzyFdReport::fd_seconds; the sub-stages hang off it as children.
+  const RequestContext& ctx = options_.context;
+  ScopedSpan fd_span(ctx, "fd");
+  const RequestContext fd_ctx = ctx.WithSpan(fd_span.id());
   Stopwatch fd_watch;
   LAKEFUZZ_ASSIGN_OR_RETURN(
-      FdStage stage,
-      RunFdStage(set.list, aligned, options_.fd, options_.parallel,
-                 options_.num_threads, options_.pool, options_.session_dict,
-                 fd_ctx, options_.progress, report));
-  FdResult result = DecodeStage(stage, stage.pool);
-  fd_span.AddAttr("results", static_cast<int64_t>(result.tuples.size()));
+      FdStage stage, RunFdStage(fd_tables, aligned, options_, fd_ctx, report));
+  // Emitting an already-truncated partial is cleanup: it still honors
+  // cancellation but is not re-aborted by the expired deadline.
+  const RequestContext emit_ctx =
+      stage.stats.truncation.truncated ? fd_ctx.CancelOnly() : fd_ctx;
+  Result<size_t> emitted = EmitCodeBatches(
+      stage.problem, stage.codes, batch_rows, options_.pool, emit, emit_ctx,
+      options_.progress, report != nullptr ? &report->truncation : nullptr);
+  fd_span.AddAttr("results", static_cast<int64_t>(stage.codes.size()));
   fd_span.AddAttr("search_nodes",
                   static_cast<int64_t>(stage.stats.search_nodes));
   fd_span.AddAttr("components",
                   static_cast<int64_t>(stage.stats.num_components));
   fd_span.End();
   if (report != nullptr) report->fd_seconds = fd_watch.ElapsedSeconds();
-  return result;
+  return emitted;
 }
 
 Result<FdResult> FuzzyFullDisjunction::RunToTuples(
-    const std::vector<Table>& tables, const AlignedSchema& aligned,
+    const TableList& tables, const AlignedSchema& aligned, bool fuzzy,
     FuzzyFdReport* report) const {
-  return RunToTuples(BorrowTables(tables), aligned, report);
-}
-
-Result<Table> FuzzyFullDisjunction::Run(const TableList& tables,
-                                        const AlignedSchema& aligned,
-                                        FuzzyFdReport* report) const {
-  LAKEFUZZ_ASSIGN_OR_RETURN(FdResult result,
-                            RunToTuples(tables, aligned, report));
-  return FdResultsToTable(result.tuples, aligned.universal_names,
-                          "fuzzy_full_disjunction",
-                          options_.include_provenance);
-}
-
-Result<Table> FuzzyFullDisjunction::Run(const std::vector<Table>& tables,
-                                        const AlignedSchema& aligned,
-                                        FuzzyFdReport* report) const {
-  return Run(BorrowTables(tables), aligned, report);
-}
-
-Result<size_t> FuzzyFullDisjunction::RunToBatches(
-    const TableList& tables, const AlignedSchema& aligned, size_t batch_rows,
-    const FdBatchFn& emit, FuzzyFdReport* report) const {
-  LAKEFUZZ_RETURN_IF_ERROR(ValidateStreamArgs(batch_rows, emit));
-  LAKEFUZZ_ASSIGN_OR_RETURN(RewrittenSet set,
-                            RewriteCore(options_, tables, aligned, report));
-  return StreamFdStage(set.list, aligned, options_.fd, options_.parallel,
-                       options_.num_threads, options_.pool,
-                       options_.session_dict, options_.context,
-                       options_.progress, batch_rows, emit, report);
-}
-
-Result<FdResult> RegularFdBaseline(const TableList& tables,
-                                   const AlignedSchema& aligned,
-                                   const FdOptions& fd_options, bool parallel,
-                                   size_t num_threads, FuzzyFdReport* report,
-                                   ThreadPool* pool,
-                                   const RequestContext& ctx,
-                                   const ProgressFn& progress,
-                                   SessionDict* session_dict) {
-  ScopedSpan fd_span(ctx, "fd");
-  const RequestContext fd_ctx = ctx.WithSpan(fd_span.id());
-  Stopwatch fd_watch;
-  LAKEFUZZ_ASSIGN_OR_RETURN(
-      FdStage stage,
-      RunFdStage(tables, aligned, fd_options, parallel, num_threads, pool,
-                 session_dict, fd_ctx, progress, report));
-  FdResult result = DecodeStage(stage, stage.pool);
-  fd_span.AddAttr("results", static_cast<int64_t>(result.tuples.size()));
-  fd_span.End();
-  if (report != nullptr) report->fd_seconds = fd_watch.ElapsedSeconds();
+  FuzzyFdReport local_report;
+  if (report == nullptr) report = &local_report;
+  FdResult result;
+  // One window: the whole result decodes in a single parallel pass.
+  LAKEFUZZ_RETURN_IF_ERROR(
+      RunToBatches(tables, aligned, fuzzy, SIZE_MAX,
+                   [&result](std::vector<FdResultTuple>* batch) {
+                     result.tuples = std::move(*batch);
+                     return Status::OK();
+                   },
+                   report)
+          .status());
+  result.stats = report->fd_stats;
   return result;
-}
-
-Result<FdResult> RegularFdBaseline(const std::vector<Table>& tables,
-                                   const AlignedSchema& aligned,
-                                   const FdOptions& fd_options, bool parallel,
-                                   size_t num_threads, FuzzyFdReport* report) {
-  return RegularFdBaseline(BorrowTables(tables), aligned, fd_options,
-                           parallel, num_threads, report);
-}
-
-Result<size_t> RegularFdToBatches(const TableList& tables,
-                                  const AlignedSchema& aligned,
-                                  const FdOptions& fd_options, bool parallel,
-                                  size_t num_threads, ThreadPool* pool,
-                                  const RequestContext& ctx,
-                                  const ProgressFn& progress,
-                                  size_t batch_rows, const FdBatchFn& emit,
-                                  FuzzyFdReport* report,
-                                  SessionDict* session_dict) {
-  LAKEFUZZ_RETURN_IF_ERROR(ValidateStreamArgs(batch_rows, emit));
-  return StreamFdStage(tables, aligned, fd_options, parallel, num_threads,
-                       pool, session_dict, ctx, progress, batch_rows, emit,
-                       report);
 }
 
 }  // namespace lakefuzz

@@ -3,16 +3,17 @@
 // Pipeline (paper Sec 2): for every universal column fed by two or more
 // tables, run the ValueMatcher over its aligning columns, rewrite every
 // matched value to its group representative, then compute the ordinary
-// equi-join Full Disjunction over the rewritten tables. With matching
-// disabled this degenerates to regular FD (the ALITE baseline), so both
-// sides of the paper's comparisons share one code path.
+// equi-join Full Disjunction over the rewritten tables and decode the
+// result in batches. Regular FD (the ALITE baseline) is the same pipeline
+// with match and rewrite skipped, so both sides of the paper's comparisons
+// share one code path and one executor.
 //
-// Session integration: every entry point has a TableList (borrowed
-// pointers) form so a LakeEngine can serve requests over registry-owned
-// tables without copying; options carry an optional session ThreadPool,
-// a RequestContext (cancel + deadline + resource budget, honored at matcher
-// merge rounds, per FD component, and inside the enumerator), and a
-// ProgressFn fired at stage boundaries.
+// Session integration: the pipeline takes borrowed table pointers
+// (TableList) so a LakeEngine can serve requests over registry-owned tables
+// without copying; options carry an optional session ThreadPool, a
+// RequestContext (cancel + deadline + resource budget, honored at matcher
+// merge rounds, per FD component, inside the enumerator, and between
+// batches), and a ProgressFn fired at stage boundaries.
 #ifndef LAKEFUZZ_CORE_FUZZY_FD_H_
 #define LAKEFUZZ_CORE_FUZZY_FD_H_
 
@@ -20,7 +21,6 @@
 
 #include "core/value_matcher.h"
 #include "fd/full_disjunction.h"
-#include "fd/parallel.h"
 #include "util/request_context.h"
 #include "util/result.h"
 
@@ -31,14 +31,10 @@ class SessionDict;
 struct FuzzyFdOptions {
   ValueMatcherOptions matcher;
   FdOptions fd;
-  /// Use the component-parallel FD executor.
-  bool parallel = false;
-  size_t num_threads = 0;
-  /// Add the "TIDs" provenance column to the output table (Fig. 1 style).
-  bool include_provenance = false;
-  /// Externally owned session pool (LakeEngine). Used by the parallel FD
-  /// executor and result decode; also handed to the matcher unless
-  /// `matcher.pool` is already set. Not owned.
+  /// Externally owned worker pool (LakeEngine's session pool), the
+  /// pipeline's one parallelism switch: the FD executor and the batched
+  /// decode run on it, and so does the matcher unless `matcher.pool` is
+  /// already set. Null runs every stage inline. Not owned.
   ThreadPool* pool = nullptr;
   /// Session-lived interning dictionary (LakeEngine). When set, the FD
   /// problem is built with FdProblem::BuildInterned — codes scatter straight
@@ -66,8 +62,8 @@ struct FuzzyFdOptions {
 /// engine observability. One report covers every stage of a request, so
 /// total_seconds() is the end-to-end pipeline time.
 struct FuzzyFdReport {
-  /// Column alignment (filled by the pipeline/engine layer that ran it;
-  /// zero when the caller aligned out of band).
+  /// Column alignment (filled by the engine, which aligns; zero when the
+  /// caller aligned out of band).
   double align_seconds = 0.0;
   double match_seconds = 0.0;
   double rewrite_seconds = 0.0;
@@ -91,9 +87,10 @@ struct FuzzyFdReport {
   }
 };
 
-/// Receives one decoded result batch in streaming mode. Returning a non-OK
-/// status aborts the run and propagates the status to the caller.
-using FdBatchFn = std::function<Status(const std::vector<FdResultTuple>&)>;
+/// Receives one decoded result batch. The callee may move tuples out of the
+/// vector, which is refilled for the next batch. Returning a non-OK status
+/// aborts the run and propagates the status to the caller.
+using FdBatchFn = std::function<Status(std::vector<FdResultTuple>* batch)>;
 
 class FuzzyFullDisjunction {
  public:
@@ -105,72 +102,28 @@ class FuzzyFullDisjunction {
   Result<std::vector<Table>> RewriteTables(const TableList& tables,
                                            const AlignedSchema& aligned,
                                            FuzzyFdReport* report) const;
-  Result<std::vector<Table>> RewriteTables(const std::vector<Table>& tables,
-                                           const AlignedSchema& aligned,
-                                           FuzzyFdReport* report) const;
 
-  /// Full pipeline; returns the integrated table.
-  Result<Table> Run(const TableList& tables, const AlignedSchema& aligned,
-                    FuzzyFdReport* report = nullptr) const;
-  Result<Table> Run(const std::vector<Table>& tables,
-                    const AlignedSchema& aligned,
-                    FuzzyFdReport* report = nullptr) const;
-
-  /// Full pipeline, returning raw FD tuples (provenance TIDs are global
-  /// outer-union ids: table order, then row order).
-  Result<FdResult> RunToTuples(const TableList& tables,
-                               const AlignedSchema& aligned,
-                               FuzzyFdReport* report = nullptr) const;
-  Result<FdResult> RunToTuples(const std::vector<Table>& tables,
-                               const AlignedSchema& aligned,
-                               FuzzyFdReport* report = nullptr) const;
-
-  /// Streaming form: runs the full pipeline but never materializes the
-  /// decoded result set. Result tuples are decoded in windows of at most
-  /// `batch_rows` (the final batch may be smaller) and handed to `emit` in
-  /// FdTupleLess order; the batch vector is reused, so `emit` must copy
-  /// what it keeps. Returns the number of tuples emitted. Cancellation is
-  /// additionally polled between batches.
+  /// The pipeline. With `fuzzy` set: match → rewrite → FD; without it,
+  /// match and rewrite are skipped (regular FD). Result tuples are decoded
+  /// on the pool in windows of at most `batch_rows` (the final batch may be
+  /// smaller) and handed to `emit` in FdTupleLess order, so the decoded
+  /// result set is never materialized as a whole. Provenance TIDs are global
+  /// outer-union ids: table order, then row order. Returns the number of
+  /// tuples emitted. Cancellation is additionally polled between batches.
   Result<size_t> RunToBatches(const TableList& tables,
-                              const AlignedSchema& aligned, size_t batch_rows,
-                              const FdBatchFn& emit,
+                              const AlignedSchema& aligned, bool fuzzy,
+                              size_t batch_rows, const FdBatchFn& emit,
                               FuzzyFdReport* report = nullptr) const;
+
+  /// The pipeline collected into one FdResult (stats = the report's
+  /// fd_stats).
+  Result<FdResult> RunToTuples(const TableList& tables,
+                               const AlignedSchema& aligned, bool fuzzy,
+                               FuzzyFdReport* report = nullptr) const;
 
  private:
   FuzzyFdOptions options_;
 };
-
-/// Regular (equi-join) Full Disjunction with the same reporting interface —
-/// the ALITE baseline in the paper's experiments. The TableList form takes
-/// the session extras (pool / cancel / progress); the vector<Table>
-/// overload keeps the historical signature.
-/// `session_dict`, when set, builds the problem with BuildInterned and
-/// treats every input table as a session-cached snapshot (the engine only
-/// passes registry-owned tables here).
-Result<FdResult> RegularFdBaseline(
-    const TableList& tables, const AlignedSchema& aligned,
-    const FdOptions& fd_options, bool parallel, size_t num_threads,
-    FuzzyFdReport* report, ThreadPool* pool = nullptr,
-    const RequestContext& ctx = RequestContext(),
-    const ProgressFn& progress = ProgressFn(),
-    SessionDict* session_dict = nullptr);
-Result<FdResult> RegularFdBaseline(const std::vector<Table>& tables,
-                                   const AlignedSchema& aligned,
-                                   const FdOptions& fd_options,
-                                   bool parallel, size_t num_threads,
-                                   FuzzyFdReport* report);
-
-/// Streaming twin of RegularFdBaseline (see RunToBatches for the batch
-/// contract). Returns the number of tuples emitted.
-Result<size_t> RegularFdToBatches(const TableList& tables,
-                                  const AlignedSchema& aligned,
-                                  const FdOptions& fd_options, bool parallel,
-                                  size_t num_threads, ThreadPool* pool,
-                                  const RequestContext& ctx,
-                                  const ProgressFn& progress,
-                                  size_t batch_rows, const FdBatchFn& emit,
-                                  FuzzyFdReport* report,
-                                  SessionDict* session_dict = nullptr);
 
 }  // namespace lakefuzz
 

@@ -57,6 +57,11 @@ Table FdResultsToTable(const std::vector<FdResultTuple>& results,
                        const std::string& table_name,
                        bool include_provenance = false);
 
+/// Appends results as rows of a table made by FdResultsToTable with the same
+/// `include_provenance` — the incremental form batch consumers use.
+void AppendFdResults(const std::vector<FdResultTuple>& results,
+                     bool include_provenance, Table* out);
+
 }  // namespace lakefuzz
 
 #endif  // LAKEFUZZ_FD_FD_TUPLE_H_

@@ -1,6 +1,7 @@
 #include "fd/full_disjunction.h"
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -19,18 +20,26 @@
 namespace lakefuzz {
 namespace {
 
-/// The node budget runs out under two different contracts: the library-wide
-/// FdOptions::max_search_nodes safety valve (a caller-tunable precondition,
-/// legacy kFailedPrecondition) and a request-scoped
-/// ResourceBudget::max_fd_nodes (an overload signal, kResourceExhausted —
-/// retryable with a larger budget, truncatable under kTruncate).
 /// Components below this tuple count skip their per-component trace span:
 /// tiny components dominate by count but not by time, and spanning each one
 /// would flood the trace (and the span cap) with noise.
 constexpr size_t kComponentSpanMinTuples = 64;
 
-Status BudgetExhaustedError(const RequestContext* ctx) {
-  if (ctx != nullptr && ctx->budget.max_fd_nodes > 0) {
+/// Intra-component split policy: subtree tasks re-split while their root
+/// depth is below kSplitDepth, so one dominant branch fans out again instead
+/// of serializing a worker; after calibration a node splits only while the
+/// measured task grain exceeds kSplitOverheadMultiple × the measured split
+/// overhead (see SplitContext).
+constexpr size_t kSplitDepth = 3;
+constexpr double kSplitOverheadMultiple = 8.0;
+
+/// The node budget runs out under two different contracts: the library-wide
+/// FdOptions::max_search_nodes safety valve (a caller-tunable precondition,
+/// legacy kFailedPrecondition) and a request-scoped
+/// ResourceBudget::max_fd_nodes (an overload signal, kResourceExhausted —
+/// retryable with a larger budget, truncatable under kTruncate).
+Status BudgetExhaustedError(const RequestContext& ctx) {
+  if (ctx.budget.max_fd_nodes > 0) {
     return Status::ResourceExhausted(
         "full disjunction node budget exhausted "
         "(ResourceBudget::max_fd_nodes)");
@@ -39,6 +48,31 @@ Status BudgetExhaustedError(const RequestContext* ctx) {
       "full disjunction search budget exhausted "
       "(max_search_nodes); component too entangled");
 }
+
+/// Reusable per-lane enumeration state. Allocating and zeroing these
+/// O(num_tuples) arrays per component was an O(n · num_components) hidden
+/// cost; a scratch is allocated once per lane and stays clean between
+/// components (epoch stamps for the seen set; Include/Undo pairing restores
+/// every flag it sets).
+struct FdScratch {
+  explicit FdScratch(const FdProblem& problem)
+      : merged(problem.num_columns(), FdProblem::kNullCode),
+        in_set(problem.num_tuples(), 0),
+        excluded(problem.num_tuples(), 0),
+        seen_stamp(problem.num_tuples(), 0),
+        table_used(problem.num_tables(), 0) {}
+
+  std::vector<uint32_t> merged;  ///< current join, as dictionary codes
+  std::vector<char> in_set;
+  std::vector<char> excluded;
+  std::vector<uint64_t> seen_stamp;
+  std::vector<char> table_used;
+  uint64_t epoch = 0;
+  /// Per-lane bump arena for the enumerator's per-node temporaries
+  /// (extension sets, flipped-column lists): scope-framed alloc/rewind
+  /// instead of one malloc/free pair per search node.
+  ArenaAllocator arena;
+};
 
 /// One independent subtree of the branch-and-exclude tree, fully described
 /// by data (no live enumerator state): the ordinal path identifying the
@@ -86,13 +120,12 @@ struct SplitContext {
   std::atomic<size_t>* queued = nullptr;
   std::atomic<uint64_t>* spawned = nullptr;
   uint64_t spawn_cap = 0;
-  /// Adaptive grain gate (FdOptions::intra_split_overhead_multiple; 0 =
-  /// static gate). Until `calibration_tasks` tasks have finished, splits are
-  /// free — the first round is how grain gets measured. Afterwards a node
-  /// may split only while the finished tasks' mean execution time exceeds
-  /// overhead_multiple × their mean split overhead (replay time, floored by
-  /// a fixed per-task queue-bookkeeping estimate).
-  double overhead_multiple = 0.0;
+  /// Adaptive grain gate. Until `calibration_tasks` tasks have finished,
+  /// splits are free — the first round is how grain gets measured.
+  /// Afterwards a node may split only while the finished tasks' mean
+  /// execution time exceeds kSplitOverheadMultiple × their mean split
+  /// overhead (replay time, floored by a fixed per-task queue-bookkeeping
+  /// estimate).
   uint64_t calibration_tasks = 0;
   std::atomic<uint64_t>* done_tasks = nullptr;
   std::atomic<uint64_t>* done_busy_ns = nullptr;
@@ -113,8 +146,8 @@ class ComponentEnumerator {
  public:
   ComponentEnumerator(const FdProblem& problem,
                       const std::vector<uint32_t>& component,
-                      std::atomic<int64_t>* budget, FdScratch* scratch,
-                      const RequestContext* ctx,
+                      std::atomic<int64_t>& budget, FdScratch* scratch,
+                      const RequestContext& ctx,
                       SplitContext* split = nullptr)
       : problem_(problem),
         component_(component),
@@ -145,9 +178,8 @@ class ComponentEnumerator {
   /// finishes. Keeps many small subtree tasks — which rarely hit a block
   /// boundary of their own — collectively accountable to one budget.
   void SettleBudget() {
-    if (budget_ == nullptr) return;
     const int64_t drawn = static_cast<int64_t>(blocks_drawn_) * 1024;
-    budget_->fetch_sub(static_cast<int64_t>(nodes_used_) - drawn,
+    budget_.fetch_sub(static_cast<int64_t>(nodes_used_) - drawn,
                        std::memory_order_relaxed);
   }
 
@@ -304,13 +336,6 @@ class ComponentEnumerator {
     return true;
   }
 
-  /// The arena backing per-node temporaries, or null when disabled (the
-  /// ArenaVector/ArenaFrame call sites then fall back to the heap — one
-  /// code path, two allocators, byte-identical output).
-  ArenaAllocator* arena() {
-    return s_.arena_enabled ? &s_.arena : nullptr;
-  }
-
   /// Adds `tid` to S; appends the columns that flipped null→non-null to
   /// *flipped (undo record for backtracking). Vec = any push_back(uint32_t)
   /// container — ArenaVector on the hot path, std::vector in task replay.
@@ -420,9 +445,6 @@ class ComponentEnumerator {
   /// Adaptive grain gate (see SplitContext): is the measured per-task
   /// execution time still worth a split's measured overhead?
   bool GrainAllowsSplit() const {
-    if (split_->overhead_multiple <= 0.0 || split_->done_tasks == nullptr) {
-      return true;  // static gate
-    }
     const uint64_t tasks =
         split_->done_tasks->load(std::memory_order_relaxed);
     if (tasks < split_->calibration_tasks) return true;
@@ -435,7 +457,7 @@ class ComponentEnumerator {
     const double overhead =
         std::max(static_cast<double>(replay),
                  static_cast<double>(tasks) * kMinTaskOverheadNs);
-    return static_cast<double>(busy) >= split_->overhead_multiple * overhead;
+    return static_cast<double>(busy) >= kSplitOverheadMultiple * overhead;
   }
 
   /// True when this node should hand its branches to the work queue
@@ -515,14 +537,10 @@ class ComponentEnumerator {
       // Amortized budget check: draw down in blocks. The cancellation and
       // deadline checkpoints share the amortization so a live token (or a
       // set deadline) costs one poll per 1024 search nodes, not per node.
-      if (ctx_ != nullptr) {
-        LAKEFUZZ_RETURN_IF_ERROR(ctx_->CheckStop("full disjunction"));
-      }
-      if (budget_ != nullptr) {
-        ++blocks_drawn_;
-        if (budget_->fetch_sub(1024, std::memory_order_relaxed) <= 0) {
-          return BudgetExhaustedError(ctx_);
-        }
+      LAKEFUZZ_RETURN_IF_ERROR(ctx_.CheckStop("full disjunction"));
+      ++blocks_drawn_;
+      if (budget_.fetch_sub(1024, std::memory_order_relaxed) <= 0) {
+        return BudgetExhaustedError(ctx_);
       }
     }
     if (ext_size == 0) {
@@ -565,7 +583,7 @@ class ComponentEnumerator {
     end = std::min(end, ext_size);
     const bool track_ordinals =
         split_ != nullptr && members_.size() < split_->max_depth;
-    ArenaAllocator* a = arena();
+    ArenaAllocator& a = s_.arena;
     ArenaFrame node_frame(a);
     ArenaVector<uint32_t> locally_excluded(a);
     Status st = Status::OK();
@@ -600,8 +618,8 @@ class ComponentEnumerator {
 
   const FdProblem& problem_;
   const std::vector<uint32_t>& component_;
-  std::atomic<int64_t>* budget_;
-  const RequestContext* ctx_;
+  std::atomic<int64_t>& budget_;
+  const RequestContext& ctx_;
   SplitContext* split_;
   FdScratch& s_;
   const size_t num_cols_;
@@ -619,37 +637,36 @@ class ComponentEnumerator {
   uint64_t replay_ns_ = 0;
 };
 
-/// Work queue + worker loops behind RunComponentCodesParallel. Tasks spawn
-/// tasks; workers drain until nothing is queued or running. The first error
-/// wins and flushes the queue.
+/// Intra-component parallel twin of a whole-component enumeration: the
+/// component's branch-and-exclude tree is split into independent subtree
+/// tasks (one per top-level branch chunk; depth-bounded re-splitting under
+/// skew) that `workers` loops on the pool drain from a shared work queue.
+/// Tasks spawn tasks; workers drain until nothing is queued or running. The
+/// first error wins and flushes the queue. Results merge in deterministic
+/// branch order, so output is byte-identical to ComponentEnumerator::
+/// Enumerate at any worker count and schedule.
 class IntraComponentRunner {
  public:
   IntraComponentRunner(const FdProblem& problem,
-                       const std::vector<uint32_t>& component,
-                       const FdOptions& options, size_t workers,
-                       std::atomic<int64_t>* budget,
-                       const RequestContext* ctx)
+                       const std::vector<uint32_t>& component, size_t workers,
+                       std::atomic<int64_t>& budget,
+                       const RequestContext& ctx)
       : problem_(problem),
         component_(component),
         budget_(budget),
         ctx_(ctx),
         workers_(workers) {
-    split_template_.max_depth = std::max<size_t>(1, options.intra_split_depth);
+    split_template_.max_depth = kSplitDepth;
     split_template_.min_ext = 2;
     split_template_.workers = workers;
-    // With the adaptive gate measuring grain, the queue only needs enough
-    // slack to keep workers fed; the wider 4× buffer is the legacy static
-    // policy's only defense against starvation, so it stays when the gate
-    // is disabled.
-    split_template_.queue_low_water =
-        options.intra_split_overhead_multiple > 0.0 ? workers * 2
-                                                    : workers * 4;
+    // The adaptive gate measures grain, so the queue only needs enough
+    // slack to keep workers fed.
+    split_template_.queue_low_water = workers * 2;
     split_template_.queued = &queued_;
     split_template_.spawned = &spawned_;
     // Hard cap on total tasks: descriptor bookkeeping must stay a rounding
     // error next to enumeration even on adversarial fan-out.
     split_template_.spawn_cap = std::max<uint64_t>(4096, workers * 1024);
-    split_template_.overhead_multiple = options.intra_split_overhead_multiple;
     // One round per worker plus one settles the measurement before the gate
     // starts trusting it.
     split_template_.calibration_tasks =
@@ -659,31 +676,29 @@ class IntraComponentRunner {
     split_template_.done_replay_ns = &done_replay_ns_;
   }
 
+  /// Runs the component on `workers` loops on `pool`, one per scratch
+  /// (scratches->size() >= workers, same problem). Node totals are added to
+  /// *nodes_used, spawned-task counts to *tasks_spawned, and the per-task
+  /// grain/timing counters are merged into *profile.
   Result<std::vector<FdCodeTuple>> Run(ThreadPool* pool,
                                        std::vector<FdScratch>* scratches,
                                        uint64_t* nodes_used,
                                        uint64_t* tasks_spawned,
                                        FdTaskProfile* profile) {
     Enqueue(SubtreeTask{});
-    if (pool == nullptr || workers_ <= 1) {
-      WorkerLoop(&(*scratches)[0]);
-    } else {
-      std::vector<std::future<void>> futures;
-      futures.reserve(workers_);
-      for (size_t w = 0; w < workers_; ++w) {
-        FdScratch* scratch = &(*scratches)[w];
-        futures.push_back(pool->Submit([this, scratch] {
-          WorkerLoop(scratch);
-        }));
-      }
-      for (auto& f : futures) f.get();
+    std::vector<std::future<void>> futures;
+    futures.reserve(workers_);
+    for (size_t w = 0; w < workers_; ++w) {
+      FdScratch* scratch = &(*scratches)[w];
+      futures.push_back(pool->Submit([this, scratch] {
+        WorkerLoop(scratch);
+      }));
     }
-    if (nodes_used != nullptr) *nodes_used += total_nodes_;
-    if (tasks_spawned != nullptr) {
-      *tasks_spawned += spawned_.load(std::memory_order_relaxed);
-    }
+    for (auto& f : futures) f.get();
+    *nodes_used += total_nodes_;
+    *tasks_spawned += spawned_.load(std::memory_order_relaxed);
     if (!first_error_.ok()) {
-      if (profile != nullptr) profile->Merge(profile_);
+      profile->Merge(profile_);
       return first_error_;
     }
 
@@ -706,7 +721,7 @@ class IntraComponentRunner {
       for (auto& t : segments_[idx].tuples) out.push_back(std::move(t));
     }
     profile_.merge_ns += ThreadPool::NowNs() - merge_start;
-    if (profile != nullptr) profile->Merge(profile_);
+    profile->Merge(profile_);
     return out;
   }
 
@@ -752,10 +767,8 @@ class IntraComponentRunner {
       }
       queued_.fetch_sub(1, std::memory_order_relaxed);
 
-      Status st =
-          ctx_ != nullptr ? ctx_->CheckStop("full disjunction") : Status::OK();
-      if (st.ok() && budget_ != nullptr &&
-          budget_->load(std::memory_order_relaxed) <= 0) {
+      Status st = ctx_.CheckStop("full disjunction");
+      if (st.ok() && budget_.load(std::memory_order_relaxed) <= 0) {
         // Per-task budget gate: small subtrees rarely reach the in-tree
         // amortized check, so exhaustion is also enforced at task
         // granularity against the settled shared counter.
@@ -771,10 +784,8 @@ class IntraComponentRunner {
         // Tasks unwind every arena frame they open, but a Reset here makes
         // reuse unconditional: a task never inherits live bytes from a
         // predecessor on the same scratch.
-        if (scratch->arena_enabled) scratch->arena.Reset();
-        ScopedSpan task_span(ctx_ != nullptr ? ctx_->tracer : nullptr,
-                             "fd_task",
-                             ctx_ != nullptr ? ctx_->trace_parent : 0);
+        scratch->arena.Reset();
+        ScopedSpan task_span(ctx_.tracer, "fd_task", ctx_.trace_parent);
         const uint64_t task_start = ThreadPool::NowNs();
         ComponentEnumerator enumerator(problem_, component_, budget_, scratch,
                                        ctx_, &split);
@@ -819,8 +830,8 @@ class IntraComponentRunner {
 
   const FdProblem& problem_;
   const std::vector<uint32_t>& component_;
-  std::atomic<int64_t>* budget_;
-  const RequestContext* ctx_;
+  std::atomic<int64_t>& budget_;
+  const RequestContext& ctx_;
   const size_t workers_;
   SplitContext split_template_;
 
@@ -839,49 +850,29 @@ class IntraComponentRunner {
   std::atomic<uint64_t> done_replay_ns_{0};
 };
 
+/// ResourceBudget::max_scratch_bytes gate, polled before every component: a
+/// component may not start on scratch that already holds more arena bytes
+/// than the budget allows.
+Status ScratchBudgetStop(const RequestContext& ctx, size_t reserved_bytes) {
+  if (ctx.budget.max_scratch_bytes == 0 ||
+      reserved_bytes <= ctx.budget.max_scratch_bytes) {
+    return Status::OK();
+  }
+  return Status::ResourceExhausted(
+      "full disjunction scratch budget exhausted "
+      "(ResourceBudget::max_scratch_bytes)");
+}
+
 }  // namespace
 
-Result<std::vector<FdCodeTuple>> FullDisjunction::RunComponentCodes(
-    const FdProblem& problem, const std::vector<uint32_t>& component,
-    std::atomic<int64_t>* budget, uint64_t* nodes_used, FdScratch* scratch,
-    const RequestContext* ctx) {
-  ComponentEnumerator enumerator(problem, component, budget, scratch, ctx);
-  auto result = enumerator.Enumerate();
-  if (nodes_used != nullptr) *nodes_used = enumerator.nodes_used();
-  return result;
-}
-
-Result<std::vector<FdCodeTuple>> FullDisjunction::RunComponentCodesParallel(
-    const FdProblem& problem, const std::vector<uint32_t>& component,
-    const FdOptions& options, ThreadPool* pool, size_t workers,
-    std::vector<FdScratch>* scratches, std::atomic<int64_t>* budget,
-    uint64_t* nodes_used, uint64_t* tasks_spawned, const RequestContext* ctx,
-    FdTaskProfile* profile) {
-  workers = std::max<size_t>(1, std::min(workers, scratches->size()));
-  IntraComponentRunner runner(problem, component, options, workers, budget,
-                              ctx);
-  return runner.Run(pool, scratches, nodes_used, tasks_spawned, profile);
-}
-
-Result<std::vector<FdResultTuple>> FullDisjunction::RunComponent(
-    const FdProblem& problem, const std::vector<uint32_t>& component,
-    std::atomic<int64_t>* budget, uint64_t* nodes_used) {
-  FdScratch scratch(problem);
-  LAKEFUZZ_ASSIGN_OR_RETURN(
-      std::vector<FdCodeTuple> codes,
-      RunComponentCodes(problem, component, budget, nodes_used, &scratch));
-  std::vector<FdResultTuple> out;
-  out.reserve(codes.size());
-  for (const auto& t : codes) out.push_back(DecodeCodeTuple(t, problem.dict()));
-  return out;
-}
-
 Result<std::vector<FdCodeTuple>> FullDisjunction::RunCodes(
-    FdProblem* problem, FdStats* stats, const RequestContext& ctx,
-    const ProgressFn& progress) const {
+    FdProblem* problem, ThreadPool* pool, FdStats* stats,
+    const RequestContext& ctx, const ProgressFn& progress) const {
+  const PoolStats pool_before = pool != nullptr ? pool->stats() : PoolStats();
+
   ScopedSpan index_span(ctx, "fd_index");
   Stopwatch index_watch;
-  problem->BuildIndex();
+  problem->BuildIndex(pool);
   index_span.AddAttr("distinct_values",
                      static_cast<int64_t>(problem->index_stats().distinct_values));
   index_span.End();
@@ -893,6 +884,20 @@ Result<std::vector<FdCodeTuple>> FullDisjunction::RunCodes(
   stats->posting_entries = problem->index_stats().posting_entries;
   stats->value_copies = problem->index_stats().value_copies;
 
+  // Largest components first: they dominate runtime, so schedule them before
+  // the long tail of singletons.
+  std::vector<const std::vector<uint32_t>*> comps;
+  comps.reserve(problem->Components().size());
+  for (const auto& c : problem->Components()) {
+    comps.push_back(&c);
+    stats->largest_component =
+        std::max(stats->largest_component, c.size());
+  }
+  std::stable_sort(comps.begin(), comps.end(),
+                   [](const auto* a, const auto* b) {
+                     return a->size() > b->size();
+                   });
+
   ReportProgress(progress, Stage::kFdEnumerate, 0, 1);
   ScopedSpan enum_span(ctx, "fd_enumerate");
   const RequestContext enum_ctx = ctx.WithSpan(enum_span.id());
@@ -903,60 +908,163 @@ Result<std::vector<FdCodeTuple>> FullDisjunction::RunCodes(
         std::min(node_cap, static_cast<int64_t>(ctx.budget.max_fd_nodes));
   }
   std::atomic<int64_t> budget{node_cap};
-  FdScratch scratch(*problem);
-  scratch.arena_enabled = options_.scratch_arena;
-  std::vector<FdCodeTuple> code_tuples;
-  const auto& components = problem->Components();
+  std::vector<std::vector<FdCodeTuple>> per_comp(comps.size());
+  std::mutex err_mu;
+  Status first_error = Status::OK();   // guarded by err_mu
+  Status trunc_stop = Status::OK();    // guarded by err_mu (kTruncate stops)
+  std::atomic<uint64_t> total_nodes{0};
+
+  // One work lane per pool worker (one inline lane without a pool), each
+  // with its own scratch: enumeration state is O(num_tuples) to zero, so it
+  // is allocated once here, not once per component.
+  const size_t workers = pool != nullptr ? pool->num_threads() : 1;
+  std::vector<FdScratch> scratches;
+  scratches.reserve(workers);
+  for (size_t i = 0; i < workers; ++i) scratches.emplace_back(*problem);
+
+  // Intra-component parallelism: with a multi-worker pool, the biggest
+  // components (a skewed lake often collapses into one giant component)
+  // have their branch-and-exclude trees split across the whole pool instead
+  // of serializing one worker. A component is "giant" when it is both
+  // absolutely large and a big enough share of the total that
+  // component-level parallelism would starve — at least 1/(2·workers) of
+  // all tuples. Giants sit at the front of the size-sorted order, so they
+  // run first — one at a time, all workers inside, on the same scratches —
+  // and the long tail then fans out component-per-lane.
+  size_t num_intra = 0;
+  if (workers > 1) {
+    const size_t total = problem->num_tuples();
+    while (num_intra < comps.size()) {
+      const size_t size = comps[num_intra]->size();
+      if (size < options_.intra_component_min_size ||
+          size * 2 * workers < total) {
+        break;
+      }
+      ++num_intra;
+    }
+  }
+  uint64_t intra_tasks = 0;
+  FdTaskProfile task_profile;
+  std::atomic<size_t> completed{0};
   Status stop = Status::OK();
-  size_t completed = 0;
-  for (const auto& comp : components) {
+  for (size_t i = 0; i < num_intra; ++i) {
     stop = ctx.CheckStop("full disjunction");
-    if (stop.ok() && ctx.budget.max_scratch_bytes > 0 &&
-        scratch.arena.bytes_reserved() > ctx.budget.max_scratch_bytes) {
-      stop = Status::ResourceExhausted(
-          "full disjunction scratch budget exhausted "
-          "(ResourceBudget::max_scratch_bytes)");
+    if (stop.ok()) {
+      // Every lane is idle between giants, and a giant runs on all of them.
+      size_t reserved = 0;
+      for (const FdScratch& s : scratches) {
+        reserved += s.arena.bytes_reserved();
+      }
+      stop = ScratchBudgetStop(ctx, reserved);
     }
     if (!stop.ok()) break;
-    stats->largest_component =
-        std::max(stats->largest_component, comp.size());
-    ScopedSpan comp_span(
-        comp.size() >= kComponentSpanMinTuples ? enum_ctx.tracer : nullptr,
-        "fd_component", enum_ctx.trace_parent);
+    ScopedSpan comp_span(enum_ctx, "fd_component");
+    comp_span.AddAttr("tuples", static_cast<int64_t>(comps[i]->size()));
+    comp_span.AddAttr("intra", int64_t{1});
+    const RequestContext comp_ctx = enum_ctx.WithSpan(comp_span.id());
     uint64_t nodes = 0;
-    auto tuples = RunComponentCodes(*problem, comp, &budget, &nodes, &scratch,
-                                    &enum_ctx);
-    comp_span.AddAttr("tuples", static_cast<int64_t>(comp.size()));
+    auto res = IntraComponentRunner(*problem, *comps[i], workers, budget,
+                                    comp_ctx)
+                   .Run(pool, &scratches, &nodes, &intra_tasks,
+                        &task_profile);
     comp_span.AddAttr("nodes", static_cast<int64_t>(nodes));
-    stats->search_nodes += nodes;
-    if (!tuples.ok()) {
-      stop = tuples.status();
+    total_nodes.fetch_add(nodes, std::memory_order_relaxed);
+    if (!res.ok()) {
+      stop = res.status();
       break;
     }
-    for (auto& t : *tuples) code_tuples.push_back(std::move(t));
-    ++completed;
+    per_comp[i] = std::move(res).value();
+    completed.fetch_add(1, std::memory_order_relaxed);
   }
-  enum_span.AddAttr("components", static_cast<int64_t>(components.size()));
-  enum_span.AddAttr("search_nodes",
-                    static_cast<int64_t>(stats->search_nodes));
-  enum_span.End();
-  stats->enumeration_seconds = enum_watch.ElapsedSeconds();
-  stats->arena_bytes_reserved = scratch.arena.bytes_reserved();
-  stats->arena_peak_bytes = scratch.arena.peak_bytes();
-  stats->peak_rss_bytes = PeakRssBytes();
+  stats->intra_tasks = intra_tasks;
+  stats->task_profile = task_profile;
+  if (!stop.ok() && !ctx.ShouldTruncate(stop.code())) return stop;
+
+  if (stop.ok()) {
+    MaybeParallelForWithLane(
+        pool, comps.size() - num_intra, [&](size_t lane, size_t idx) {
+          const size_t i = num_intra + idx;
+          // Per-component checkpoint: once the token fires, the deadline
+          // passes, or this lane's scratch outgrows the budget, the
+          // remaining components become no-ops instead of enumerating.
+          // Under kTruncate they count as skipped; otherwise the stop is the
+          // request's error. Only this lane's arena is read: ArenaAllocator
+          // is not thread-safe, and other lanes are mid-component.
+          FdScratch& scratch = scratches[lane];
+          Status cs = ctx.CheckStop("full disjunction");
+          if (cs.ok()) {
+            cs = ScratchBudgetStop(ctx, scratch.arena.bytes_reserved());
+          }
+          if (cs.ok()) {
+            ScopedSpan comp_span(
+                comps[i]->size() >= kComponentSpanMinTuples ? enum_ctx.tracer
+                                                            : nullptr,
+                "fd_component", enum_ctx.trace_parent);
+            comp_span.AddAttr("tuples",
+                              static_cast<int64_t>(comps[i]->size()));
+            ComponentEnumerator enumerator(*problem, *comps[i], budget,
+                                           &scratch, enum_ctx);
+            auto res = enumerator.Enumerate();
+            comp_span.AddAttr("nodes",
+                              static_cast<int64_t>(enumerator.nodes_used()));
+            total_nodes.fetch_add(enumerator.nodes_used(),
+                                  std::memory_order_relaxed);
+            if (res.ok()) {
+              per_comp[i] = std::move(res).value();
+              completed.fetch_add(1, std::memory_order_relaxed);
+              return;
+            }
+            cs = res.status();  // mid-component stop: the partial is discarded
+          }
+          std::lock_guard<std::mutex> lock(err_mu);
+          if (ctx.ShouldTruncate(cs.code())) {
+            if (trunc_stop.ok()) trunc_stop = cs;
+          } else if (first_error.ok()) {
+            first_error = cs;
+          }
+        });
+    if (!first_error.ok()) return first_error;
+    stop = trunc_stop;
+  }
   if (!stop.ok()) {
     // Under kTruncate a deadline/budget stop keeps the components that
     // completed (mid-component partials are discarded; an FD component is
     // all-or-nothing). Cancellation always fails the request.
-    if (!ctx.ShouldTruncate(stop.code())) return stop;
     stats->truncation.truncated = true;
     stats->truncation.stage = Stage::kFdEnumerate;
     stats->truncation.reason = stop.message();
-    stats->truncation.components_completed = completed;
-    stats->truncation.components_skipped = components.size() - completed;
+    stats->truncation.components_completed =
+        completed.load(std::memory_order_relaxed);
+    stats->truncation.components_skipped =
+        comps.size() - stats->truncation.components_completed;
   }
-  stats->results_before_subsumption = code_tuples.size();
+  stats->search_nodes = total_nodes.load();
+  for (const FdScratch& s : scratches) {
+    stats->arena_bytes_reserved += s.arena.bytes_reserved();
+    stats->arena_peak_bytes += s.arena.peak_bytes();
+  }
+  stats->peak_rss_bytes = PeakRssBytes();
+
+  // Zero-copy flatten into final component order: one exact reservation,
+  // then pure moves.
+  const uint64_t merge_start = ThreadPool::NowNs();
+  std::vector<FdCodeTuple> code_tuples;
+  size_t total_tuples = 0;
+  for (const auto& tuples : per_comp) total_tuples += tuples.size();
+  code_tuples.reserve(total_tuples);
+  for (auto& tuples : per_comp) {
+    for (auto& t : tuples) code_tuples.push_back(std::move(t));
+  }
+  stats->task_profile.merge_ns += ThreadPool::NowNs() - merge_start;
+  stats->merge_seconds =
+      static_cast<double>(stats->task_profile.merge_ns) * 1e-9;
+  enum_span.AddAttr("components", static_cast<int64_t>(comps.size()));
+  enum_span.AddAttr("search_nodes",
+                    static_cast<int64_t>(stats->search_nodes));
+  enum_span.End();
+  stats->enumeration_seconds = enum_watch.ElapsedSeconds();
   ReportProgress(progress, Stage::kFdEnumerate, 1, 1);
+  stats->results_before_subsumption = code_tuples.size();
 
   // Subsuming an already-truncated partial result is cleanup: it must keep
   // honoring cancellation but not be re-aborted by the expired deadline
@@ -971,7 +1079,7 @@ Result<std::vector<FdCodeTuple>> FullDisjunction::RunCodes(
   Stopwatch subsume_watch;
   LAKEFUZZ_ASSIGN_OR_RETURN(
       code_tuples,
-      EliminateSubsumedCodes(std::move(code_tuples), nullptr, &subsume_ctx));
+      EliminateSubsumedCodes(std::move(code_tuples), pool, &subsume_ctx));
   subsume_span.AddAttr("results", static_cast<int64_t>(code_tuples.size()));
   subsume_span.End();
   stats->subsumption_seconds = subsume_watch.ElapsedSeconds();
@@ -980,32 +1088,30 @@ Result<std::vector<FdCodeTuple>> FullDisjunction::RunCodes(
     stats->truncation.tuples_emitted = code_tuples.size();
   }
   ReportProgress(progress, Stage::kFdSubsume, 1, 1);
+  if (pool != nullptr) {
+    const PoolStats pool_delta = pool->stats() - pool_before;
+    stats->pool_tasks = pool_delta.tasks;
+    stats->pool_busy_seconds = static_cast<double>(pool_delta.busy_ns) * 1e-9;
+    stats->pool_wait_seconds =
+        static_cast<double>(pool_delta.queue_wait_ns) * 1e-9;
+  }
   return code_tuples;
 }
 
-Result<FdResult> FullDisjunction::Run(FdProblem* problem) const {
+Result<FdResult> FullDisjunction::Run(FdProblem* problem,
+                                      ThreadPool* pool) const {
   FdResult out;
   LAKEFUZZ_ASSIGN_OR_RETURN(std::vector<FdCodeTuple> code_tuples,
-                            RunCodes(problem, &out.stats));
+                            RunCodes(problem, pool, &out.stats));
   // Decode wall time stays folded into subsumption_seconds, as before the
   // RunCodes split.
   Stopwatch decode_watch;
-  out.tuples.reserve(code_tuples.size());
-  for (const auto& t : code_tuples) {
-    out.tuples.push_back(DecodeCodeTuple(t, problem->dict()));
-  }
+  out.tuples.resize(code_tuples.size());
+  MaybeParallelFor(pool, code_tuples.size(), [&](size_t i) {
+    out.tuples[i] = DecodeCodeTuple(code_tuples[i], problem->dict());
+  });
   out.stats.subsumption_seconds += decode_watch.ElapsedSeconds();
   return out;
-}
-
-Result<Table> FullDisjunction::RunToTable(const std::vector<Table>& tables,
-                                          const AlignedSchema& aligned,
-                                          bool include_provenance) const {
-  LAKEFUZZ_ASSIGN_OR_RETURN(FdProblem problem,
-                            FdProblem::Build(tables, aligned));
-  LAKEFUZZ_ASSIGN_OR_RETURN(FdResult result, Run(&problem));
-  return FdResultsToTable(result.tuples, problem.column_names(),
-                          "full_disjunction", include_provenance);
 }
 
 }  // namespace lakefuzz

@@ -28,13 +28,11 @@
 #ifndef LAKEFUZZ_FD_FULL_DISJUNCTION_H_
 #define LAKEFUZZ_FD_FULL_DISJUNCTION_H_
 
-#include <atomic>
 #include <cstdint>
 
 #include "fd/fd_tuple.h"
 #include "fd/problem.h"
 #include "fd/subsumption.h"
-#include "util/arena.h"
 #include "util/request_context.h"
 #include "util/result.h"
 
@@ -48,34 +46,15 @@ struct FdOptions {
   /// request-scoped ResourceBudget::max_fd_nodes tightens this per request
   /// and surfaces kResourceExhausted instead.
   uint64_t max_search_nodes = 200'000'000;
-  /// Worker cap for *intra*-component parallelism (parallel executor only):
-  /// a component of at least `intra_component_min_size` tuples has its
-  /// branch-and-exclude tree split into independent subtree tasks — one per
-  /// top-level branch (root tuple + its exclude prefix) — run on the
-  /// executor pool with depth-bounded re-splitting for skew. Output is
-  /// byte-identical at every setting. 0 = all pool workers, 1 = disable
-  /// splitting (components enumerate serially, as before PR 4).
-  size_t intra_component_threads = 0;
-  /// Components smaller than this enumerate serially on one worker (task
-  /// bookkeeping would cost more than it buys).
+  /// Intra-component parallelism on a multi-worker pool: a component of at
+  /// least this many tuples that also holds at least 1/(2·workers) of all
+  /// tuples has its branch-and-exclude tree split into independent subtree
+  /// tasks run by every pool worker (depth-bounded re-splitting for skew,
+  /// gated on measured task grain). Smaller components enumerate whole on
+  /// one worker, where task bookkeeping would cost more than it buys.
+  /// Output is byte-identical at every setting; SIZE_MAX disables
+  /// splitting.
   size_t intra_component_min_size = 256;
-  /// Subtree tasks re-split while their root depth is below this bound, so
-  /// one dominant branch fans out again instead of serializing a worker.
-  size_t intra_split_depth = 3;
-  /// Adaptive intra-split gate: after a calibration round of tasks, a node
-  /// re-splits only while the observed per-task grain (mean task execution
-  /// time, from the stats of already-finished splits) exceeds this multiple
-  /// of the measured per-task split overhead (include-path replay + queue
-  /// bookkeeping). Small problems therefore stop fanning out once the first
-  /// round proves tasks are overhead-bound, while giant components keep
-  /// splitting deep. 0 restores the static PR 4 gate (queue low-water
-  /// only). Output is byte-identical at every setting.
-  double intra_split_overhead_multiple = 8.0;
-  /// Back each worker's enumeration temporaries (extension sets, flipped-
-  /// column lists) with a per-scratch bump arena instead of heap
-  /// malloc/free per search node. Purely an allocator swap: output is
-  /// byte-identical on or off (tests/fd_intra_test.cc asserts it).
-  bool scratch_arena = true;
 };
 
 /// Aggregated execution profile of the intra-component subtree tasks of one
@@ -145,15 +124,14 @@ struct FdStats {
   /// Intra-component task-grain profile (see FdTaskProfile; all zero when
   /// no component took the split path).
   FdTaskProfile task_profile;
-  /// Pool-level execution deltas over this run (parallel executor only).
-  /// On a shared session pool these include any concurrent work the pool
+  /// Pool-level execution deltas over this run (zero without a pool). On a
+  /// shared session pool these include any concurrent work the pool
   /// ran in the window. busy ≪ workers × wall time with queued work is the
   /// core-starved signature.
   uint64_t pool_tasks = 0;
   double pool_busy_seconds = 0.0;
   double pool_wait_seconds = 0.0;
-  /// Scratch-arena footprint across all worker lanes (0 when
-  /// FdOptions::scratch_arena is off).
+  /// Scratch-arena footprint summed across all work lanes.
   size_t arena_bytes_reserved = 0;
   size_t arena_peak_bytes = 0;
   /// Process-wide peak RSS (getrusage high-water mark) sampled when this
@@ -171,101 +149,39 @@ struct FdResult {
   FdStats stats;
 };
 
-/// Reusable per-worker enumeration state. Allocating and zeroing these
-/// O(num_tuples) arrays per component was an O(n · num_components) hidden
-/// cost; a scratch is allocated once per worker and stays clean between
-/// components (epoch stamps for the seen set; Include/Undo pairing restores
-/// every flag it sets).
-struct FdScratch {
-  explicit FdScratch(const FdProblem& problem)
-      : merged(problem.num_columns(), FdProblem::kNullCode),
-        in_set(problem.num_tuples(), 0),
-        excluded(problem.num_tuples(), 0),
-        seen_stamp(problem.num_tuples(), 0),
-        table_used(problem.num_tables(), 0) {}
-
-  std::vector<uint32_t> merged;  ///< current join, as dictionary codes
-  std::vector<char> in_set;
-  std::vector<char> excluded;
-  std::vector<uint64_t> seen_stamp;
-  std::vector<char> table_used;
-  uint64_t epoch = 0;
-  /// Per-worker bump arena for the enumerator's per-node temporaries
-  /// (extension sets, flipped-column lists): scope-framed alloc/rewind
-  /// instead of one malloc/free pair per search node. Executors set
-  /// `arena_enabled` from FdOptions::scratch_arena before enumerating;
-  /// off = identical code path on heap allocations.
-  ArenaAllocator arena;
-  bool arena_enabled = true;
-};
-
-/// Sequential Full Disjunction executor.
+/// The Full Disjunction executor. Join-graph components are independent FD
+/// subproblems (Paganelli et al., Big Data Research 2019, parallelize FD the
+/// same way), so they run largest-first — balancing the skewed component
+/// sizes of real lakes — across the lanes of an optional ThreadPool. Giant
+/// components additionally split their search trees across every worker
+/// (see FdOptions::intra_component_min_size), and subsumption runs on the
+/// pool too. A null pool runs every stage inline on one lane. Output is
+/// identical (same order) at every pool size: merging is deterministic
+/// regardless of completion order.
 class FullDisjunction {
  public:
   explicit FullDisjunction(FdOptions options = FdOptions())
       : options_(options) {}
 
-  /// Computes FD over a prepared problem (builds its index if needed).
-  Result<FdResult> Run(FdProblem* problem) const;
+  /// Computes FD over a prepared problem (builds its index if needed) and
+  /// decodes the result, on `pool` when given.
+  Result<FdResult> Run(FdProblem* problem, ThreadPool* pool = nullptr) const;
 
   /// The decode-free core of Run: post-subsumption interned result rows in
   /// final (TID-sorted) order. Fills `stats` (results counts the surviving
-  /// code tuples; decode wall time is the caller's). `ctx` is polled per
-  /// component and inside the enumerator's amortized budget check: a fired
-  /// token returns Status::Cancelled, an expired deadline
+  /// code tuples; decode wall time is the caller's). `ctx` is polled before
+  /// every component and inside the enumerator's amortized budget check: a
+  /// fired token returns Status::Cancelled, an expired deadline
   /// Status::DeadlineExceeded, an exhausted ResourceBudget
   /// Status::ResourceExhausted — or, under BudgetPolicy::kTruncate, the
   /// deadline/budget stop keeps the components completed so far and records
   /// the cut in stats->truncation. `progress` receives
   /// kFdEnumerate/kFdSubsume boundary events ((0,1) entry, (1,1)
-  /// completion). Streaming consumers (LakeEngine row sinks) decode these
-  /// in batches instead of materializing the full FdResult.
+  /// completion) on the calling thread only, never from pool workers.
   Result<std::vector<FdCodeTuple>> RunCodes(
-      FdProblem* problem, FdStats* stats,
+      FdProblem* problem, ThreadPool* pool, FdStats* stats,
       const RequestContext& ctx = RequestContext(),
       const ProgressFn& progress = ProgressFn()) const;
-
-  /// Convenience: outer-union + FD + table materialization.
-  Result<Table> RunToTable(const std::vector<Table>& tables,
-                           const AlignedSchema& aligned,
-                           bool include_provenance = false) const;
-
-  /// Enumerates the joins of maximal connected consistent sets within one
-  /// component (no subsumption), as interned code tuples. `budget` is
-  /// decremented per search node; reaching zero aborts with
-  /// FailedPrecondition (or kResourceExhausted when the bound came from
-  /// `ctx`'s ResourceBudget). `scratch` must come from the same problem and
-  /// is reused across calls — the executors keep one per worker. When `ctx`
-  /// is non-null it is polled alongside the budget; a fired token aborts
-  /// with Status::Cancelled, an expired deadline with
-  /// Status::DeadlineExceeded.
-  static Result<std::vector<FdCodeTuple>> RunComponentCodes(
-      const FdProblem& problem, const std::vector<uint32_t>& component,
-      std::atomic<int64_t>* budget, uint64_t* nodes_used, FdScratch* scratch,
-      const RequestContext* ctx = nullptr);
-
-  /// Intra-component parallel twin of RunComponentCodes: the component's
-  /// branch-and-exclude tree is split into independent subtree tasks (one
-  /// per top-level branch; depth-bounded re-splitting under skew, see
-  /// FdOptions::intra_split_depth) executed by `workers` loops on `pool`
-  /// via a shared work queue. Results merge in deterministic branch order,
-  /// so output is byte-identical to RunComponentCodes at any worker count
-  /// and schedule. `scratches` supplies one FdScratch per worker (size >=
-  /// workers, same problem). When `pool` is null the whole tree runs inline
-  /// on scratches[0]. Node totals are added to *nodes_used, spawned-task
-  /// counts to *tasks_spawned, and when `profile` is non-null the per-task
-  /// grain/timing counters are accumulated into it.
-  static Result<std::vector<FdCodeTuple>> RunComponentCodesParallel(
-      const FdProblem& problem, const std::vector<uint32_t>& component,
-      const FdOptions& options, ThreadPool* pool, size_t workers,
-      std::vector<FdScratch>* scratches, std::atomic<int64_t>* budget,
-      uint64_t* nodes_used, uint64_t* tasks_spawned,
-      const RequestContext* ctx = nullptr, FdTaskProfile* profile = nullptr);
-
-  /// Decoded convenience wrapper around RunComponentCodes (tests).
-  static Result<std::vector<FdResultTuple>> RunComponent(
-      const FdProblem& problem, const std::vector<uint32_t>& component,
-      std::atomic<int64_t>* budget, uint64_t* nodes_used);
 
  private:
   FdOptions options_;

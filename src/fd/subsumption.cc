@@ -55,9 +55,15 @@ Table FdResultsToTable(const std::vector<FdResultTuple>& results,
   if (include_provenance) names.push_back("TIDs");
   names.insert(names.end(), column_names.begin(), column_names.end());
   Table out(table_name, Schema::FromNames(names));
+  AppendFdResults(results, include_provenance, &out);
+  return out;
+}
+
+void AppendFdResults(const std::vector<FdResultTuple>& results,
+                     bool include_provenance, Table* out) {
   for (const auto& r : results) {
     std::vector<Value> row;
-    row.reserve(names.size());
+    row.reserve(out->NumColumns());
     if (include_provenance) {
       std::string prov = "{";
       for (size_t i = 0; i < r.tids.size(); ++i) {
@@ -68,11 +74,10 @@ Table FdResultsToTable(const std::vector<FdResultTuple>& results,
       row.push_back(Value::String(std::move(prov)));
     }
     row.insert(row.end(), r.values.begin(), r.values.end());
-    Status s = out.AppendRow(std::move(row));
+    Status s = out->AppendRow(std::move(row));
     assert(s.ok());
     (void)s;
   }
-  return out;
 }
 
 namespace {

@@ -161,30 +161,23 @@ class ArenaAllocator {
   size_t peak_bytes_ = 0;
 };
 
-/// RAII mark/rewind pair for scope-shaped arena usage. A null arena makes
-/// the frame a no-op, so call sites need no branching when the arena is
-/// disabled.
+/// RAII mark/rewind pair for scope-shaped arena usage.
 class ArenaFrame {
  public:
-  explicit ArenaFrame(ArenaAllocator* arena) : arena_(arena) {
-    if (arena_ != nullptr) mark_ = arena_->mark();
-  }
-  ~ArenaFrame() {
-    if (arena_ != nullptr) arena_->Rewind(mark_);
-  }
+  explicit ArenaFrame(ArenaAllocator& arena)
+      : arena_(arena), mark_(arena.mark()) {}
+  ~ArenaFrame() { arena_.Rewind(mark_); }
   ArenaFrame(const ArenaFrame&) = delete;
   ArenaFrame& operator=(const ArenaFrame&) = delete;
 
  private:
-  ArenaAllocator* arena_;
+  ArenaAllocator& arena_;
   ArenaAllocator::Mark mark_;
 };
 
-/// Minimal growable array of trivially copyable T, backed by an arena when
-/// one is given (freed wholesale by the enclosing ArenaFrame/Rewind) or by
-/// the heap otherwise (freed in the destructor). The single container the
-/// enumerator hot path uses, so "arena on" and "arena off" execute the
-/// identical algorithm — only the allocator differs.
+/// Minimal growable array of trivially copyable T backed by an arena: its
+/// storage is freed wholesale by the enclosing ArenaFrame/Rewind, never by
+/// the vector itself. The enumerator hot path's per-node container.
 template <typename T>
 class ArenaVector {
   static_assert(std::is_trivially_copyable_v<T> &&
@@ -192,17 +185,17 @@ class ArenaVector {
                 "ArenaVector relocates with memcpy and never destroys");
 
  public:
-  explicit ArenaVector(ArenaAllocator* arena, size_t initial_capacity = 0)
+  explicit ArenaVector(ArenaAllocator& arena, size_t initial_capacity = 0)
       : arena_(arena) {
     if (initial_capacity > 0) Reserve(initial_capacity);
-  }
-  ~ArenaVector() {
-    if (arena_ == nullptr) ::operator delete(data_);
   }
   ArenaVector(const ArenaVector&) = delete;
   ArenaVector& operator=(const ArenaVector&) = delete;
 
-  void push_back(const T& v) {
+  /// Out of line on purpose: inlined, the growth path bloats the FD
+  /// enumerator's extension loops, which then ran ~10% slower per search
+  /// node on IMDB-8k (one lane, min of 48 runs).
+  __attribute__((noinline)) void push_back(const T& v) {
     if (size_ == cap_) Reserve(cap_ == 0 ? 8 : cap_ * 2);
     data_[size_++] = v;
   }
@@ -224,25 +217,18 @@ class ArenaVector {
  private:
   void Reserve(size_t new_cap) {
     if (new_cap <= cap_) return;
-    if (arena_ != nullptr) {
-      if (cap_ != 0 &&
-          arena_->TryExtend(data_, cap_ * sizeof(T), new_cap * sizeof(T))) {
-        cap_ = new_cap;
-        return;
-      }
-      T* nd = arena_->AllocArray<T>(new_cap);
-      if (size_ != 0) std::memcpy(nd, data_, size_ * sizeof(T));
-      data_ = nd;  // old buffer stays dead in the arena until Rewind
-    } else {
-      T* nd = static_cast<T*>(::operator new(new_cap * sizeof(T)));
-      if (size_ != 0) std::memcpy(nd, data_, size_ * sizeof(T));
-      ::operator delete(data_);
-      data_ = nd;
+    if (cap_ != 0 &&
+        arena_.TryExtend(data_, cap_ * sizeof(T), new_cap * sizeof(T))) {
+      cap_ = new_cap;
+      return;
     }
+    T* nd = arena_.AllocArray<T>(new_cap);
+    if (size_ != 0) std::memcpy(nd, data_, size_ * sizeof(T));
+    data_ = nd;  // old buffer stays dead in the arena until Rewind
     cap_ = new_cap;
   }
 
-  ArenaAllocator* arena_;
+  ArenaAllocator& arena_;
   T* data_ = nullptr;
   size_t size_ = 0;
   size_t cap_ = 0;

@@ -1,9 +1,8 @@
 // Tests for the per-worker bump-pointer arena (util/arena.h) and the
 // thread-pool execution counters (PoolStats): mark/rewind scope discipline,
-// grow-in-place, block reuse across Reset, the ArenaVector heap fallback
-// that keeps "arena off" on the identical code path, and a many-tiny-tasks
-// pool stress asserting arena reuse never aliases live data (the ASan job
-// re-runs this under the allocator poisoners).
+// grow-in-place, block reuse across Reset, ArenaVector growth, and a
+// many-tiny-tasks pool stress asserting arena reuse never aliases live data
+// (the ASan job re-runs this under the allocator poisoners).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -60,25 +59,23 @@ TEST(ArenaTest, ResetKeepsReservedBlocksAndPeak) {
   EXPECT_GE(arena.peak_bytes(), peak);          // high-water never shrinks
 }
 
-TEST(ArenaTest, ArenaVectorMatchesHeapFallbackExactly) {
-  // One code path, two allocators: pushing the same sequence through an
-  // arena-backed and a heap-backed ArenaVector must produce identical
-  // contents (this is what makes FdOptions::scratch_arena a pure allocation
-  // knob).
-  ArenaAllocator arena;
-  ArenaVector<uint32_t> on(&arena);
-  ArenaVector<uint32_t> off(nullptr);
+TEST(ArenaTest, ArenaVectorMatchesStdVector) {
+  // Growth across many reallocations (in place and by copy) keeps exactly
+  // the contents a std::vector holds for the same pushes.
+  ArenaAllocator arena(/*min_block_bytes=*/256);
+  ArenaVector<uint32_t> on(arena);
+  std::vector<uint32_t> expected;
   for (uint32_t i = 0; i < 5000; ++i) {
     on.push_back(i * 2654435761u);
-    off.push_back(i * 2654435761u);
+    expected.push_back(i * 2654435761u);
   }
-  ASSERT_EQ(on.size(), off.size());
-  EXPECT_EQ(std::memcmp(on.data(), off.data(),
+  ASSERT_EQ(on.size(), expected.size());
+  EXPECT_EQ(std::memcmp(on.data(), expected.data(),
                         on.size() * sizeof(uint32_t)),
             0);
   on.pop_back();
-  off.pop_back();
-  EXPECT_EQ(on.back(), off.back());
+  expected.pop_back();
+  EXPECT_EQ(on.back(), expected.back());
 }
 
 TEST(ArenaTest, InterleavedVectorsStayDisjoint) {
@@ -87,12 +84,12 @@ TEST(ArenaTest, InterleavedVectorsStayDisjoint) {
   // Growth of the long-lived vector must never clobber data the frames
   // wrote before it, and vice versa.
   ArenaAllocator arena(/*min_block_bytes=*/256);
-  ArenaFrame outer(&arena);
-  ArenaVector<uint32_t> durable(&arena);
+  ArenaFrame outer(arena);
+  ArenaVector<uint32_t> durable(arena);
   for (uint32_t round = 0; round < 300; ++round) {
     {
-      ArenaFrame inner(&arena);
-      ArenaVector<uint32_t> scratch(&arena);
+      ArenaFrame inner(arena);
+      ArenaVector<uint32_t> scratch(arena);
       for (uint32_t i = 0; i < 17; ++i) scratch.push_back(~round);
     }
     durable.push_back(round);
@@ -130,12 +127,12 @@ TEST(ArenaPoolStressTest, ManyTinyTasksNeverAliasLiveData) {
     ArenaAllocator& arena = arenas[lane];
     arena.Reset();
     const uint32_t tag = static_cast<uint32_t>(task * 0x9e3779b9u + lane);
-    ArenaVector<uint32_t> grown(&arena);
+    ArenaVector<uint32_t> grown(arena);
     const size_t n = 1 + task % 97;  // vary size so blocks get re-cut
     for (size_t i = 0; i < n; ++i) {
       grown.push_back(tag + static_cast<uint32_t>(i));
       // Interleave a frame-scoped throwaway to churn the bump pointer.
-      ArenaFrame frame(&arena);
+      ArenaFrame frame(arena);
       uint32_t* tmp = arena.AllocArray<uint32_t>(1 + i % 13);
       tmp[0] = ~tag;
     }

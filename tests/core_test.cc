@@ -10,6 +10,7 @@
 #include "core/value_matcher.h"
 #include "embedding/knowledge_base.h"
 #include "embedding/model_zoo.h"
+#include "util/thread_pool.h"
 
 namespace lakefuzz {
 namespace {
@@ -295,7 +296,7 @@ std::vector<Table> Fig1Tables() {
   return {std::move(t1).value(), std::move(t2).value(), std::move(t3).value()};
 }
 
-FuzzyFdOptions PaperPipelineOptions() {
+FuzzyFdOptions PaperFuzzyFdOptions() {
   FuzzyFdOptions opts;
   opts.matcher = MistralOptions();
   return opts;
@@ -305,9 +306,10 @@ TEST(FuzzyFdTest, Fig1FuzzyIntegrationProducesFiveTuples) {
   auto tables = Fig1Tables();
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
-  FuzzyFullDisjunction fuzzy(PaperPipelineOptions());
+  FuzzyFullDisjunction fuzzy(PaperFuzzyFdOptions());
   FuzzyFdReport report;
-  auto result = fuzzy.RunToTuples(tables, *aligned, &report);
+  auto result = fuzzy.RunToTuples(BorrowTables(tables), *aligned,
+                                  /*fuzzy=*/true, &report);
   ASSERT_TRUE(result.ok());
   // Paper Fig. 1 Fuzzy FD(T1,T2,T3): f10..f14 — five tuples.
   ASSERT_EQ(result->tuples.size(), 5u);
@@ -327,8 +329,9 @@ TEST(FuzzyFdTest, Fig1RepresentativeValuesFollowPaperRule) {
   auto tables = Fig1Tables();
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
-  FuzzyFullDisjunction fuzzy(PaperPipelineOptions());
-  auto result = fuzzy.RunToTuples(tables, *aligned);
+  FuzzyFullDisjunction fuzzy(PaperFuzzyFdOptions());
+  auto result =
+      fuzzy.RunToTuples(BorrowTables(tables), *aligned, /*fuzzy=*/true);
   ASSERT_TRUE(result.ok());
   for (const auto& t : result->tuples) {
     if (t.tids == std::vector<uint32_t>{0, 6, 8}) {
@@ -350,9 +353,10 @@ TEST(FuzzyFdTest, RewriteTablesMakesValuesConsistent) {
   auto tables = Fig1Tables();
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
-  FuzzyFullDisjunction fuzzy(PaperPipelineOptions());
+  FuzzyFullDisjunction fuzzy(PaperFuzzyFdOptions());
   FuzzyFdReport report;
-  auto rewritten = fuzzy.RewriteTables(tables, *aligned, &report);
+  auto rewritten = fuzzy.RewriteTables(BorrowTables(tables), *aligned,
+                                       &report);
   ASSERT_TRUE(rewritten.ok());
   // T1's Berlinn must now read Berlin; T3's barcelona must read Barcelona.
   EXPECT_EQ((*rewritten)[0].At(0, 0), S("Berlin"));
@@ -368,16 +372,17 @@ TEST(FuzzyFdTest, DegeneratesToRegularFdWithImpossibleThreshold) {
   auto tables = Fig1Tables();
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
-  FuzzyFdOptions opts = PaperPipelineOptions();
+  FuzzyFdOptions opts = PaperFuzzyFdOptions();
   // θ = 0 with the strict `dist < θ` rule admits nothing — even distance-0
   // pairs like case variants — so only byte-equal values unify (a no-op).
   opts.matcher.threshold = 0.0;
   opts.matcher.normalize_identity = false;  // prepass = byte equality only
   FuzzyFullDisjunction fuzzy(opts);
-  auto fuzzy_result = fuzzy.RunToTuples(tables, *aligned);
+  auto fuzzy_result =
+      fuzzy.RunToTuples(BorrowTables(tables), *aligned, /*fuzzy=*/true);
   ASSERT_TRUE(fuzzy_result.ok());
-  auto regular = RegularFdBaseline(tables, *aligned, FdOptions(), false, 0,
-                                   nullptr);
+  auto regular =
+      fuzzy.RunToTuples(BorrowTables(tables), *aligned, /*fuzzy=*/false);
   ASSERT_TRUE(regular.ok());
   ASSERT_EQ(fuzzy_result->tuples.size(), regular->tuples.size());
   for (size_t i = 0; i < regular->tuples.size(); ++i) {
@@ -385,16 +390,18 @@ TEST(FuzzyFdTest, DegeneratesToRegularFdWithImpossibleThreshold) {
   }
 }
 
-TEST(FuzzyFdTest, ParallelPipelineMatchesSequential) {
+TEST(FuzzyFdTest, PooledPipelineMatchesInline) {
   auto tables = Fig1Tables();
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
-  FuzzyFdOptions seq_opts = PaperPipelineOptions();
-  FuzzyFdOptions par_opts = PaperPipelineOptions();
-  par_opts.parallel = true;
-  par_opts.num_threads = 3;
-  auto seq = FuzzyFullDisjunction(seq_opts).RunToTuples(tables, *aligned);
-  auto par = FuzzyFullDisjunction(par_opts).RunToTuples(tables, *aligned);
+  ThreadPool pool(3);
+  FuzzyFdOptions seq_opts = PaperFuzzyFdOptions();
+  FuzzyFdOptions par_opts = PaperFuzzyFdOptions();
+  par_opts.pool = &pool;
+  auto seq = FuzzyFullDisjunction(seq_opts).RunToTuples(
+      BorrowTables(tables), *aligned, /*fuzzy=*/true);
+  auto par = FuzzyFullDisjunction(par_opts).RunToTuples(
+      BorrowTables(tables), *aligned, /*fuzzy=*/true);
   ASSERT_TRUE(seq.ok());
   ASSERT_TRUE(par.ok());
   ASSERT_EQ(seq->tuples.size(), par->tuples.size());
@@ -403,16 +410,27 @@ TEST(FuzzyFdTest, ParallelPipelineMatchesSequential) {
   }
 }
 
-TEST(FuzzyFdTest, RunProducesTableWithProvenance) {
+TEST(FuzzyFdTest, BatchesCoverTheResultInOrder) {
   auto tables = Fig1Tables();
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
-  FuzzyFdOptions opts = PaperPipelineOptions();
-  opts.include_provenance = true;
-  auto table = FuzzyFullDisjunction(opts).Run(tables, *aligned);
-  ASSERT_TRUE(table.ok());
-  EXPECT_EQ(table->NumRows(), 5u);
-  EXPECT_EQ(table->schema().field(0).name, "TIDs");
+  FuzzyFullDisjunction fuzzy(PaperFuzzyFdOptions());
+  auto whole =
+      fuzzy.RunToTuples(BorrowTables(tables), *aligned, /*fuzzy=*/true);
+  ASSERT_TRUE(whole.ok());
+  std::vector<FdResultTuple> streamed;
+  std::vector<size_t> batch_sizes;
+  auto emitted = fuzzy.RunToBatches(
+      BorrowTables(tables), *aligned, /*fuzzy=*/true, /*batch_rows=*/2,
+      [&](std::vector<FdResultTuple>* batch) {
+        batch_sizes.push_back(batch->size());
+        streamed.insert(streamed.end(), batch->begin(), batch->end());
+        return Status::OK();
+      });
+  ASSERT_TRUE(emitted.ok());
+  EXPECT_EQ(*emitted, 5u);
+  EXPECT_EQ(batch_sizes, (std::vector<size_t>{2, 2, 1}));
+  EXPECT_EQ(streamed, whole->tuples);
 }
 
 TEST(FuzzyFdTest, ReportTimingsPopulated) {
@@ -420,8 +438,9 @@ TEST(FuzzyFdTest, ReportTimingsPopulated) {
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
   FuzzyFdReport report;
-  auto result = FuzzyFullDisjunction(PaperPipelineOptions())
-                    .RunToTuples(tables, *aligned, &report);
+  auto result = FuzzyFullDisjunction(PaperFuzzyFdOptions())
+                    .RunToTuples(BorrowTables(tables), *aligned,
+                                 /*fuzzy=*/true, &report);
   ASSERT_TRUE(result.ok());
   EXPECT_GE(report.match_seconds, 0.0);
   EXPECT_GE(report.fd_seconds, 0.0);
@@ -457,8 +476,8 @@ TEST(FuzzyFdTest, InternedRewriteMatchesStringKeyedSemantics) {
     return (x == "05" && y == "5") || (x == "5" && y == "05") ? 0.1 : 1.0;
   };
   FuzzyFdReport report;
-  auto rewritten =
-      FuzzyFullDisjunction(opts).RewriteTables(tables, *aligned, &report);
+  auto rewritten = FuzzyFullDisjunction(opts).RewriteTables(
+      BorrowTables(tables), *aligned, &report);
   ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
 
   // All four "5"-rendering cells rewrote — both String twins and both Int
@@ -482,11 +501,12 @@ TEST(FuzzyFdTest, TypedValuesSurviveRewrite) {
   std::vector<Table> tables{*t1, *t2};
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
-  FuzzyFullDisjunction fuzzy(PaperPipelineOptions());
-  auto rewritten = fuzzy.RewriteTables(tables, *aligned, nullptr);
+  FuzzyFullDisjunction fuzzy(PaperFuzzyFdOptions());
+  auto rewritten = fuzzy.RewriteTables(BorrowTables(tables), *aligned, nullptr);
   ASSERT_TRUE(rewritten.ok());
   EXPECT_EQ((*rewritten)[0].At(0, 0).type(), ValueType::kInt64);
-  auto result = fuzzy.RunToTuples(tables, *aligned);
+  auto result =
+      fuzzy.RunToTuples(BorrowTables(tables), *aligned, /*fuzzy=*/true);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->tuples.size(), 3u);  // join on 1, singles for 2 and 3
 }

@@ -1,6 +1,5 @@
 // Tests for the session-oriented public API: LakeEngine, TableRegistry,
-// request cancellation, streaming sinks, and parity with the legacy
-// one-shot facade.
+// request cancellation, and streaming sinks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +9,6 @@
 #include <thread>
 
 #include "core/engine.h"
-#include "core/pipeline.h"
 #include "table/csv.h"
 #include "util/fault_injection.h"
 
@@ -135,8 +133,8 @@ TEST(TableRegistryTest, UnknownNameIsNotFound) {
 TEST(TableRegistryTest, NamesSortedAndUnregister) {
   auto engine = MakeEngineWithSmallSet();
   EXPECT_EQ(engine->TableNames(), (std::vector<std::string>{"a", "b"}));
-  EXPECT_TRUE(engine->UnregisterTable("a"));
-  EXPECT_FALSE(engine->UnregisterTable("a"));
+  EXPECT_TRUE(engine->Unregister("a").ok());
+  EXPECT_FALSE(engine->Unregister("a").ok());
   EXPECT_EQ(engine->NumTables(), 1u);
 }
 
@@ -253,6 +251,21 @@ TEST(RegisterCsvTest, MissingFileSurfacesIoError) {
             ErrorCode::kIoError);
 }
 
+TEST(RegisterCsvTest, CsvFilesIntegrateLikeInMemoryTables) {
+  auto tables = SmallIntegrationSet();
+  auto engine = LakeEngine::Create();
+  ASSERT_TRUE(engine.ok());
+  for (const auto& t : tables) {
+    std::string path = WriteTempFile(t.name() + ".csv", WriteCsv(t));
+    ASSERT_TRUE((*engine)->RegisterCsv(t.name(), path).ok());
+  }
+  RequestOptions req;
+  req.holistic_alignment = false;
+  auto result = (*engine)->Integrate({"a", "b"}, req);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->integrated.NumRows(), 3u);  // Berlin merged, Toronto, Lima
+}
+
 TEST(RegisterCsvTest, RegisteredTableIsRenamedToRegistryName) {
   std::string path = WriteTempFile("stem_name.csv", "X\n1\n2\n");
   auto engine = LakeEngine::Create();
@@ -263,16 +276,10 @@ TEST(RegisterCsvTest, RegisteredTableIsRenamedToRegistryName) {
 
 // ----------------------------------------------------------- requests
 
-// Acceptance: two Integrate calls on one engine are (a) bit-identical to
-// the one-shot IntegrateTables path and (b) the second call reports
+// Acceptance: two Integrate calls on one engine (a) give the fuzzy
+// integration, bit-identically, and (b) the second call reports
 // embedding-cache hits with zero misses (full cross-call reuse).
-TEST(LakeEngineTest, RepeatedIntegrateMatchesOneShotAndReusesCache) {
-  auto tables = SmallIntegrationSet();
-  PipelineOptions one_shot_opts;
-  one_shot_opts.holistic_alignment = false;
-  auto one_shot = IntegrateTables(tables, one_shot_opts);
-  ASSERT_TRUE(one_shot.ok()) << one_shot.status().ToString();
-
+TEST(LakeEngineTest, RepeatedIntegrateIsStableAndReusesCache) {
   auto engine = MakeEngineWithSmallSet();
   RequestOptions req;
   req.holistic_alignment = false;
@@ -281,11 +288,11 @@ TEST(LakeEngineTest, RepeatedIntegrateMatchesOneShotAndReusesCache) {
   auto second = engine->Integrate({"a", "b"}, req);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
 
-  // (a) Bit-identical outputs across the engine and the legacy facade.
-  ExpectTablesIdentical(first->integrated, one_shot->integrated);
-  ExpectTablesIdentical(second->integrated, one_shot->integrated);
-  EXPECT_EQ(first->aligned.universal_names,
-            one_shot->aligned.universal_names);
+  // (a) Berlinn/Berlin merged, Toronto and Lima alone — on both calls.
+  EXPECT_EQ(first->integrated.NumRows(), 3u);
+  EXPECT_GT(first->report.values_rewritten, 0u);
+  ExpectTablesIdentical(second->integrated, first->integrated);
+  EXPECT_EQ(second->aligned.universal_names, first->aligned.universal_names);
 
   // (b) Cross-call cache reuse: the second call re-embeds nothing.
   const auto& stats2 = second->report.match_stats;
@@ -318,7 +325,7 @@ TEST(LakeEngineTest, AlignedSchemaCachedPerNameSetAndInvalidated) {
 
   // Registry mutation invalidates: re-registering a changed "b" must
   // re-align (and the new table must actually be used).
-  ASSERT_TRUE(engine->UnregisterTable("b"));
+  ASSERT_TRUE(engine->Unregister("b").ok());
   auto t2 = Table::FromRows("b", {"City", "VacRate", "Mayor"},
                             {{S("Berlin"), S("63%"), S("Kai")},
                              {S("Lima"), S("71%"), S("Rafael")}});
@@ -397,14 +404,6 @@ TEST(LakeEngineTest, ParallelEngineMatchesSerialEngine) {
   auto parallel_result = (*parallel)->Integrate({"a", "b"}, req);
   ASSERT_TRUE(parallel_result.ok());
   ExpectTablesIdentical(parallel_result->integrated, serial_result->integrated);
-
-  // parallel_fd=false forces the serial FD executor on a pooled engine;
-  // output is identical either way.
-  RequestOptions serial_fd = req;
-  serial_fd.parallel_fd = false;
-  auto forced_serial = (*parallel)->Integrate({"a", "b"}, serial_fd);
-  ASSERT_TRUE(forced_serial.ok());
-  ExpectTablesIdentical(forced_serial->integrated, serial_result->integrated);
 }
 
 TEST(LakeEngineTest, RegularFdMode) {
@@ -421,6 +420,7 @@ TEST(LakeEngineTest, ReportCoversAllStages) {
   auto engine = MakeEngineWithSmallSet();
   auto result = engine->Integrate({"a", "b"});  // holistic → align work > 0
   ASSERT_TRUE(result.ok());
+  EXPECT_GE(result->aligned.NumUniversal(), 2u);
   const FuzzyFdReport& report = result->report;
   EXPECT_GT(report.align_seconds, 0.0);
   EXPECT_GE(report.match_seconds, 0.0);
@@ -428,7 +428,6 @@ TEST(LakeEngineTest, ReportCoversAllStages) {
   EXPECT_GE(report.total_seconds(),
             report.align_seconds + report.match_seconds +
                 report.rewrite_seconds + report.fd_seconds);
-  EXPECT_DOUBLE_EQ(result->align_seconds, report.align_seconds);
 }
 
 TEST(LakeEngineTest, TidOrderFollowsNameOrder) {
@@ -719,19 +718,6 @@ TEST(IntegrateToSinkTest, RegularFdStreamsToo) {
   auto report = engine->IntegrateToSink({"a", "b"}, &sink, req);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(sink.tuples_.size(), 4u);  // regular FD keeps Berlinn apart
-}
-
-// ----------------------------------------------------------- shims
-
-TEST(PipelineShimTest, FacadeStillWorksOverTemporaryEngine) {
-  PipelineOptions opts;
-  opts.holistic_alignment = false;
-  auto result = IntegrateTables(SmallIntegrationSet(), opts);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->integrated.NumRows(), 3u);
-  EXPECT_GT(result->report.values_rewritten, 0u);
-  // The deprecated top-level field mirrors the report's stage accounting.
-  EXPECT_DOUBLE_EQ(result->align_seconds, result->report.align_seconds);
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include "datagen/imdb.h"
 #include "embedding/model_zoo.h"
 #include "fd/full_disjunction.h"
-#include "fd/parallel.h"
 #include "fd/problem.h"
 #include "fd/value_dict.h"
 #include "util/rng.h"
@@ -357,16 +356,18 @@ TEST(ThreadInvarianceTest, CorruptedImdbIdenticalAcrossThreadCounts) {
 
   FuzzyFdOptions serial_opts;
   serial_opts.matcher.model = MakeModel(ModelKind::kMistral);
-  auto reference =
-      FuzzyFullDisjunction(serial_opts).RunToTuples(tables, *aligned);
+  auto reference = FuzzyFullDisjunction(serial_opts)
+                       .RunToTuples(BorrowTables(tables), *aligned,
+                                    /*fuzzy=*/true);
   ASSERT_TRUE(reference.ok());
   ASSERT_GT(reference->tuples.size(), 0u);
 
   for (size_t threads : {1u, 2u, 8u}) {
+    ThreadPool pool(threads);
     FuzzyFdOptions opts = serial_opts;
-    opts.parallel = true;
-    opts.num_threads = threads;
-    auto result = FuzzyFullDisjunction(opts).RunToTuples(tables, *aligned);
+    opts.pool = &pool;
+    auto result = FuzzyFullDisjunction(opts).RunToTuples(
+        BorrowTables(tables), *aligned, /*fuzzy=*/true);
     ASSERT_TRUE(result.ok()) << threads;
     ASSERT_EQ(result->tuples.size(), reference->tuples.size()) << threads;
     for (size_t i = 0; i < result->tuples.size(); ++i) {
@@ -383,13 +384,17 @@ TEST(ThreadInvarianceTest, RegularFdOnCorruptedImdbMatchesSerial) {
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
   FuzzyFdReport serial_report;
-  auto serial = RegularFdBaseline(tables, *aligned, FdOptions(),
-                                  /*parallel=*/false, 0, &serial_report);
+  auto serial = FuzzyFullDisjunction(FuzzyFdOptions())
+                    .RunToTuples(BorrowTables(tables), *aligned,
+                                 /*fuzzy=*/false, &serial_report);
   ASSERT_TRUE(serial.ok());
   EXPECT_GT(serial_report.fd_stats.posting_lists, 0u);
   for (size_t threads : {2u, 8u}) {
-    auto parallel = RegularFdBaseline(tables, *aligned, FdOptions(),
-                                      /*parallel=*/true, threads, nullptr);
+    ThreadPool pool(threads);
+    FuzzyFdOptions opts;
+    opts.pool = &pool;
+    auto parallel = FuzzyFullDisjunction(opts).RunToTuples(
+        BorrowTables(tables), *aligned, /*fuzzy=*/false);
     ASSERT_TRUE(parallel.ok());
     ASSERT_EQ(parallel->tuples.size(), serial->tuples.size());
     for (size_t i = 0; i < parallel->tuples.size(); ++i) {

@@ -11,7 +11,6 @@
 
 #include "core/fuzzy_fd.h"
 #include "fd/full_disjunction.h"
-#include "fd/parallel.h"
 #include "fd/problem.h"
 #include "fd/session_dict.h"
 #include "util/rng.h"
@@ -61,25 +60,26 @@ TEST(IntraComponentTest, SingleGiantComponentByteIdenticalAcrossThreads) {
   auto problem = BuildGiant(tables);
   ASSERT_TRUE(problem.ok());
 
-  // Reference: the sequential executor.
+  // Reference: the executor without a pool (one inline lane, no split).
   FdProblem serial_problem = *problem;
   FdStats serial_stats;
   auto serial =
-      FullDisjunction().RunCodes(&serial_problem, &serial_stats);
+      FullDisjunction().RunCodes(&serial_problem, nullptr, &serial_stats);
   ASSERT_TRUE(serial.ok());
   ASSERT_GT(serial->size(), 0u);
   ASSERT_EQ(serial_stats.num_components, 1u);
   ASSERT_EQ(serial_stats.largest_component,
             serial_problem.num_tuples());
+  EXPECT_GT(serial_stats.arena_peak_bytes, 0u);
 
   for (size_t threads : {1u, 2u, 8u}) {
     FdProblem p = *problem;
-    ParallelFdOptions opts;
-    opts.num_threads = threads;
+    ThreadPool pool(threads);
+    FdOptions opts;
     // Force the intra path for any component on multi-thread runs.
-    opts.fd.intra_component_min_size = 2;
+    opts.intra_component_min_size = 2;
     FdStats stats;
-    auto parallel = ParallelFullDisjunction(opts).RunCodes(&p, &stats);
+    auto parallel = FullDisjunction(opts).RunCodes(&p, &pool, &stats);
     ASSERT_TRUE(parallel.ok()) << threads;
     ASSERT_EQ(parallel->size(), serial->size()) << threads;
     for (size_t i = 0; i < serial->size(); ++i) {
@@ -93,88 +93,10 @@ TEST(IntraComponentTest, SingleGiantComponentByteIdenticalAcrossThreads) {
       // The giant component must actually have been split into subtree
       // tasks, not fall back to serial enumeration.
       EXPECT_GT(stats.intra_tasks, 0u) << threads;
-    }
-  }
-}
-
-TEST(IntraComponentTest, ArenaOnOffByteIdenticalAcrossThreads) {
-  // FdOptions::scratch_arena must be a pure allocation knob: identical
-  // tuples AND identical search_nodes with the arena on or off, at every
-  // thread count (ArenaVector's heap fallback keeps one code path).
-  auto tables = GiantComponentTables(4, 24, 2);
-  auto problem = BuildGiant(tables);
-  ASSERT_TRUE(problem.ok());
-
-  FdProblem ref_problem = *problem;
-  FdStats ref_stats;
-  auto reference = FullDisjunction().RunCodes(&ref_problem, &ref_stats);
-  ASSERT_TRUE(reference.ok());
-  EXPECT_GT(ref_stats.arena_peak_bytes, 0u);  // default: arena on
-
-  for (bool arena_on : {false, true}) {
-    for (size_t threads : {1u, 2u, 8u}) {
-      FdProblem p = *problem;
-      ParallelFdOptions opts;
-      opts.num_threads = threads;
-      opts.fd.intra_component_min_size = 2;
-      opts.fd.scratch_arena = arena_on;
-      FdStats stats;
-      auto result = ParallelFullDisjunction(opts).RunCodes(&p, &stats);
-      ASSERT_TRUE(result.ok()) << arena_on << " " << threads;
-      ASSERT_EQ(result->size(), reference->size())
-          << arena_on << " " << threads;
-      for (size_t i = 0; i < reference->size(); ++i) {
-        ASSERT_EQ((*result)[i].codes, (*reference)[i].codes)
-            << "arena " << arena_on << " threads " << threads;
-        ASSERT_EQ((*result)[i].tids, (*reference)[i].tids)
-            << "arena " << arena_on << " threads " << threads;
-      }
-      EXPECT_EQ(stats.search_nodes, ref_stats.search_nodes)
-          << arena_on << " " << threads;
-      if (!arena_on) EXPECT_EQ(stats.arena_peak_bytes, 0u);
-    }
-  }
-}
-
-TEST(IntraComponentTest, AdaptiveGateOnOffByteIdenticalAcrossThreads) {
-  // The adaptive split gate only changes WHICH tasks split, never what any
-  // task computes, so output and search_nodes must match the serial
-  // reference whether the gate is adaptive (default multiple) or disabled
-  // (0 restores the static low-water heuristic).
-  auto tables = GiantComponentTables(4, 24, 2);
-  auto problem = BuildGiant(tables);
-  ASSERT_TRUE(problem.ok());
-
-  FdProblem ref_problem = *problem;
-  FdStats ref_stats;
-  auto reference = FullDisjunction().RunCodes(&ref_problem, &ref_stats);
-  ASSERT_TRUE(reference.ok());
-
-  for (double multiple : {0.0, 8.0}) {
-    for (size_t threads : {2u, 8u}) {
-      FdProblem p = *problem;
-      ParallelFdOptions opts;
-      opts.num_threads = threads;
-      opts.fd.intra_component_min_size = 2;
-      opts.fd.intra_split_overhead_multiple = multiple;
-      FdStats stats;
-      auto result = ParallelFullDisjunction(opts).RunCodes(&p, &stats);
-      ASSERT_TRUE(result.ok()) << multiple << " " << threads;
-      ASSERT_EQ(result->size(), reference->size())
-          << multiple << " " << threads;
-      for (size_t i = 0; i < reference->size(); ++i) {
-        ASSERT_EQ((*result)[i].codes, (*reference)[i].codes)
-            << "multiple " << multiple << " threads " << threads;
-        ASSERT_EQ((*result)[i].tids, (*reference)[i].tids)
-            << "multiple " << multiple << " threads " << threads;
-      }
-      EXPECT_EQ(stats.search_nodes, ref_stats.search_nodes)
-          << multiple << " " << threads;
-      EXPECT_GT(stats.intra_tasks, 0u) << multiple << " " << threads;
       // Every executed task is profiled: the spawned subtree tasks plus
       // the component's root task.
-      EXPECT_EQ(stats.task_profile.tasks, stats.intra_tasks + 1);
-      EXPECT_GT(stats.task_profile.busy_ns, 0u);
+      EXPECT_EQ(stats.task_profile.tasks, stats.intra_tasks + 1) << threads;
+      EXPECT_GT(stats.task_profile.busy_ns, 0u) << threads;
     }
   }
 }
@@ -193,15 +115,17 @@ TEST(IntraComponentTest, ManyComponentsWithIntraStillMatchSerial) {
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
 
-  FuzzyFdReport serial_report;
-  auto serial = RegularFdBaseline(tables, *aligned, FdOptions(),
-                                  /*parallel=*/false, 0, &serial_report);
+  auto serial = FuzzyFullDisjunction(FuzzyFdOptions())
+                    .RunToTuples(BorrowTables(tables), *aligned,
+                                 /*fuzzy=*/false);
   ASSERT_TRUE(serial.ok());
   for (size_t threads : {2u, 8u}) {
-    FdOptions fd;
-    fd.intra_component_min_size = 4;
-    auto parallel = RegularFdBaseline(tables, *aligned, fd,
-                                      /*parallel=*/true, threads, nullptr);
+    ThreadPool pool(threads);
+    FuzzyFdOptions opts;
+    opts.fd.intra_component_min_size = 4;
+    opts.pool = &pool;
+    auto parallel = FuzzyFullDisjunction(opts).RunToTuples(
+        BorrowTables(tables), *aligned, /*fuzzy=*/false);
     ASSERT_TRUE(parallel.ok());
     ASSERT_EQ(parallel->tuples.size(), serial->tuples.size());
     for (size_t i = 0; i < serial->tuples.size(); ++i) {
@@ -211,17 +135,16 @@ TEST(IntraComponentTest, ManyComponentsWithIntraStillMatchSerial) {
   }
 }
 
-TEST(IntraComponentTest, DisableSplittingViaThreadsKnob) {
+TEST(IntraComponentTest, DisableSplittingViaMinSize) {
   auto tables = GiantComponentTables(3, 10, 2);
   auto problem = BuildGiant(tables);
   ASSERT_TRUE(problem.ok());
-  ParallelFdOptions opts;
-  opts.num_threads = 4;
-  opts.fd.intra_component_min_size = 2;
-  opts.fd.intra_component_threads = 1;  // knob: force pre-PR4 behavior
+  ThreadPool pool(4);
+  FdOptions opts;
+  opts.intra_component_min_size = SIZE_MAX;  // no component is giant
   FdStats stats;
   FdProblem p = *problem;
-  auto result = ParallelFullDisjunction(opts).RunCodes(&p, &stats);
+  auto result = FullDisjunction(opts).RunCodes(&p, &pool, &stats);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(stats.intra_tasks, 0u);
 }
@@ -236,13 +159,12 @@ TEST(IntraComponentTest, CancelAtEnumerationEntryReturnsCancelled) {
       cancel.Cancel();
     }
   };
-  ParallelFdOptions opts;
-  opts.num_threads = 4;
-  opts.fd.intra_component_min_size = 2;
+  ThreadPool pool(4);
+  FdOptions opts;
+  opts.intra_component_min_size = 2;
   FdStats stats;
-  auto result =
-      ParallelFullDisjunction(opts).RunCodes(&*problem, &stats, cancel,
-                                             progress);
+  auto result = FullDisjunction(opts).RunCodes(&*problem, &pool, &stats,
+                                               cancel, progress);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), ErrorCode::kCancelled);
 }
@@ -260,12 +182,12 @@ TEST(IntraComponentTest, AsyncCancelMidSubtreeIsCleanUnderAsan) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     cancel.Cancel();
   });
-  ParallelFdOptions opts;
-  opts.num_threads = 4;
-  opts.fd.intra_component_min_size = 2;
+  ThreadPool pool(4);
+  FdOptions opts;
+  opts.intra_component_min_size = 2;
   FdStats stats;
   auto result =
-      ParallelFullDisjunction(opts).RunCodes(&*problem, &stats, cancel);
+      FullDisjunction(opts).RunCodes(&*problem, &pool, &stats, cancel);
   firing.join();
   if (!result.ok()) {
     EXPECT_EQ(result.status().code(), ErrorCode::kCancelled);
@@ -276,12 +198,12 @@ TEST(IntraComponentTest, BudgetExhaustionPropagatesFromSubtrees) {
   auto tables = GiantComponentTables(4, 24, 2);
   auto problem = BuildGiant(tables);
   ASSERT_TRUE(problem.ok());
-  ParallelFdOptions opts;
-  opts.num_threads = 4;
-  opts.fd.intra_component_min_size = 2;
-  opts.fd.max_search_nodes = 1;  // first amortized draw already overdraws
+  ThreadPool pool(4);
+  FdOptions opts;
+  opts.intra_component_min_size = 2;
+  opts.max_search_nodes = 1;  // first amortized draw already overdraws
   FdStats stats;
-  auto result = ParallelFullDisjunction(opts).RunCodes(&*problem, &stats);
+  auto result = FullDisjunction(opts).RunCodes(&*problem, &pool, &stats);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), ErrorCode::kFailedPrecondition);
 }

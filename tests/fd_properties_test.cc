@@ -7,15 +7,16 @@
 //   (3) every result's provenance is a connected, join-consistent set with
 //       at most one tuple per table, and its values are exactly their join.
 //
-// Checked on randomized instances across a grid of shapes, for both the
-// sequential and the parallel executor, and through the fuzzy pipeline.
+// Checked on randomized instances across a grid of shapes, for the one
+// executor inline and on pools of 1, 2 and 8 workers, and through the fuzzy
+// pipeline.
 #include <gtest/gtest.h>
 
 #include "core/fuzzy_fd.h"
 #include "embedding/model_zoo.h"
 #include "fd/full_disjunction.h"
-#include "fd/parallel.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace lakefuzz {
 namespace {
@@ -148,23 +149,18 @@ void CheckInvariants(const FdProblem& problem, const FdResult& result) {
 
 class FdInvariantProperty : public ::testing::TestWithParam<Shape> {};
 
-TEST_P(FdInvariantProperty, SequentialExecutorUpholdsInvariants) {
+TEST_P(FdInvariantProperty, ExecutorUpholdsInvariantsAtEveryPoolSize) {
+  static ThreadPool one(1), two(2), eight(8);
   Rng rng(GetParam().seed);
   for (int trial = 0; trial < 10; ++trial) {
-    FdProblem problem = RandomProblem(GetParam(), &rng);
-    auto result = FullDisjunction().Run(&problem);
-    ASSERT_TRUE(result.ok());
-    CheckInvariants(problem, *result);
-  }
-}
-
-TEST_P(FdInvariantProperty, ParallelExecutorUpholdsInvariants) {
-  Rng rng(GetParam().seed ^ 0x9999);
-  for (int trial = 0; trial < 5; ++trial) {
-    FdProblem problem = RandomProblem(GetParam(), &rng);
-    auto result = ParallelFullDisjunction().Run(&problem);
-    ASSERT_TRUE(result.ok());
-    CheckInvariants(problem, *result);
+    const FdProblem problem = RandomProblem(GetParam(), &rng);
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &two,
+                             &eight}) {
+      FdProblem copy = problem;
+      auto result = FullDisjunction().Run(&copy, pool);
+      ASSERT_TRUE(result.ok());
+      CheckInvariants(copy, *result);
+    }
   }
 }
 
@@ -198,9 +194,10 @@ TEST(FuzzyFdInvariantTest, PipelineOutputUpholdsFdInvariants) {
   FuzzyFdOptions opts;
   opts.matcher.model = MakeModel(ModelKind::kMistral);
   FuzzyFullDisjunction fuzzy(opts);
-  auto rewritten = fuzzy.RewriteTables(tables, *aligned, nullptr);
+  auto rewritten = fuzzy.RewriteTables(BorrowTables(tables), *aligned, nullptr);
   ASSERT_TRUE(rewritten.ok());
-  auto result = fuzzy.RunToTuples(tables, *aligned);
+  auto result = fuzzy.RunToTuples(BorrowTables(tables), *aligned,
+                                  /*fuzzy=*/true);
   ASSERT_TRUE(result.ok());
 
   auto problem = FdProblem::Build(*rewritten, *aligned);

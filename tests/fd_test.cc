@@ -1,6 +1,6 @@
-// Tests for src/fd: aligned schemas, the FD problem, subsumption, the
-// production Full Disjunction (validated against the brute-force oracle and
-// against the paper's Fig. 1), and the parallel executor.
+// Tests for src/fd: aligned schemas, the FD problem, subsumption, and the
+// production Full Disjunction executor — validated against the brute-force
+// oracle and against the paper's Fig. 1, inline and on pools of every size.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -8,15 +8,27 @@
 #include "fd/aligned_schema.h"
 #include "fd/full_disjunction.h"
 #include "fd/oracle.h"
-#include "fd/parallel.h"
 #include "fd/problem.h"
 #include "fd/subsumption.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace lakefuzz {
 namespace {
 
 Value S(const char* s) { return Value::String(s); }
+
+/// The executor's parallelism levels under test: inline (null pool) and
+/// pools of 1, 2 and 8 workers.
+const std::vector<ThreadPool*>& ExecutorPools() {
+  static ThreadPool one(1), two(2), eight(8);
+  static const std::vector<ThreadPool*> pools = {nullptr, &one, &two, &eight};
+  return pools;
+}
+
+size_t Workers(const ThreadPool* pool) {
+  return pool == nullptr ? 0 : pool->num_threads();
+}
 
 // The paper's Fig. 1 tables (equi-join case).
 std::vector<Table> Fig1Tables() {
@@ -339,27 +351,54 @@ TEST(FullDisjunctionTest, BudgetExhaustionSurfacesError) {
   auto tables = Fig1Tables();
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
-  auto problem = FdProblem::Build(tables, *aligned);
-  ASSERT_TRUE(problem.ok());
   FdOptions opts;
   opts.max_search_nodes = 1;  // absurdly small
-  auto result = FullDisjunction(opts).Run(&problem.value());
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  for (ThreadPool* pool : ExecutorPools()) {
+    auto problem = FdProblem::Build(tables, *aligned);
+    ASSERT_TRUE(problem.ok());
+    auto result = FullDisjunction(opts).Run(&problem.value(), pool);
+    ASSERT_FALSE(result.ok()) << Workers(pool);
+    EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  }
+}
+
+TEST(FullDisjunctionTest, Fig1IdenticalAtEveryPoolSize) {
+  auto tables = Fig1Tables();
+  auto aligned = AlignByName(tables);
+  ASSERT_TRUE(aligned.ok());
+  auto p0 = FdProblem::Build(tables, *aligned);
+  ASSERT_TRUE(p0.ok());
+  auto reference = FullDisjunction().Run(&p0.value());
+  ASSERT_TRUE(reference.ok());
+  for (ThreadPool* pool : ExecutorPools()) {
+    auto problem = FdProblem::Build(tables, *aligned);
+    ASSERT_TRUE(problem.ok());
+    auto result = FullDisjunction().Run(&problem.value(), pool);
+    ASSERT_TRUE(result.ok()) << Workers(pool);
+    ASSERT_EQ(result->tuples.size(), reference->tuples.size());
+    for (size_t i = 0; i < reference->tuples.size(); ++i) {
+      EXPECT_EQ(result->tuples[i].values, reference->tuples[i].values);
+      EXPECT_EQ(result->tuples[i].tids, reference->tuples[i].tids);
+    }
+  }
 }
 
 TEST(FullDisjunctionTest, ResultsToTableWithProvenance) {
   auto tables = Fig1Tables();
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
-  auto table = FullDisjunction().RunToTable(tables, *aligned,
-                                            /*include_provenance=*/true);
-  ASSERT_TRUE(table.ok());
-  EXPECT_EQ(table->schema().field(0).name, "TIDs");
-  EXPECT_EQ(table->NumRows(), 9u);
+  auto problem = FdProblem::Build(tables, *aligned);
+  ASSERT_TRUE(problem.ok());
+  auto result = FullDisjunction().Run(&problem.value());
+  ASSERT_TRUE(result.ok());
+  Table table =
+      FdResultsToTable(result->tuples, problem->column_names(),
+                       "full_disjunction", /*include_provenance=*/true);
+  EXPECT_EQ(table.schema().field(0).name, "TIDs");
+  EXPECT_EQ(table.NumRows(), 9u);
   bool saw_pair = false;
-  for (size_t r = 0; r < table->NumRows(); ++r) {
-    if (table->At(r, 0) == S("{t6,t8}")) saw_pair = true;
+  for (size_t r = 0; r < table.NumRows(); ++r) {
+    if (table.At(r, 0) == S("{t6,t8}")) saw_pair = true;
   }
   EXPECT_TRUE(saw_pair);
 }
@@ -398,20 +437,32 @@ FdProblem RandomProblem(const OracleCase& oc, Rng* rng) {
 }
 
 TEST_P(FdOracleProperty, ProductionMatchesOracle) {
+  // One executor, every parallelism level: inline, then pools of 1, 2 and 8
+  // workers — each with the default split gate and with every non-trivial
+  // component forced through intra-component splitting.
   const OracleCase& oc = GetParam();
   Rng rng(oc.seed);
   for (int trial = 0; trial < 15; ++trial) {
-    FdProblem problem = RandomProblem(oc, &rng);
-    FdProblem problem_copy = problem;
-    auto fast = FullDisjunction().Run(&problem);
-    auto oracle = NaiveFdOracle(problem_copy);
-    ASSERT_TRUE(fast.ok());
+    const FdProblem problem = RandomProblem(oc, &rng);
+    auto oracle = NaiveFdOracle(problem);
     ASSERT_TRUE(oracle.ok());
-    ASSERT_EQ(fast->tuples.size(), oracle->size()) << "trial " << trial;
-    for (size_t i = 0; i < fast->tuples.size(); ++i) {
-      EXPECT_EQ(fast->tuples[i].values, (*oracle)[i].values)
-          << "trial " << trial << " tuple " << i;
-      EXPECT_EQ(fast->tuples[i].tids, (*oracle)[i].tids);
+    for (size_t min_size : {FdOptions().intra_component_min_size,
+                            size_t{2}}) {
+      FdOptions opts;
+      opts.intra_component_min_size = min_size;
+      for (ThreadPool* pool : ExecutorPools()) {
+        FdProblem copy = problem;
+        auto fast = FullDisjunction(opts).Run(&copy, pool);
+        ASSERT_TRUE(fast.ok());
+        ASSERT_EQ(fast->tuples.size(), oracle->size())
+            << "trial " << trial << " workers " << Workers(pool);
+        for (size_t i = 0; i < fast->tuples.size(); ++i) {
+          EXPECT_EQ(fast->tuples[i].values, (*oracle)[i].values)
+              << "trial " << trial << " tuple " << i << " workers "
+              << Workers(pool) << " min_size " << min_size;
+          EXPECT_EQ(fast->tuples[i].tids, (*oracle)[i].tids);
+        }
+      }
     }
   }
 }
@@ -494,57 +545,6 @@ TEST(FullDisjunctionTest, RandomizedOrderInvariance) {
       EXPECT_EQ(rp->tuples[i].values, rq->tuples[i].values);
     }
   }
-}
-
-// ---------------------------------------------------------------- Parallel
-
-TEST(ParallelFdTest, MatchesSequentialOnFig1) {
-  auto tables = Fig1Tables();
-  auto aligned = AlignByName(tables);
-  ASSERT_TRUE(aligned.ok());
-  auto p1 = FdProblem::Build(tables, *aligned);
-  auto p2 = FdProblem::Build(tables, *aligned);
-  ASSERT_TRUE(p1.ok() && p2.ok());
-  auto seq = FullDisjunction().Run(&p1.value());
-  ParallelFdOptions popts;
-  popts.num_threads = 4;
-  auto par = ParallelFullDisjunction(popts).Run(&p2.value());
-  ASSERT_TRUE(seq.ok());
-  ASSERT_TRUE(par.ok());
-  ASSERT_EQ(seq->tuples.size(), par->tuples.size());
-  for (size_t i = 0; i < seq->tuples.size(); ++i) {
-    EXPECT_EQ(seq->tuples[i].values, par->tuples[i].values);
-    EXPECT_EQ(seq->tuples[i].tids, par->tuples[i].tids);
-  }
-}
-
-TEST(ParallelFdTest, MatchesSequentialOnRandomInstances) {
-  Rng rng(606);
-  for (int trial = 0; trial < 8; ++trial) {
-    OracleCase oc{3, 5, 3, 3, 0};
-    FdProblem p = RandomProblem(oc, &rng);
-    FdProblem q = p;
-    auto seq = FullDisjunction().Run(&p);
-    auto par = ParallelFullDisjunction().Run(&q);
-    ASSERT_TRUE(seq.ok());
-    ASSERT_TRUE(par.ok());
-    ASSERT_EQ(seq->tuples.size(), par->tuples.size()) << trial;
-    for (size_t i = 0; i < seq->tuples.size(); ++i) {
-      EXPECT_EQ(seq->tuples[i].values, par->tuples[i].values);
-    }
-  }
-}
-
-TEST(ParallelFdTest, PropagatesBudgetError) {
-  auto tables = Fig1Tables();
-  auto aligned = AlignByName(tables);
-  ASSERT_TRUE(aligned.ok());
-  auto problem = FdProblem::Build(tables, *aligned);
-  ASSERT_TRUE(problem.ok());
-  ParallelFdOptions popts;
-  popts.fd.max_search_nodes = 1;
-  auto result = ParallelFullDisjunction(popts).Run(&problem.value());
-  EXPECT_FALSE(result.ok());
 }
 
 // ---------------------------------------------------------------- Oracle

@@ -62,11 +62,11 @@ TEST(IntegrationTest, EmDownstreamFuzzyBeatsRegular) {
 
   FuzzyFdOptions opts;
   opts.matcher.model = MakeModel(ModelKind::kMistral);
-  auto fuzzy = FuzzyFullDisjunction(opts).RunToTuples(bench.tables, *aligned);
+  FuzzyFullDisjunction pipeline(opts);
+  const TableList tables = BorrowTables(bench.tables);
+  auto fuzzy = pipeline.RunToTuples(tables, *aligned, /*fuzzy=*/true);
   ASSERT_TRUE(fuzzy.ok());
-  auto regular =
-      RegularFdBaseline(bench.tables, *aligned, FdOptions(), false, 0,
-                        nullptr);
+  auto regular = pipeline.RunToTuples(tables, *aligned, /*fuzzy=*/false);
   ASSERT_TRUE(regular.ok());
 
   EntityMatcherOptions em_opts;
@@ -95,12 +95,13 @@ TEST(IntegrationTest, ImdbEquiWorkloadFuzzyAddsResultsIdenticalToRegular) {
 
   FuzzyFdOptions opts;
   opts.matcher.model = MakeModel(ModelKind::kMistral);
+  FuzzyFullDisjunction pipeline(opts);
+  const TableList tables = BorrowTables(bench.tables);
   FuzzyFdReport fuzzy_report;
-  auto fuzzy = FuzzyFullDisjunction(opts).RunToTuples(bench.tables, *aligned,
-                                                      &fuzzy_report);
+  auto fuzzy =
+      pipeline.RunToTuples(tables, *aligned, /*fuzzy=*/true, &fuzzy_report);
   ASSERT_TRUE(fuzzy.ok()) << fuzzy.status().ToString();
-  auto regular = RegularFdBaseline(bench.tables, *aligned, FdOptions(), false,
-                                   0, nullptr);
+  auto regular = pipeline.RunToTuples(tables, *aligned, /*fuzzy=*/false);
   ASSERT_TRUE(regular.ok());
 
   // Keys are consistent (equi workload): fuzzy matching must not change the
@@ -133,7 +134,8 @@ TEST(IntegrationTest, SchemaMatcherFeedsFuzzyFdWithoutHeaders) {
 
   FuzzyFdOptions opts;
   opts.matcher.model = model;
-  auto result = FuzzyFullDisjunction(opts).RunToTuples(tables, *aligned);
+  auto result = FuzzyFullDisjunction(opts).RunToTuples(
+      BorrowTables(tables), *aligned, /*fuzzy=*/true);
   ASSERT_TRUE(result.ok());
   // Berlinn/Berlin and Toronto/Toronto integrate; Barcelona and Madrid
   // stay separate → 4 tuples.
@@ -158,7 +160,8 @@ TEST(IntegrationTest, CsvRoundTripThroughPipeline) {
   ASSERT_TRUE(aligned.ok());
   FuzzyFdOptions opts;
   opts.matcher.model = MakeModel(ModelKind::kMistral);
-  auto result = FuzzyFullDisjunction(opts).RunToTuples(tables, *aligned);
+  auto result = FuzzyFullDisjunction(opts).RunToTuples(
+      BorrowTables(tables), *aligned, /*fuzzy=*/true);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->tuples.size(), 3u);  // Berlin merged, Oslo, Lima
 }

@@ -339,6 +339,15 @@ class NullSink : public RowSink {
   size_t rows_ = 0;
 };
 
+class CountingSink : public NullSink {
+ public:
+  Status OnBatch(const std::vector<FdResultTuple>& batch) override {
+    ++batches_;
+    return NullSink::OnBatch(batch);
+  }
+  size_t batches_ = 0;
+};
+
 TEST(TracedEngineTest, DiscoverAndIntegrateSpanCoverageAndReconciliation) {
   ImdbBenchmark bench;
   auto engine = MakeImdbEngine(2, &bench);
@@ -387,6 +396,32 @@ TEST(TracedEngineTest, DiscoverAndIntegrateSpanCoverageAndReconciliation) {
   EXPECT_NEAR(span_total, report_total,
               report_total * 0.05 + 0.002)
       << "span tree and stopwatches disagree";
+
+  // The emit span counts the batches the sink received — including one
+  // batch of everything when batch_rows is as large as it gets.
+  const std::vector<std::string> one_table = {bench.tables.front().name()};
+  for (size_t batch_rows : {size_t{4}, SIZE_MAX}) {
+    Tracer emit_tracer;
+    RequestOptions emit_req;
+    emit_req.holistic_alignment = false;
+    emit_req.tracer = &emit_tracer;
+    emit_req.batch_rows = batch_rows;
+    CountingSink counted;
+    auto streamed =
+        engine->IntegrateToSink(one_table, &counted, emit_req);
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    ASSERT_GT(counted.rows_, 0u);
+    int64_t batches = -1;
+    for (const Span& s : emit_tracer.Spans()) {
+      if (s.name != "emit") continue;
+      for (const SpanAttr& attr : s.attrs) {
+        if (attr.key == "batches") batches = attr.num;
+      }
+    }
+    EXPECT_EQ(batches, static_cast<int64_t>(counted.batches_))
+        << "batch_rows " << batch_rows;
+    if (batch_rows == SIZE_MAX) EXPECT_EQ(counted.batches_, 1u);
+  }
 }
 
 TEST(TracedEngineTest, MetricsSnapshotCountsRequests) {

@@ -1,14 +1,9 @@
-// Tests for the new-surface APIs: auto-threshold selection, table stats,
-// and the IntegrationPipeline facade.
+// Tests for auto-threshold selection and table stats.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "core/auto_threshold.h"
-#include "core/pipeline.h"
 #include "core/value_matcher.h"
 #include "embedding/model_zoo.h"
-#include "table/csv.h"
 #include "table/stats.h"
 
 namespace lakefuzz {
@@ -110,82 +105,6 @@ TEST(TableStatsTest, RenderMentionsKeyNumbers) {
   std::string s = RenderColumnStats(ComputeColumnStats(t, 0));
   EXPECT_NE(s.find("rows=1"), std::string::npos);
   EXPECT_NE(s.find("type=string"), std::string::npos);
-}
-
-// ---------------------------------------------------------------- Pipeline
-
-std::vector<Table> SmallIntegrationSet() {
-  auto t1 = Table::FromRows("a", {"City", "Country"},
-                            {{S("Berlinn"), S("Germany")},
-                             {S("Toronto"), S("Canada")}});
-  auto t2 = Table::FromRows("b", {"City", "VacRate"},
-                            {{S("Berlin"), S("63%")},
-                             {S("Lima"), S("71%")}});
-  EXPECT_TRUE(t1.ok() && t2.ok());
-  return {std::move(t1).value(), std::move(t2).value()};
-}
-
-TEST(PipelineTest, EmptyInputRejected) {
-  EXPECT_FALSE(IntegrateTables({}).ok());
-}
-
-TEST(PipelineTest, FuzzyEndToEnd) {
-  PipelineOptions opts;
-  opts.holistic_alignment = false;  // headers are good here
-  auto result = IntegrateTables(SmallIntegrationSet(), opts);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->integrated.NumRows(), 3u);  // Berlin merged, Toronto, Lima
-  EXPECT_GT(result->report.values_rewritten, 0u);
-}
-
-TEST(PipelineTest, RegularFdMode) {
-  PipelineOptions opts;
-  opts.holistic_alignment = false;
-  opts.fuzzy = false;
-  auto result = IntegrateTables(SmallIntegrationSet(), opts);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->integrated.NumRows(), 4u);  // Berlinn stays fragmented
-}
-
-TEST(PipelineTest, HolisticAlignmentMode) {
-  PipelineOptions opts;
-  opts.holistic_alignment = true;
-  auto result = IntegrateTables(SmallIntegrationSet(), opts);
-  ASSERT_TRUE(result.ok());
-  EXPECT_GE(result->aligned.NumUniversal(), 2u);
-  EXPECT_GE(result->align_seconds, 0.0);
-}
-
-TEST(PipelineTest, ProvenanceColumnOptIn) {
-  PipelineOptions opts;
-  opts.holistic_alignment = false;
-  opts.include_provenance = true;
-  auto result = IntegrateTables(SmallIntegrationSet(), opts);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->integrated.schema().field(0).name, "TIDs");
-}
-
-TEST(PipelineTest, CsvFilesRoundTrip) {
-  std::string dir = testing::TempDir() + "/lakefuzz_pipeline";
-  std::filesystem::create_directories(dir);
-  auto tables = SmallIntegrationSet();
-  std::vector<std::string> paths;
-  for (const auto& t : tables) {
-    std::string path = dir + "/" + t.name() + ".csv";
-    ASSERT_TRUE(WriteCsvFile(t, path).ok());
-    paths.push_back(path);
-  }
-  PipelineOptions opts;
-  opts.holistic_alignment = false;
-  auto result = IntegrateCsvFiles(paths, opts);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->integrated.NumRows(), 3u);
-}
-
-TEST(PipelineTest, MissingCsvSurfacesIoError) {
-  auto result = IntegrateCsvFiles({"/nonexistent/x.csv"});
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kIoError);
 }
 
 }  // namespace

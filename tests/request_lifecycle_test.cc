@@ -9,11 +9,11 @@
 
 #include "core/engine.h"
 #include "fd/full_disjunction.h"
-#include "fd/parallel.h"
 #include "fd/problem.h"
 #include "table/csv.h"
 #include "util/request_context.h"
 #include "util/str.h"
+#include "util/thread_pool.h"
 
 namespace lakefuzz {
 namespace {
@@ -64,16 +64,18 @@ std::vector<Table> GiantComponentTables(size_t num_tables, size_t num_keys,
   return tables;
 }
 
-/// Two independent non-trivial join components (one per hub value), each
-/// small enough to finish inside the enumerator's first 1024-node budget
-/// block — the shape that makes "first component completes, second is cut"
-/// deterministic.
-std::vector<Table> TwoComponentTables() {
+/// `num_hubs` independent non-trivial join components (one per hub value),
+/// each small enough to finish inside the enumerator's first 1024-node
+/// budget block — the shape that makes "first component completes, second
+/// is cut" deterministic.
+std::vector<Table> HubComponentTables(size_t num_hubs) {
   std::vector<Table> tables;
   for (size_t l = 0; l < 3; ++l) {
     Table t("t" + std::to_string(l),
             Schema::FromNames({"key", "hub", "p" + std::to_string(l)}));
-    for (const char* hub : {"hubA", "hubB"}) {
+    for (size_t h = 0; h < num_hubs; ++h) {
+      const std::string hub_name = StrFormat("hub%zu", h);
+      const char* hub = hub_name.c_str();
       for (size_t k = 0; k < 4; ++k) {
         for (size_t r = 0; r < 2; ++r) {
           EXPECT_TRUE(
@@ -213,7 +215,7 @@ TEST(FdDeadlineTest, SerialExpiredDeadlineFailsByDefault) {
   RequestContext ctx;
   ctx.deadline = Deadline::AfterMillis(0);
   FdStats stats;
-  auto result = FullDisjunction().RunCodes(&*problem, &stats, ctx);
+  auto result = FullDisjunction().RunCodes(&*problem, nullptr, &stats, ctx);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), ErrorCode::kDeadlineExceeded);
 }
@@ -225,7 +227,7 @@ TEST(FdDeadlineTest, SerialExpiredDeadlineTruncatesUnderPolicy) {
   ctx.deadline = Deadline::AfterMillis(0);
   ctx.policy = BudgetPolicy::kTruncate;
   FdStats stats;
-  auto result = FullDisjunction().RunCodes(&*problem, &stats, ctx);
+  auto result = FullDisjunction().RunCodes(&*problem, nullptr, &stats, ctx);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->empty());
   EXPECT_TRUE(stats.truncation.truncated);
@@ -241,10 +243,9 @@ TEST(FdDeadlineTest, ParallelExpiredDeadlineTruncatesUnderPolicy) {
   RequestContext ctx;
   ctx.deadline = Deadline::AfterMillis(0);
   ctx.policy = BudgetPolicy::kTruncate;
-  ParallelFdOptions opts;
-  opts.num_threads = 4;
+  ThreadPool pool(4);
   FdStats stats;
-  auto result = ParallelFullDisjunction(opts).RunCodes(&*problem, &stats, ctx);
+  auto result = FullDisjunction().RunCodes(&*problem, &pool, &stats, ctx);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->empty());
   EXPECT_TRUE(stats.truncation.truncated);
@@ -366,7 +367,7 @@ TEST(EngineBudgetTest, FdNodeBudgetTruncatesToCompletedComponents) {
   auto engine = LakeEngine::Create();
   ASSERT_TRUE(engine.ok());
   std::vector<std::string> names =
-      RegisterAll(engine->get(), TwoComponentTables());
+      RegisterAll(engine->get(), HubComponentTables(2));
 
   RequestOptions clean;
   clean.holistic_alignment = false;
@@ -408,27 +409,33 @@ TEST(EngineBudgetTest, LegacyMaxSearchNodesKeepsFailedPrecondition) {
 }
 
 TEST(EngineBudgetTest, ScratchBudgetStopsBetweenComponents) {
-  // The scratch check runs between components, so it needs a lake whose
-  // first (non-trivial) component actually reserves arena bytes.
-  auto engine = LakeEngine::Create();
-  ASSERT_TRUE(engine.ok());
-  std::vector<std::string> names =
-      RegisterAll(engine->get(), TwoComponentTables());
-  RequestOptions req;
-  req.holistic_alignment = false;
-  req.fuzzy = false;
-  req.budget.max_scratch_bytes = 1;  // first component's reservation exceeds
-  auto hard = (*engine)->Integrate(names, req);
-  ASSERT_FALSE(hard.ok());
-  EXPECT_EQ(hard.code(), ErrorCode::kResourceExhausted);
-  EXPECT_NE(hard.status().message().find("max_scratch_bytes"),
-            std::string::npos);
+  // The scratch check runs before every component on every work lane, so it
+  // needs a lake whose non-trivial components actually reserve arena bytes,
+  // and more of them than the 4-thread engine has lanes: some lane must
+  // then start a second component on scratch the first one grew.
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    auto engine = LakeEngine::Create(EngineOptions().SetNumThreads(threads));
+    ASSERT_TRUE(engine.ok());
+    std::vector<std::string> names =
+        RegisterAll(engine->get(), HubComponentTables(threads + 1));
+    RequestOptions req;
+    req.holistic_alignment = false;
+    req.fuzzy = false;
+    req.budget.max_scratch_bytes = 1;  // first component's reservation exceeds
+    auto hard = (*engine)->Integrate(names, req);
+    ASSERT_FALSE(hard.ok()) << threads << " threads";
+    EXPECT_EQ(hard.code(), ErrorCode::kResourceExhausted) << threads;
+    EXPECT_NE(hard.status().message().find("max_scratch_bytes"),
+              std::string::npos);
 
-  req.budget_policy = BudgetPolicy::kTruncate;
-  auto partial = (*engine)->Integrate(names, req);
-  ASSERT_TRUE(partial.ok()) << partial.status().ToString();
-  EXPECT_TRUE(partial->report.truncation.truncated);
-  EXPECT_GE(partial->report.truncation.components_completed, 1u);
+    req.budget_policy = BudgetPolicy::kTruncate;
+    auto partial = (*engine)->Integrate(names, req);
+    ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+    const Truncation& cut = partial->report.truncation;
+    EXPECT_TRUE(cut.truncated) << threads;
+    EXPECT_GE(cut.components_completed, 1u) << threads;
+    EXPECT_GE(cut.components_skipped, 1u) << threads;
+  }
 }
 
 TEST(EngineBudgetTest, ResultTupleBudgetFailsHardByDefault) {
