@@ -57,8 +57,8 @@ int main(int argc, char** argv) {
         return 1;
       }
       table.AddRow({prepass ? "pre-pass ON (default)" : "pre-pass OFF",
-                    FormatDouble(report.match_seconds, 3),
-                    FormatDouble(report.fd_seconds, 3),
+                    FormatDouble(report.stages.seconds(Stage::kMatch), 3),
+                    FormatDouble(report.stages.seconds(Stage::kFd), 3),
                     FormatDouble(report.total_seconds(), 3),
                     std::to_string(report.match_stats.assignment_matches)});
     }
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
           BorrowTables(bench.tables), *aligned, /*fuzzy=*/false, &report);
       if (!result.ok()) return 1;
       table.AddRow({parallel ? "pool (hardware threads)" : "inline",
-                    FormatDouble(report.fd_seconds, 3),
+                    FormatDouble(report.stages.seconds(Stage::kFd), 3),
                     WithThousandsSep(
                         static_cast<int64_t>(result->tuples.size()))});
     }

@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
       bucket->embedding_cache_hits += stats.embedding_cache_hits;
       bucket->embedding_cache_misses += stats.embedding_cache_misses;
       (call == 0 ? cold_match_ms : warm_match_ms) +=
-          result->report.match_seconds * 1e3;
+          result->report.stages.seconds(Stage::kMatch) * 1e3;
     }
   }
   const double cold_match_avg = cold_match_ms / reps;
@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
         result->report.match_stats.embedding_cache_hits;
     oneshot_stats.embedding_cache_misses +=
         result->report.match_stats.embedding_cache_misses;
-    oneshot_match_ms += result->report.match_seconds * 1e3;
+    oneshot_match_ms += result->report.stages.seconds(Stage::kMatch) * 1e3;
   }
   const double oneshot_match_avg = oneshot_match_ms / calls;
 

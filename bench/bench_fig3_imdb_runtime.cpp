@@ -36,9 +36,10 @@ namespace {
 /// Per-stage extras shared by the serial rows and the sweep rows.
 void AppendFdStageExtras(std::vector<std::pair<std::string, double>>* extra,
                          const FuzzyFdReport& report) {
-  extra->emplace_back("fd_index_s", report.fd_stats.index_seconds);
+  extra->emplace_back("fd_index_s", report.stages.seconds(Stage::kFdIndex));
   extra->emplace_back("fd_enum_s", report.fd_stats.enumeration_seconds);
-  extra->emplace_back("subsumption_s", report.fd_stats.subsumption_seconds);
+  extra->emplace_back("subsumption_s",
+                      report.stages.seconds(Stage::kFdSubsume));
   extra->emplace_back("posting_lists",
                       static_cast<double>(report.fd_stats.posting_lists));
   extra->emplace_back("distinct_values",
@@ -106,15 +107,16 @@ int main(int argc, char** argv) {
                      fuzzy.status().ToString().c_str());
         return 1;
       }
-      best_regular = std::min(best_regular, regular_report.fd_seconds);
+      best_regular =
+          std::min(best_regular, regular_report.stages.seconds(Stage::kFd));
       regular_results = regular->tuples.size();
       if (fuzzy_report.total_seconds() < best_fuzzy) {
         best_fuzzy = fuzzy_report.total_seconds();
         best_fuzzy_report = fuzzy_report;
       }
-      best_overhead =
-          std::min(best_overhead, fuzzy_report.match_seconds +
-                                      fuzzy_report.rewrite_seconds);
+      best_overhead = std::min(
+          best_overhead, fuzzy_report.stages.seconds(Stage::kMatch) +
+                             fuzzy_report.stages.seconds(Stage::kRewrite));
       results = fuzzy->tuples.size();
       run.unit_ms.push_back(fuzzy_report.total_seconds() * 1e3);
       // Matcher counters are deterministic across repetitions; keep the
@@ -174,7 +176,8 @@ int main(int argc, char** argv) {
             std::fprintf(stderr, "parallel FD failed at S=%zu t=%zu\n", s, t);
             return 1;
           }
-          sweep_regular = std::min(sweep_regular, regular_report.fd_seconds);
+          sweep_regular = std::min(
+              sweep_regular, regular_report.stages.seconds(Stage::kFd));
           sweep_regular_results = regular->tuples.size();
           if (fuzzy_report.total_seconds() < sweep_fuzzy) {
             sweep_fuzzy = fuzzy_report.total_seconds();
@@ -204,9 +207,9 @@ int main(int argc, char** argv) {
             "  fd_threads=%zu: regular %.3f s, fuzzy %.3f s "
             "(index %.3f, enum %.3f, subsume %.3f), %zu tuples\n",
             t, sweep_regular, sweep_fuzzy,
-            sweep_report.fd_stats.index_seconds,
+            sweep_report.stages.seconds(Stage::kFdIndex),
             sweep_report.fd_stats.enumeration_seconds,
-            sweep_report.fd_stats.subsumption_seconds, sweep_results);
+            sweep_report.stages.seconds(Stage::kFdSubsume), sweep_results);
       }
     }
   }

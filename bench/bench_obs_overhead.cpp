@@ -66,10 +66,8 @@ int main(int argc, char** argv) {
 
   std::printf(
       "=== observability overhead: traced vs untraced Integrate ===\n"
-      "%zu input tuples across %zu tables, %zu threads, %d reps\n"
-      "(tracing compiled %s)\n\n",
-      bench.total_tuples, names.size(), threads, reps,
-      kTracingCompiledIn ? "in" : "out — LAKEFUZZ_DISABLE_TRACING");
+      "%zu input tuples across %zu tables, %zu threads, %d reps\n\n",
+      bench.total_tuples, names.size(), threads, reps);
 
   // Warm the session caches once so neither row pays the cold-start cost.
   {
@@ -138,8 +136,7 @@ int main(int argc, char** argv) {
   const MetricsSnapshot snap = (*engine)->MetricsSnapshot();
   json.AddFromStats(
       "obs_untraced", ResolveNumThreads(threads), untraced_run,
-      {{"output_tuples", static_cast<double>(result_tuples)},
-       {"tracing_compiled_in", kTracingCompiledIn ? 1.0 : 0.0}});
+      {{"output_tuples", static_cast<double>(result_tuples)}});
   json.AddFromStats(
       "obs_traced", ResolveNumThreads(threads), traced_run,
       {{"traced_overhead_pct", overhead_pct},

@@ -302,12 +302,13 @@ int main(int argc, char** argv) {
       return 1;
     }
     const auto& stats = result->report.match_stats;
+    const StageLedger& stages = result->report.stages;
     std::printf(
         "  req=%llu call %d: %zu rows, match %.1f ms, FD %.1f ms "
         "(cache: %zu hits / %zu misses this call)\n",
         static_cast<unsigned long long>(tr.id), call,
-        result->integrated.NumRows(), result->report.match_seconds * 1e3,
-        result->report.fd_seconds * 1e3, stats.embedding_cache_hits,
+        result->integrated.NumRows(), stages.seconds(Stage::kMatch) * 1e3,
+        stages.seconds(Stage::kFd) * 1e3, stats.embedding_cache_hits,
         stats.embedding_cache_misses);
   }
 

@@ -140,8 +140,10 @@ int main(int argc, char** argv) {
       "%zu hits / %zu misses)\n",
       regular_sink.tuples().size(), regular_report.total_seconds() * 1e3,
       fuzzy_sink.tuples().size(), fuzzy_sink.batches(),
-      fuzzy_report.values_rewritten, fuzzy_report.align_seconds * 1e3,
-      fuzzy_report.match_seconds * 1e3, fuzzy_report.fd_seconds * 1e3,
+      fuzzy_report.values_rewritten,
+      fuzzy_report.stages.seconds(Stage::kAlign) * 1e3,
+      fuzzy_report.stages.seconds(Stage::kMatch) * 1e3,
+      fuzzy_report.stages.seconds(Stage::kFd) * 1e3,
       fuzzy_report.total_seconds() * 1e3,
       (*engine)->embedding_cache().hits(),
       (*engine)->embedding_cache().misses());

@@ -113,10 +113,12 @@ int main(int argc, char** argv) {
                "aligned %zu universal columns in %.1f ms; matching %.1f ms "
                "(%zu values rewritten); FD %.1f ms → %zu rows "
                "(total %.1f ms)\n",
-               result->aligned.NumUniversal(), report.align_seconds * 1e3,
-               report.match_seconds * 1e3, report.values_rewritten,
-               report.fd_seconds * 1e3, result->integrated.NumRows(),
-               report.total_seconds() * 1e3);
+               result->aligned.NumUniversal(),
+               report.stages.seconds(Stage::kAlign) * 1e3,
+               report.stages.seconds(Stage::kMatch) * 1e3,
+               report.values_rewritten,
+               report.stages.seconds(Stage::kFd) * 1e3,
+               result->integrated.NumRows(), report.total_seconds() * 1e3);
 
   if (flags.GetBool("stats", false)) {
     for (size_t c = 0; c < result->integrated.NumColumns(); ++c) {

@@ -112,6 +112,7 @@ int main(int argc, char** argv) {
       "Summary: equi-join FD produced %zu tuples; fuzzy FD produced %zu "
       "(θ=%.2f,\n%zu cell values rewritten in %.1f ms of matching).\n",
       regular_table.NumRows(), fuzzy_table.NumRows(), theta,
-      fuzzy->report.values_rewritten, fuzzy->report.match_seconds * 1e3);
+      fuzzy->report.values_rewritten,
+      fuzzy->report.stages.seconds(Stage::kMatch) * 1e3);
   return 0;
 }

@@ -19,17 +19,6 @@ constexpr size_t kMaxEngineThreads = 4096;
 /// Ceiling on cache shard counts (each shard is a mutex + map).
 constexpr size_t kMaxCacheShards = size_t{1} << 20;
 
-/// The request's lifecycle fields bundled for the pipeline layers.
-RequestContext MakeContext(const RequestOptions& request) {
-  RequestContext ctx;
-  ctx.cancel = request.cancel;
-  ctx.deadline = request.deadline;
-  ctx.budget = request.budget;
-  ctx.policy = request.budget_policy;
-  ctx.tracer = request.tracer;
-  return ctx;
-}
-
 /// Seconds → histogram nanoseconds (clamped at zero).
 uint64_t SecondsToNs(double seconds) {
   return seconds <= 0.0 ? 0 : static_cast<uint64_t>(seconds * 1e9);
@@ -138,15 +127,14 @@ LakeEngine::LakeEngine(EngineOptions options,
         "lakefuzz_discovery_queries_total", "DiscoverUnionable calls");
     em->request_ns = registry->GetHistogram(
         "lakefuzz_request_latency_ns", "end-to-end request wall time");
-    em->align_ns = registry->GetHistogram("lakefuzz_stage_align_latency_ns",
-                                          "schema alignment wall time");
-    em->match_ns = registry->GetHistogram("lakefuzz_stage_match_latency_ns",
-                                          "value matching wall time");
-    em->rewrite_ns = registry->GetHistogram(
-        "lakefuzz_stage_rewrite_latency_ns", "value rewrite wall time");
-    em->fd_ns = registry->GetHistogram(
-        "lakefuzz_stage_fd_latency_ns",
-        "full-disjunction stage wall time (build+enumerate+subsume+decode)");
+    bool stages_ok = true;
+    for (size_t s = 0; s < kNumStages; ++s) {
+      const std::string name(StageName(static_cast<Stage>(s)));
+      em->stage_ns[s] = registry->GetHistogram(
+          "lakefuzz_stage_" + name + "_latency_ns",
+          name + " stage wall time (StageLedger)");
+      stages_ok = stages_ok && em->stage_ns[s] != nullptr;
+    }
     return em->requests_total != nullptr && em->requests_failed != nullptr &&
            em->requests_truncated != nullptr &&
            em->fd_search_nodes != nullptr &&
@@ -155,8 +143,7 @@ LakeEngine::LakeEngine(EngineOptions options,
            em->fd_task_busy_ns != nullptr &&
            em->values_rewritten != nullptr &&
            em->discovery_queries != nullptr && em->request_ns != nullptr &&
-           em->align_ns != nullptr && em->match_ns != nullptr &&
-           em->rewrite_ns != nullptr && em->fd_ns != nullptr;
+           stages_ok;
   };
   metrics_ = options_.metrics;
   if (metrics_ == nullptr || !wire(metrics_, &em_)) {
@@ -378,13 +365,32 @@ Status LakeEngine::EnsureDiscoverySynced(const RequestContext& ctx) const {
 Result<std::vector<DiscoveryCandidate>> LakeEngine::DiscoverUnionable(
     const std::string& name, size_t k, const RequestContext& ctx,
     Truncation* truncation) const {
+  return Discover(k, ctx, truncation, [&](const RequestContext& query_ctx) {
+    return discovery_->TopKByName(name, k, query_ctx, truncation);
+  });
+}
+
+Result<std::vector<DiscoveryCandidate>> LakeEngine::DiscoverUnionable(
+    const Table& query, size_t k, const RequestContext& ctx,
+    Truncation* truncation) const {
+  return Discover(k, ctx, truncation, [&](const RequestContext& query_ctx) {
+    // SketchQuery hashes the cells directly — an ad-hoc query never grows
+    // the session dictionary.
+    return discovery_->TopK(discovery_->SketchQuery(query), k, query_ctx,
+                            truncation);
+  });
+}
+
+Result<std::vector<DiscoveryCandidate>> LakeEngine::Discover(
+    size_t k, const RequestContext& ctx, Truncation* truncation,
+    const RankFn& rank) const {
   if (k == 0) {
     return Status::InvalidArgument("discovery k must be positive");
   }
   em_.discovery_queries->Increment();
-  ScopedSpan discover_span(ctx, "discover");
-  discover_span.AddAttr("k", static_cast<int64_t>(k));
-  const RequestContext span_ctx = ctx.WithSpan(discover_span.id());
+  StageScope discover(ctx, Stage::kDiscover);
+  discover.AddAttr("k", static_cast<int64_t>(k));
+  const RequestContext span_ctx = ctx.WithSpan(discover.span_id());
   // Truncation-aware pre-check: under kTruncate an already-expired
   // deadline still yields a best-so-far (possibly empty) ranking with
   // the cut recorded downstream, instead of a hard error.
@@ -403,51 +409,11 @@ Result<std::vector<DiscoveryCandidate>> LakeEngine::DiscoverUnionable(
   }
   // Once degraded, the query itself is cleanup: cancel still aborts it, the
   // already-expired deadline does not re-fire.
-  const RequestContext query_ctx =
-      synced.ok() ? span_ctx : span_ctx.CancelOnly();
   Result<std::vector<DiscoveryCandidate>> candidates =
-      discovery_->TopKByName(name, k, query_ctx, truncation);
+      rank(synced.ok() ? span_ctx : span_ctx.CancelOnly());
   if (candidates.ok()) {
-    discover_span.AddAttr("candidates",
-                          static_cast<int64_t>(candidates->size()));
-  }
-  return candidates;
-}
-
-Result<std::vector<DiscoveryCandidate>> LakeEngine::DiscoverUnionable(
-    const Table& query, size_t k, const RequestContext& ctx,
-    Truncation* truncation) const {
-  if (k == 0) {
-    return Status::InvalidArgument("discovery k must be positive");
-  }
-  em_.discovery_queries->Increment();
-  ScopedSpan discover_span(ctx, "discover");
-  discover_span.AddAttr("k", static_cast<int64_t>(k));
-  const RequestContext span_ctx = ctx.WithSpan(discover_span.id());
-  // Truncation-aware pre-check: under kTruncate an already-expired
-  // deadline still yields a best-so-far (possibly empty) ranking with
-  // the cut recorded downstream, instead of a hard error.
-  Status pre = ctx.CheckStop("discovery");
-  if (!pre.ok() && !ctx.ShouldTruncate(pre.code())) return pre;
-  Status synced = EnsureDiscoverySynced(span_ctx);
-  if (!synced.ok()) {
-    if (!ctx.ShouldTruncate(synced.code())) return synced;
-    if (truncation != nullptr && !truncation->truncated) {
-      truncation->truncated = true;
-      truncation->stage = Stage::kDiscover;
-      truncation->reason = synced.message();
-    }
-  }
-  const RequestContext query_ctx =
-      synced.ok() ? span_ctx : span_ctx.CancelOnly();
-  // SketchQuery hashes the cells directly — an ad-hoc query never grows
-  // the session dictionary.
-  std::vector<ColumnSketch> sketches = discovery_->SketchQuery(query);
-  Result<std::vector<DiscoveryCandidate>> candidates =
-      discovery_->TopK(sketches, k, query_ctx, truncation);
-  if (candidates.ok()) {
-    discover_span.AddAttr("candidates",
-                          static_cast<int64_t>(candidates->size()));
+    discover.AddAttr("candidates", static_cast<int64_t>(candidates->size()));
+    discover.End();
   }
   return candidates;
 }
@@ -456,50 +422,32 @@ Result<FuzzyFdReport> LakeEngine::DiscoverAndIntegrate(
     const std::string& query_name, size_t k, RowSink* sink,
     const RequestOptions& request,
     std::vector<DiscoveryCandidate>* discovered) const {
-  Stopwatch total_watch;
-  const uint64_t request_id = ResolveRequestId(request);
-  RequestContext ctx = MakeContext(request);
-  ScopedSpan root(ctx.tracer, "request");
-  root.AddAttr("mode", std::string("discover+integrate"));
-  root.AddAttr("request_id", static_cast<int64_t>(request_id));
-  ctx.trace_parent = root.id();
   std::vector<std::string> names{query_name};
-  auto finish = [&](Result<FuzzyFdReport> report) {
-    root.End();
-    RecordRequest("discover+integrate", request_id, names, report.status(),
-                  report.ok() ? &*report : nullptr,
-                  total_watch.ElapsedSeconds(), ctx.tracer);
-    return report;
-  };
-  // One admission slot covers the whole discover → integrate span.
-  {
-    ScopedSpan admit_span(ctx, "admission_wait");
-    Status admitted = Admit(ctx);
-    if (!admitted.ok()) return finish(admitted);
-  }
-  AdmissionSlot slot(this);
-  ReportProgress(request.progress, Stage::kDiscover, 0, 1);
-  Truncation discover_cut;
-  Result<std::vector<DiscoveryCandidate>> found =
-      DiscoverUnionable(query_name, k, ctx, &discover_cut);
-  if (!found.ok()) return finish(found.status());
-  std::vector<DiscoveryCandidate> candidates = std::move(found).value();
-  ReportProgress(request.progress, Stage::kDiscover, 1, 1);
-  // Query first, then candidates in rank order: the name list defines TID
-  // numbering, so the discovered integration is reproducible from the
-  // candidate list alone (and bit-identical to IntegrateToSink on it).
-  names.reserve(candidates.size() + 1);
-  for (const DiscoveryCandidate& c : candidates) names.push_back(c.name);
-  if (discovered != nullptr) *discovered = std::move(candidates);
-  Result<FuzzyFdReport> report =
-      IntegrateToSinkImpl(names, sink, request, ctx);
-  if (report.ok() && discover_cut.truncated) {
-    // Discovery was cut first; keep its stage/reason as the report's
-    // primary cut and fold in whatever the pipeline added.
-    discover_cut.Merge(report->truncation);
-    report->truncation = discover_cut;
-  }
-  return finish(std::move(report));
+  return ServeRequest(
+      "discover+integrate", names, request,
+      [&](const RequestContext& ctx) -> Result<FuzzyFdReport> {
+        Truncation discover_cut;
+        LAKEFUZZ_ASSIGN_OR_RETURN(
+            std::vector<DiscoveryCandidate> candidates,
+            DiscoverUnionable(query_name, k, ctx, &discover_cut));
+        // Query first, then candidates in rank order: the name list defines
+        // TID numbering, so the discovered integration is reproducible from
+        // the candidate list alone (and bit-identical to IntegrateToSink on
+        // it).
+        names.reserve(candidates.size() + 1);
+        for (const DiscoveryCandidate& c : candidates) names.push_back(c.name);
+        if (discovered != nullptr) *discovered = std::move(candidates);
+        LAKEFUZZ_ASSIGN_OR_RETURN(FuzzyFdReport report,
+                                  IntegrateToSinkImpl(names, sink, request,
+                                                      ctx));
+        if (discover_cut.truncated) {
+          // Discovery was cut first; keep its stage/reason as the report's
+          // primary cut and fold in whatever the pipeline added.
+          discover_cut.Merge(report.truncation);
+          report.truncation = discover_cut;
+        }
+        return report;
+      });
 }
 
 uint64_t LakeEngine::schema_cache_hits() const {
@@ -512,25 +460,61 @@ AdmissionStats LakeEngine::admission_stats() const {
   return admission_stats_;
 }
 
-uint64_t LakeEngine::ResolveRequestId(const RequestOptions& request) const {
-  if (request.request_id != 0) return request.request_id;
-  return next_request_id_.fetch_add(1, std::memory_order_relaxed) + 1;
+Result<FuzzyFdReport> LakeEngine::ServeRequest(
+    const char* mode, const std::vector<std::string>& names,
+    const RequestOptions& request, const RequestBody& body) const {
+  Stopwatch total_watch;
+  const uint64_t request_id =
+      request.request_id != 0
+          ? request.request_id
+          : next_request_id_.fetch_add(1, std::memory_order_relaxed) + 1;
+  StageLedger stages;
+  RequestContext ctx;
+  ctx.cancel = request.cancel;
+  ctx.deadline = request.deadline;
+  ctx.budget = request.budget;
+  ctx.policy = request.budget_policy;
+  ctx.tracer = request.tracer;
+  ctx.ledger = &stages;
+  if (request.progress) ctx.progress = &request.progress;
+  ScopedSpan root(ctx.tracer, "request");
+  root.AddAttr("mode", std::string(mode));
+  root.AddAttr("request_id", static_cast<int64_t>(request_id));
+  ctx.trace_parent = root.id();
+  auto finish = [&](Result<FuzzyFdReport> report) {
+    root.End();
+    RecordRequest(mode, request_id, names, report.status(),
+                  report.ok() ? &*report : nullptr,
+                  total_watch.ElapsedSeconds(), stages);
+    return report;
+  };
+  Status admitted = Status::OK();
+  {
+    StageScope wait(ctx, Stage::kAdmissionWait);
+    admitted = Admit(ctx);
+  }
+  if (!admitted.ok()) return finish(admitted);
+  AdmissionSlot slot(this);
+  return finish(body(ctx));
 }
 
 void LakeEngine::RecordRequest(const char* mode, uint64_t request_id,
                                const std::vector<std::string>& names,
                                const Status& status,
                                const FuzzyFdReport* report,
-                               double total_seconds, Tracer* tracer) const {
+                               double total_seconds,
+                               const StageLedger& stages) const {
   em_.requests_total->Increment();
   if (!status.ok()) em_.requests_failed->Increment();
   em_.request_ns->Observe(SecondsToNs(total_seconds));
+  // Only stages that ran: a skipped stage (match under regular FD) must not
+  // pull its percentiles toward zero.
+  for (size_t s = 0; s < kNumStages; ++s) {
+    const Stage stage = static_cast<Stage>(s);
+    if (stages.runs(stage) > 0) em_.stage_ns[s]->Observe(stages.wall_ns(stage));
+  }
   if (report != nullptr) {
     if (report->truncation.truncated) em_.requests_truncated->Increment();
-    em_.align_ns->Observe(SecondsToNs(report->align_seconds));
-    em_.match_ns->Observe(SecondsToNs(report->match_seconds));
-    em_.rewrite_ns->Observe(SecondsToNs(report->rewrite_seconds));
-    em_.fd_ns->Observe(SecondsToNs(report->fd_seconds));
     em_.fd_search_nodes->Add(report->fd_stats.search_nodes);
     em_.fd_result_tuples->Add(report->fd_stats.results);
     em_.fd_intra_tasks->Add(report->fd_stats.intra_tasks);
@@ -549,7 +533,7 @@ void LakeEngine::RecordRequest(const char* mode, uint64_t request_id,
     info.error =
         status.ok() ? "ok" : std::string(ErrorCodeToString(status.code()));
     info.truncated = report != nullptr && report->truncation.truncated;
-    const std::string line = SlowRequestLine(info, tracer);
+    const std::string line = SlowRequestLine(info, stages);
     if (options_.slow_log) {
       options_.slow_log(line);
     } else {
@@ -676,11 +660,7 @@ Result<LakeEngine::PreparedRequest> LakeEngine::Prepare(
   prep.tables.reserve(prep.pinned.size());
   for (const auto& t : prep.pinned) prep.tables.push_back(t.get());
 
-  ReportProgress(request.progress, Stage::kAlign, 0, 1);
-  // The align span brackets exactly the align_watch region, so the trace
-  // tree's stage durations reconcile with FuzzyFdReport::align_seconds.
-  ScopedSpan align_span(ctx, "align");
-  Stopwatch align_watch;
+  StageScope align(ctx, Stage::kAlign);
   // Alignment cache: keyed by (mode, ordered name set) and valid only at
   // the registry version the snapshot was resolved at — any Register /
   // Unregister bumps the version, so a cached alignment can never outlive
@@ -725,13 +705,10 @@ Result<LakeEngine::PreparedRequest> LakeEngine::Prepare(
     schema_cache_[schema_key] =
         CachedSchema{registry_version, prep.aligned};
   }
-  prep.align_seconds = align_watch.ElapsedSeconds();
-  align_span.AddAttr("cached", cached ? int64_t{1} : int64_t{0});
-  align_span.AddAttr(
-      "universal_columns",
-      static_cast<int64_t>(prep.aligned.universal_names.size()));
-  align_span.End();
-  ReportProgress(request.progress, Stage::kAlign, 1, 1);
+  align.AddAttr("cached", cached ? int64_t{1} : int64_t{0});
+  align.AddAttr("universal_columns",
+                static_cast<int64_t>(prep.aligned.universal_names.size()));
+  align.End();
 
   // Session resources override the per-request knobs they replace; the
   // remaining matcher/FD knobs pass through untouched.
@@ -740,7 +717,6 @@ Result<LakeEngine::PreparedRequest> LakeEngine::Prepare(
   eff.matcher.shared_cache = cache_;
   eff.session_dict = session_dict_.get();
   eff.context = ctx;
-  eff.progress = request.progress;
   if (pool_ != nullptr) {
     eff.pool = pool_.get();
     eff.matcher.pool = pool_.get();
@@ -753,61 +729,26 @@ Result<LakeEngine::PreparedRequest> LakeEngine::Prepare(
 Result<PipelineResult> LakeEngine::Integrate(
     const std::vector<std::string>& names,
     const RequestOptions& request) const {
-  Stopwatch total_watch;
-  const uint64_t request_id = ResolveRequestId(request);
-  RequestContext ctx = MakeContext(request);
-  ScopedSpan root(ctx.tracer, "request");
-  root.AddAttr("mode", std::string("integrate"));
-  root.AddAttr("request_id", static_cast<int64_t>(request_id));
-  ctx.trace_parent = root.id();
-  auto finish = [&](Result<PipelineResult> result) {
-    root.End();
-    RecordRequest("integrate", request_id, names, result.status(),
-                  result.ok() ? &result->report : nullptr,
-                  total_watch.ElapsedSeconds(), ctx.tracer);
-    return result;
-  };
-  {
-    ScopedSpan admit_span(ctx, "admission_wait");
-    Status admitted = Admit(ctx);
-    if (!admitted.ok()) return finish(admitted);
-  }
-  AdmissionSlot slot(this);
   TableSink sink(request.fuzzy ? "fuzzy_full_disjunction" : "full_disjunction",
                  request.include_provenance);
   PipelineResult result;
-  Result<FuzzyFdReport> report =
-      IntegrateToSinkImpl(names, &sink, request, ctx, &result.aligned);
-  if (!report.ok()) return finish(report.status());
+  LAKEFUZZ_ASSIGN_OR_RETURN(
+      result.report,
+      ServeRequest("integrate", names, request,
+                   [&](const RequestContext& ctx) {
+                     return IntegrateToSinkImpl(names, &sink, request, ctx,
+                                                &result.aligned);
+                   }));
   result.integrated = sink.Take();
-  result.report = std::move(report).value();
-  return finish(std::move(result));
+  return result;
 }
 
 Result<FuzzyFdReport> LakeEngine::IntegrateToSink(
     const std::vector<std::string>& names, RowSink* sink,
     const RequestOptions& request) const {
-  Stopwatch total_watch;
-  const uint64_t request_id = ResolveRequestId(request);
-  RequestContext ctx = MakeContext(request);
-  ScopedSpan root(ctx.tracer, "request");
-  root.AddAttr("mode", std::string("sink"));
-  root.AddAttr("request_id", static_cast<int64_t>(request_id));
-  ctx.trace_parent = root.id();
-  auto finish = [&](Result<FuzzyFdReport> report) {
-    root.End();
-    RecordRequest("sink", request_id, names, report.status(),
-                  report.ok() ? &*report : nullptr,
-                  total_watch.ElapsedSeconds(), ctx.tracer);
-    return report;
-  };
-  {
-    ScopedSpan admit_span(ctx, "admission_wait");
-    Status admitted = Admit(ctx);
-    if (!admitted.ok()) return finish(admitted);
-  }
-  AdmissionSlot slot(this);
-  return finish(IntegrateToSinkImpl(names, sink, request, ctx));
+  return ServeRequest("sink", names, request, [&](const RequestContext& ctx) {
+    return IntegrateToSinkImpl(names, sink, request, ctx);
+  });
 }
 
 Result<FuzzyFdReport> LakeEngine::IntegrateToSinkImpl(
@@ -833,7 +774,7 @@ Result<FuzzyFdReport> LakeEngine::IntegrateToSinkImpl(
           .RunToBatches(prep.tables, prep.aligned, request.fuzzy,
                         request.batch_rows, emit, &report)
           .status());
-  report.align_seconds = prep.align_seconds;
+  report.stages = *ctx.ledger;
   LAKEFUZZ_RETURN_IF_ERROR(sink->End(report));
   if (aligned != nullptr) *aligned = std::move(prep.aligned);
   return report;

@@ -24,6 +24,7 @@
 #ifndef LAKEFUZZ_CORE_ENGINE_H_
 #define LAKEFUZZ_CORE_ENGINE_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <functional>
@@ -95,8 +96,7 @@ struct EngineOptions {
   /// IntegrateToSink / DiscoverAndIntegrate whose end-to-end wall time
   /// reaches it emits one structured line (see obs/trace.h
   /// SlowRequestLine) through `slow_log`. 0 (the default) disables the
-  /// log. The per-stage breakdown comes from the request's tracer when one
-  /// was attached; untraced slow requests log with an empty stage list.
+  /// log. The per-stage breakdown comes from the request's stage ledger.
   double slow_request_ms = 0.0;
   /// Destination for slow-request lines; defaults to stderr when unset.
   /// Invoked on the request thread, after the request finished.
@@ -159,9 +159,9 @@ struct RequestOptions {
   /// Add the "TIDs" provenance column to the output table.
   bool include_provenance = false;
   /// Matcher/FD knobs. The engine overwrites the session-owned fields:
-  /// matcher.model, matcher.shared_cache, session_dict, context, progress,
-  /// and — on a pooled engine — pool, matcher.pool and matcher.num_threads
-  /// (all pointing at the session pool). The remaining knobs pass through
+  /// matcher.model, matcher.shared_cache, session_dict, context, and — on a
+  /// pooled engine — pool, matcher.pool and matcher.num_threads (all
+  /// pointing at the session pool). The remaining knobs pass through
   /// untouched.
   FuzzyFdOptions fuzzy_fd;
   /// Cooperative cancellation (CancelToken::Create(); fire from any
@@ -179,7 +179,7 @@ struct RequestOptions {
   /// typed error, kTruncate degrades to the best partial result computed
   /// so far. Cancellation always fails regardless of policy.
   BudgetPolicy budget_policy = BudgetPolicy::kFail;
-  /// Stage progress, invoked on the request thread.
+  /// Stage progress, invoked on the request thread (see ProgressEvent).
   ProgressFn progress;
   /// Decoded tuples per batch: per OnBatch call in sink mode (bounds peak
   /// memory), per decode window in Integrate.
@@ -418,7 +418,6 @@ class LakeEngine {
     std::vector<std::shared_ptr<const Table>> pinned;  ///< lifetime anchors
     TableList tables;
     AlignedSchema aligned;
-    double align_seconds = 0.0;
     FuzzyFdOptions effective;  ///< request knobs + session resources
   };
 
@@ -468,10 +467,23 @@ class LakeEngine {
   Status Admit(const RequestContext& ctx) const;
   void ReleaseAdmission() const;
 
-  /// The one request path behind Integrate, IntegrateToSink, and
-  /// DiscoverAndIntegrate, minus the admission gate (so DiscoverAndIntegrate
-  /// admits exactly once for its whole discover → integrate span). When
-  /// `aligned` is non-null it receives the request's alignment.
+  /// What a request form runs once it holds an admission slot.
+  using RequestBody =
+      std::function<Result<FuzzyFdReport>(const RequestContext& ctx)>;
+
+  /// The request helper behind Integrate, IntegrateToSink and
+  /// DiscoverAndIntegrate: assigns the request id, builds the context with
+  /// this request's stage ledger and progress, opens the root span, waits
+  /// for admission (once for the whole request), runs `body`, and records
+  /// the request. `names` is read when the request finishes, so a body may
+  /// extend it.
+  Result<FuzzyFdReport> ServeRequest(const char* mode,
+                                     const std::vector<std::string>& names,
+                                     const RequestOptions& request,
+                                     const RequestBody& body) const;
+
+  /// The one integration path of every request form. When `aligned` is
+  /// non-null it receives the request's alignment.
   Result<FuzzyFdReport> IntegrateToSinkImpl(
       const std::vector<std::string>& names, RowSink* sink,
       const RequestOptions& request, const RequestContext& ctx,
@@ -490,23 +502,27 @@ class LakeEngine {
     Counter* values_rewritten = nullptr;
     Counter* discovery_queries = nullptr;
     Histogram* request_ns = nullptr;
-    Histogram* align_ns = nullptr;
-    Histogram* match_ns = nullptr;
-    Histogram* rewrite_ns = nullptr;
-    Histogram* fd_ns = nullptr;
+    /// lakefuzz_stage_<StageName>_latency_ns, indexed by Stage.
+    std::array<Histogram*, kNumStages> stage_ns{};
   };
 
-  /// Picks the request id: the caller's, or the engine's next sequential.
-  uint64_t ResolveRequestId(const RequestOptions& request) const;
-
   /// Per-request epilogue shared by every request form: bumps the request
-  /// counters, observes the per-stage latency histograms (from `report`,
-  /// the single source bench JSON also reads), and emits the slow-request
-  /// line when EngineOptions::slow_request_ms is armed.
+  /// counters, observes the latency histogram of every stage in `stages`
+  /// that ran (failed requests included), and emits the slow-request line
+  /// when EngineOptions::slow_request_ms is armed.
   void RecordRequest(const char* mode, uint64_t request_id,
                      const std::vector<std::string>& names,
                      const Status& status, const FuzzyFdReport* report,
-                     double total_seconds, Tracer* tracer) const;
+                     double total_seconds, const StageLedger& stages) const;
+
+  /// The discovery body shared by both DiscoverUnionable forms: the k
+  /// check, the discover stage, the truncation-aware index sync, then
+  /// `rank` over the synced index.
+  using RankFn = std::function<Result<std::vector<DiscoveryCandidate>>(
+      const RequestContext& ctx)>;
+  Result<std::vector<DiscoveryCandidate>> Discover(
+      size_t k, const RequestContext& ctx, Truncation* truncation,
+      const RankFn& rank) const;
 
   /// Engine-level gauges refreshed from their authoritative sources on
   /// every scrape (the MetricsSnapshot() front half).

@@ -8,7 +8,6 @@
 #include "fd/value_dict.h"
 #include "obs/trace.h"
 #include "util/fault_injection.h"
-#include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace lakefuzz {
@@ -33,25 +32,21 @@ struct FdStage {
 /// session dictionary the build interns codes straight from the source
 /// tables (tables pinned in the dictionary scatter memoized column codes);
 /// otherwise the legacy padded-row Build runs. Also fills
-/// `report->fd_build_seconds` / `report->fd_stats` when a report is given.
+/// `report->fd_stats` when a report is given.
 Result<FdStage> RunFdStage(const TableList& tables,
                            const AlignedSchema& aligned,
                            const FuzzyFdOptions& options,
                            const RequestContext& ctx, FuzzyFdReport* report) {
-  ReportProgress(options.progress, Stage::kFdBuild, 0, 1);
+  StageScope build(ctx, Stage::kFdBuild);
   LAKEFUZZ_FAULT_POINT("fd/build");
-  ScopedSpan build_span(ctx, "fd_build");
-  Stopwatch build_watch;
   Result<FdProblem> built =
       options.session_dict != nullptr
           ? FdProblem::BuildInterned(tables, aligned, options.session_dict)
           : FdProblem::Build(tables, aligned);
   if (!built.ok()) return built.status();
   FdProblem problem = std::move(built).value();
-  const double build_seconds = build_watch.ElapsedSeconds();
-  build_span.AddAttr("tuples", static_cast<int64_t>(problem.num_tuples()));
-  build_span.End();
-  ReportProgress(options.progress, Stage::kFdBuild, 1, 1);
+  build.AddAttr("tuples", static_cast<int64_t>(problem.num_tuples()));
+  build.End();
   // Post-build stop: under kTruncate a deadline that expired during the
   // build falls through to the executor, whose first per-component
   // checkpoint records the truncation (0 components completed) — the
@@ -65,7 +60,7 @@ Result<FdStage> RunFdStage(const TableList& tables,
   LAKEFUZZ_ASSIGN_OR_RETURN(
       std::vector<FdCodeTuple> codes,
       FullDisjunction(options.fd).RunCodes(&problem, options.pool, &stats,
-                                           ctx, options.progress));
+                                           ctx));
 
   // Result-tuple budget, enforced once here post-subsumption so every
   // consumer sees the same cut.
@@ -86,7 +81,6 @@ Result<FdStage> RunFdStage(const TableList& tables,
   }
 
   if (report != nullptr) {
-    report->fd_build_seconds = build_seconds;
     report->fd_stats = stats;
     report->truncation.Merge(stats.truncation);
   }
@@ -104,9 +98,8 @@ Result<size_t> EmitCodeBatches(const FdProblem& problem,
                                size_t batch_rows, ThreadPool* pool,
                                const FdBatchFn& emit,
                                const RequestContext& ctx,
-                               const ProgressFn& progress,
                                Truncation* truncation) {
-  ScopedSpan emit_span(ctx, "emit");
+  StageScope emit_scope(ctx, Stage::kEmit);
   std::vector<FdResultTuple> batch;
   size_t emitted = 0;
   size_t batches = 0;
@@ -133,11 +126,11 @@ Result<size_t> EmitCodeBatches(const FdProblem& problem,
     emitted += batch.size();
     ++batches;
     LAKEFUZZ_RETURN_IF_ERROR(emit(&batch));
-    ReportProgress(progress, Stage::kEmit, emitted, codes.size());
+    ReportProgress(ctx, Stage::kEmit, emitted, codes.size());
   }
-  if (codes.empty()) ReportProgress(progress, Stage::kEmit, 0, 0);
-  emit_span.AddAttr("tuples", static_cast<int64_t>(emitted));
-  emit_span.AddAttr("batches", static_cast<int64_t>(batches));
+  if (codes.empty()) ReportProgress(ctx, Stage::kEmit, 0, 0);
+  emit_scope.AddAttr("tuples", static_cast<int64_t>(emitted));
+  emit_scope.AddAttr("batches", static_cast<int64_t>(batches));
   return emitted;
 }
 
@@ -153,23 +146,15 @@ struct RewrittenSet {
 /// The match + rewrite stages (paper Sec 2.2): shared core of the public
 /// copying RewriteTables and the borrowing pipeline.
 Result<RewrittenSet> RewriteCore(const FuzzyFdOptions& options,
+                                 const RequestContext& ctx,
                                  const TableList& tables,
                                  const AlignedSchema& aligned,
                                  FuzzyFdReport* report) {
   LAKEFUZZ_RETURN_IF_ERROR(ValidateAlignedSchema(aligned, tables));
-  // match/rewrite spans bracket exactly the match_watch/rewrite_watch
-  // regions so trace durations reconcile with the report's stage seconds.
-  ScopedSpan match_span(options.context, "match");
-  Stopwatch match_watch;
+  StageScope match(ctx, Stage::kMatch);
   ValueMatcherOptions matcher_options = options.matcher;
-  // Session plumbing: the request's token, deadline, and pool reach the
-  // matcher unless the caller already set matcher-specific ones.
-  if (!matcher_options.cancel.can_cancel()) {
-    matcher_options.cancel = options.context.cancel;
-  }
-  if (!matcher_options.deadline.set()) {
-    matcher_options.deadline = options.context.deadline;
-  }
+  // Session plumbing: the request's pool reaches the matcher unless the
+  // caller already set a matcher-specific one.
   if (matcher_options.pool == nullptr) {
     matcher_options.pool = options.pool;
   }
@@ -182,7 +167,6 @@ Result<RewrittenSet> RewriteCore(const FuzzyFdOptions& options,
     rewrites[l].resize(tables[l]->NumColumns());
   }
 
-  double match_seconds = 0.0;
   size_t sets_matched = 0;
   ValueMatchStats agg_stats;
 
@@ -200,10 +184,10 @@ Result<RewrittenSet> RewriteCore(const FuzzyFdOptions& options,
 
   const size_t num_universal = aligned.NumUniversal();
   for (size_t u = 0; u < num_universal; ++u) {
-    ReportProgress(options.progress, Stage::kMatch, u, num_universal);
-    Status stop = options.context.CheckStop("fuzzy value matching");
+    ReportProgress(ctx, Stage::kMatch, u, num_universal);
+    Status stop = ctx.CheckStop("fuzzy value matching");
     if (!stop.ok()) {
-      if (!options.context.ShouldTruncate(stop.code())) return stop;
+      if (!ctx.ShouldTruncate(stop.code())) return stop;
       degrade(stop);
       break;
     }
@@ -223,9 +207,10 @@ Result<RewrittenSet> RewriteCore(const FuzzyFdOptions& options,
       }
     }
 
-    Result<ValueMatchResult> matched_result = matcher.MatchColumns(columns);
+    Result<ValueMatchResult> matched_result =
+        matcher.MatchColumns(columns, ctx);
     if (!matched_result.ok()) {
-      if (!options.context.ShouldTruncate(matched_result.code())) {
+      if (!ctx.ShouldTruncate(matched_result.code())) {
         return matched_result.status();
       }
       degrade(matched_result.status());
@@ -257,20 +242,16 @@ Result<RewrittenSet> RewriteCore(const FuzzyFdOptions& options,
       }
     }
   }
-  ReportProgress(options.progress, Stage::kMatch, num_universal,
-                 num_universal);
-  match_seconds = match_watch.ElapsedSeconds();
-  match_span.AddAttr("sets_matched", static_cast<int64_t>(sets_matched));
-  match_span.AddAttr("cost_evaluations",
-                     static_cast<int64_t>(agg_stats.cost_evaluations));
-  match_span.AddAttr(
-      "embedding_cache_hits",
-      static_cast<int64_t>(agg_stats.embedding_cache_hits));
-  match_span.End();
+  ReportProgress(ctx, Stage::kMatch, num_universal, num_universal);
+  match.AddAttr("sets_matched", static_cast<int64_t>(sets_matched));
+  match.AddAttr("cost_evaluations",
+                static_cast<int64_t>(agg_stats.cost_evaluations));
+  match.AddAttr("embedding_cache_hits",
+                static_cast<int64_t>(agg_stats.embedding_cache_hits));
+  match.End();
 
-  ScopedSpan rewrite_span(options.context, "rewrite");
-  Stopwatch rewrite_watch;
-  ReportProgress(options.progress, Stage::kRewrite, 0, tables.size());
+  StageScope rewrite(ctx, Stage::kRewrite);
+  ReportProgress(ctx, Stage::kRewrite, 0, tables.size());
   RewrittenSet out;
   // Reserve up front: list holds pointers into storage, which must not
   // reallocate as modified tables are appended.
@@ -324,15 +305,11 @@ Result<RewrittenSet> RewriteCore(const FuzzyFdOptions& options,
     out.storage.push_back(std::move(t));
     out.list.push_back(&out.storage.back());
   }
-  ReportProgress(options.progress, Stage::kRewrite, tables.size(),
-                 tables.size());
-  rewrite_span.AddAttr("values_rewritten",
-                       static_cast<int64_t>(values_rewritten));
-  rewrite_span.End();
+  ReportProgress(ctx, Stage::kRewrite, tables.size(), tables.size());
+  rewrite.AddAttr("values_rewritten", static_cast<int64_t>(values_rewritten));
+  rewrite.End();
 
   if (report != nullptr) {
-    report->match_seconds = match_seconds;
-    report->rewrite_seconds = rewrite_watch.ElapsedSeconds();
     report->aligned_sets_matched = sets_matched;
     report->values_rewritten = values_rewritten;
     report->match_stats = agg_stats;
@@ -340,13 +317,24 @@ Result<RewrittenSet> RewriteCore(const FuzzyFdOptions& options,
   return out;
 }
 
+/// The pipeline's context: the caller's, recording into the report's own
+/// ledger when the caller brought none (a bare pipeline run, no engine).
+RequestContext PipelineContext(const FuzzyFdOptions& options,
+                               FuzzyFdReport* report) {
+  RequestContext ctx = options.context;
+  if (ctx.ledger == nullptr && report != nullptr) ctx.ledger = &report->stages;
+  return ctx;
+}
+
 }  // namespace
 
 Result<std::vector<Table>> FuzzyFullDisjunction::RewriteTables(
     const TableList& tables, const AlignedSchema& aligned,
     FuzzyFdReport* report) const {
-  LAKEFUZZ_ASSIGN_OR_RETURN(RewrittenSet set,
-                            RewriteCore(options_, tables, aligned, report));
+  LAKEFUZZ_ASSIGN_OR_RETURN(
+      RewrittenSet set,
+      RewriteCore(options_, PipelineContext(options_, report), tables,
+                  aligned, report));
   std::vector<Table> out;
   out.reserve(tables.size());
   size_t k = 0;
@@ -369,19 +357,17 @@ Result<size_t> FuzzyFullDisjunction::RunToBatches(
   if (emit == nullptr) {
     return Status::InvalidArgument("the pipeline requires an emit callback");
   }
+  const RequestContext ctx = PipelineContext(options_, report);
   RewrittenSet rewritten;
   if (fuzzy) {
     LAKEFUZZ_ASSIGN_OR_RETURN(
-        rewritten, RewriteCore(options_, tables, aligned, report));
+        rewritten, RewriteCore(options_, ctx, tables, aligned, report));
   }
   const TableList& fd_tables = fuzzy ? rewritten.list : tables;
-  // The fd span brackets exactly the fd_watch region (build + enumerate +
-  // subsume + batch decode/emit), so its duration reconciles with
-  // FuzzyFdReport::fd_seconds; the sub-stages hang off it as children.
-  const RequestContext& ctx = options_.context;
-  ScopedSpan fd_span(ctx, "fd");
-  const RequestContext fd_ctx = ctx.WithSpan(fd_span.id());
-  Stopwatch fd_watch;
+  // The fd stage covers build + enumerate + subsume + batch decode/emit;
+  // the sub-stages hang off its span as children.
+  StageScope fd(ctx, Stage::kFd);
+  const RequestContext fd_ctx = ctx.WithSpan(fd.span_id());
   LAKEFUZZ_ASSIGN_OR_RETURN(
       FdStage stage, RunFdStage(fd_tables, aligned, options_, fd_ctx, report));
   // Emitting an already-truncated partial is cleanup: it still honors
@@ -390,14 +376,13 @@ Result<size_t> FuzzyFullDisjunction::RunToBatches(
       stage.stats.truncation.truncated ? fd_ctx.CancelOnly() : fd_ctx;
   Result<size_t> emitted = EmitCodeBatches(
       stage.problem, stage.codes, batch_rows, options_.pool, emit, emit_ctx,
-      options_.progress, report != nullptr ? &report->truncation : nullptr);
-  fd_span.AddAttr("results", static_cast<int64_t>(stage.codes.size()));
-  fd_span.AddAttr("search_nodes",
-                  static_cast<int64_t>(stage.stats.search_nodes));
-  fd_span.AddAttr("components",
-                  static_cast<int64_t>(stage.stats.num_components));
-  fd_span.End();
-  if (report != nullptr) report->fd_seconds = fd_watch.ElapsedSeconds();
+      report != nullptr ? &report->truncation : nullptr);
+  fd.AddAttr("results", static_cast<int64_t>(stage.codes.size()));
+  fd.AddAttr("search_nodes", static_cast<int64_t>(stage.stats.search_nodes));
+  fd.AddAttr("components", static_cast<int64_t>(stage.stats.num_components));
+  fd.End();
+  // The report counts what the sink received, after every cut.
+  if (report != nullptr && emitted.ok()) report->fd_stats.results = *emitted;
   return emitted;
 }
 

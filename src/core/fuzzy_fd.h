@@ -10,10 +10,11 @@
 //
 // Session integration: the pipeline takes borrowed table pointers
 // (TableList) so a LakeEngine can serve requests over registry-owned tables
-// without copying; options carry an optional session ThreadPool, a
+// without copying; options carry an optional session ThreadPool and a
 // RequestContext (cancel + deadline + resource budget, honored at matcher
 // merge rounds, per FD component, inside the enumerator, and between
-// batches), and a ProgressFn fired at stage boundaries.
+// batches; plus the stage ledger and progress callback every stage reports
+// to).
 #ifndef LAKEFUZZ_CORE_FUZZY_FD_H_
 #define LAKEFUZZ_CORE_FUZZY_FD_H_
 
@@ -45,33 +46,26 @@ struct FuzzyFdOptions {
   /// decoded against it.
   SessionDict* session_dict = nullptr;
   /// Request lifecycle: cancel token, deadline, resource budget, and the
-  /// truncate-vs-fail policy. The cancel token is also threaded into
-  /// `matcher.cancel` (and the deadline into `matcher.deadline`) when those
-  /// are unset. A fired token surfaces as Status::Cancelled, an expired
-  /// deadline as Status::DeadlineExceeded, from the nearest checkpoint —
-  /// unless BudgetPolicy::kTruncate turns the latter into a partial result
-  /// with a populated FuzzyFdReport::truncation.
+  /// truncate-vs-fail policy; the matcher polls the same context. A fired
+  /// token surfaces as Status::Cancelled, an expired deadline as
+  /// Status::DeadlineExceeded, from the nearest checkpoint — unless
+  /// BudgetPolicy::kTruncate turns the latter into a partial result with a
+  /// populated FuzzyFdReport::truncation. Stages time themselves into
+  /// `context.ledger` (the report's own ledger when unset) and fire
+  /// `context.progress` on the calling thread: kMatch counts universal
+  /// columns, the FD stages report (0,1) on entry and (1,1) on completion.
   RequestContext context;
-  /// Stage-boundary progress (see util/cancellation.h). Invoked on the
-  /// calling thread: kMatch counts universal columns, the FD stages report
-  /// (0,1) on entry and (1,1) on completion.
-  ProgressFn progress;
 };
 
 /// Stage timings and counters for the efficiency experiments (Fig. 3) and
 /// engine observability. One report covers every stage of a request, so
 /// total_seconds() is the end-to-end pipeline time.
 struct FuzzyFdReport {
-  /// Column alignment (filled by the engine, which aligns; zero when the
-  /// caller aligned out of band).
-  double align_seconds = 0.0;
-  double match_seconds = 0.0;
-  double rewrite_seconds = 0.0;
-  /// Outer-union construction (FdProblem::Build); also included in
-  /// fd_seconds. The index/enumeration/subsumption split inside fd_seconds
-  /// is in fd_stats.
-  double fd_build_seconds = 0.0;
-  double fd_seconds = 0.0;
+  /// Wall time per stage (stages.seconds(Stage::kMatch), ...). On the
+  /// engine path it is the request's whole ledger, admission wait, discovery
+  /// and alignment included; a bare pipeline run records only its own
+  /// stages.
+  StageLedger stages;
   size_t aligned_sets_matched = 0;
   size_t values_rewritten = 0;
   ValueMatchStats match_stats;
@@ -83,7 +77,8 @@ struct FuzzyFdReport {
 
   /// End-to-end wall time across all stages (align + match + rewrite + FD).
   double total_seconds() const {
-    return align_seconds + match_seconds + rewrite_seconds + fd_seconds;
+    return stages.seconds(Stage::kAlign) + stages.seconds(Stage::kMatch) +
+           stages.seconds(Stage::kRewrite) + stages.seconds(Stage::kFd);
   }
 };
 

@@ -55,7 +55,8 @@ CrossColumnPairs(const ValueMatchResult& result) {
 }
 
 Result<ValueMatchResult> ValueMatcher::MatchColumns(
-    const std::vector<std::vector<std::string>>& columns) const {
+    const std::vector<std::vector<std::string>>& columns,
+    const RequestContext& ctx) const {
   const bool use_embeddings = options_.model != nullptr;
   const bool use_bounded_distance =
       !use_embeddings && options_.bounded_string_distance != nullptr;
@@ -176,12 +177,7 @@ Result<ValueMatchResult> ValueMatcher::MatchColumns(
   for (size_t c = 1; c < columns.size(); ++c) {
     // Cooperative cancellation / deadline between merge rounds — the unit
     // after which no partial state escapes.
-    if (options_.cancel.cancelled()) {
-      return Status::Cancelled("value matching cancelled");
-    }
-    if (options_.deadline.expired()) {
-      return Status::DeadlineExceeded("value matching deadline exceeded");
-    }
+    LAKEFUZZ_RETURN_IF_ERROR(ctx.CheckStop("value matching"));
     const auto& values = columns[c];
     std::vector<char> value_matched(values.size(), 0);
 

@@ -97,13 +97,6 @@ struct ValueMatcherOptions {
   /// only matters as documentation. Not owned. Work below the
   /// parallelization thresholds still runs serially.
   ThreadPool* pool = nullptr;
-  /// Cooperative cancellation, polled between merge rounds (once per
-  /// aligning column). A fired token returns Status::Cancelled.
-  CancelToken cancel;
-  /// Request deadline, polled at the same merge-round checkpoints. Once
-  /// expired, MatchColumns returns Status::DeadlineExceeded (the pipeline
-  /// layer may degrade that into a partial match under kTruncate).
-  Deadline deadline;
 };
 
 /// One disjoint set of matched values.
@@ -157,9 +150,11 @@ class ValueMatcher {
 
   /// Matches values across aligned columns. `columns[i]` holds the distinct
   /// values of the i-th aligning column, in table order. Duplicate values
-  /// within one column violate clean-clean and are rejected.
+  /// within one column violate clean-clean and are rejected. `ctx` is
+  /// polled (CheckStop) between merge rounds, once per aligning column.
   Result<ValueMatchResult> MatchColumns(
-      const std::vector<std::vector<std::string>>& columns) const;
+      const std::vector<std::vector<std::string>>& columns,
+      const RequestContext& ctx = RequestContext()) const;
 
  private:
   ValueMatcherOptions options_;

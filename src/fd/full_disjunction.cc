@@ -13,7 +13,6 @@
 #include "util/arena.h"
 #include "util/fault_injection.h"
 #include "util/rss.h"
-#include "util/stopwatch.h"
 #include "util/str.h"
 #include "util/thread_pool.h"
 
@@ -867,16 +866,14 @@ Status ScratchBudgetStop(const RequestContext& ctx, size_t reserved_bytes) {
 
 Result<std::vector<FdCodeTuple>> FullDisjunction::RunCodes(
     FdProblem* problem, ThreadPool* pool, FdStats* stats,
-    const RequestContext& ctx, const ProgressFn& progress) const {
+    const RequestContext& ctx) const {
   const PoolStats pool_before = pool != nullptr ? pool->stats() : PoolStats();
 
-  ScopedSpan index_span(ctx, "fd_index");
-  Stopwatch index_watch;
+  StageScope index(ctx, Stage::kFdIndex);
   problem->BuildIndex(pool);
-  index_span.AddAttr("distinct_values",
-                     static_cast<int64_t>(problem->index_stats().distinct_values));
-  index_span.End();
-  stats->index_seconds = index_watch.ElapsedSeconds();
+  index.AddAttr("distinct_values",
+                static_cast<int64_t>(problem->index_stats().distinct_values));
+  index.End();
   stats->num_input_tuples = problem->num_tuples();
   stats->num_components = problem->Components().size();
   stats->distinct_values = problem->index_stats().distinct_values;
@@ -898,10 +895,8 @@ Result<std::vector<FdCodeTuple>> FullDisjunction::RunCodes(
                      return a->size() > b->size();
                    });
 
-  ReportProgress(progress, Stage::kFdEnumerate, 0, 1);
-  ScopedSpan enum_span(ctx, "fd_enumerate");
-  const RequestContext enum_ctx = ctx.WithSpan(enum_span.id());
-  Stopwatch enum_watch;
+  StageScope enumerate(ctx, Stage::kFdEnumerate);
+  const RequestContext enum_ctx = ctx.WithSpan(enumerate.span_id());
   int64_t node_cap = static_cast<int64_t>(options_.max_search_nodes);
   if (ctx.budget.max_fd_nodes > 0) {
     node_cap =
@@ -1056,14 +1051,10 @@ Result<std::vector<FdCodeTuple>> FullDisjunction::RunCodes(
     for (auto& t : tuples) code_tuples.push_back(std::move(t));
   }
   stats->task_profile.merge_ns += ThreadPool::NowNs() - merge_start;
-  stats->merge_seconds =
-      static_cast<double>(stats->task_profile.merge_ns) * 1e-9;
-  enum_span.AddAttr("components", static_cast<int64_t>(comps.size()));
-  enum_span.AddAttr("search_nodes",
+  enumerate.AddAttr("components", static_cast<int64_t>(comps.size()));
+  enumerate.AddAttr("search_nodes",
                     static_cast<int64_t>(stats->search_nodes));
-  enum_span.End();
-  stats->enumeration_seconds = enum_watch.ElapsedSeconds();
-  ReportProgress(progress, Stage::kFdEnumerate, 1, 1);
+  stats->enumeration_seconds = static_cast<double>(enumerate.End()) * 1e-9;
   stats->results_before_subsumption = code_tuples.size();
 
   // Subsuming an already-truncated partial result is cleanup: it must keep
@@ -1072,22 +1063,17 @@ Result<std::vector<FdCodeTuple>> FullDisjunction::RunCodes(
   const RequestContext subsume_ctx =
       stats->truncation.truncated ? ctx.CancelOnly() : ctx;
   LAKEFUZZ_RETURN_IF_ERROR(subsume_ctx.CheckStop("full disjunction"));
-  ReportProgress(progress, Stage::kFdSubsume, 0, 1);
-  ScopedSpan subsume_span(subsume_ctx, "fd_subsume");
-  subsume_span.AddAttr("input_tuples",
-                       static_cast<int64_t>(code_tuples.size()));
-  Stopwatch subsume_watch;
+  StageScope subsume(subsume_ctx, Stage::kFdSubsume);
+  subsume.AddAttr("input_tuples", static_cast<int64_t>(code_tuples.size()));
   LAKEFUZZ_ASSIGN_OR_RETURN(
       code_tuples,
       EliminateSubsumedCodes(std::move(code_tuples), pool, &subsume_ctx));
-  subsume_span.AddAttr("results", static_cast<int64_t>(code_tuples.size()));
-  subsume_span.End();
-  stats->subsumption_seconds = subsume_watch.ElapsedSeconds();
+  subsume.AddAttr("results", static_cast<int64_t>(code_tuples.size()));
+  subsume.End();
   stats->results = code_tuples.size();
   if (stats->truncation.truncated) {
     stats->truncation.tuples_emitted = code_tuples.size();
   }
-  ReportProgress(progress, Stage::kFdSubsume, 1, 1);
   if (pool != nullptr) {
     const PoolStats pool_delta = pool->stats() - pool_before;
     stats->pool_tasks = pool_delta.tasks;
@@ -1103,14 +1089,10 @@ Result<FdResult> FullDisjunction::Run(FdProblem* problem,
   FdResult out;
   LAKEFUZZ_ASSIGN_OR_RETURN(std::vector<FdCodeTuple> code_tuples,
                             RunCodes(problem, pool, &out.stats));
-  // Decode wall time stays folded into subsumption_seconds, as before the
-  // RunCodes split.
-  Stopwatch decode_watch;
   out.tuples.resize(code_tuples.size());
   MaybeParallelFor(pool, code_tuples.size(), [&](size_t i) {
     out.tuples[i] = DecodeCodeTuple(code_tuples[i], problem->dict());
   });
-  out.stats.subsumption_seconds += decode_watch.ElapsedSeconds();
   return out;
 }
 

@@ -113,14 +113,10 @@ struct FdStats {
   /// Value copies paid building the problem (see FdIndexStats::value_copies;
   /// near zero on the BuildInterned path with a warm session dictionary).
   size_t value_copies = 0;
-  /// Stage wall times: BuildIndex (dictionary + CSR + components),
-  /// per-component enumeration, and subsumption + decode.
-  double index_seconds = 0.0;
+  /// Wall time of the fd_enumerate stage (the StageScope's own samples;
+  /// the other FD stages are timed in the request's StageLedger only).
+  /// Includes the deterministic merge, task_profile.merge_ns.
   double enumeration_seconds = 0.0;
-  double subsumption_seconds = 0.0;
-  /// Time flattening per-component / per-segment results into the final
-  /// tuple order (the deterministic merge). Part of enumeration_seconds.
-  double merge_seconds = 0.0;
   /// Intra-component task-grain profile (see FdTaskProfile; all zero when
   /// no component took the split path).
   FdTaskProfile task_profile;
@@ -175,13 +171,12 @@ class FullDisjunction {
   /// Status::DeadlineExceeded, an exhausted ResourceBudget
   /// Status::ResourceExhausted — or, under BudgetPolicy::kTruncate, the
   /// deadline/budget stop keeps the components completed so far and records
-  /// the cut in stats->truncation. `progress` receives
-  /// kFdEnumerate/kFdSubsume boundary events ((0,1) entry, (1,1)
-  /// completion) on the calling thread only, never from pool workers.
+  /// the cut in stats->truncation. The fd_index, fd_enumerate and
+  /// fd_subsume stages are timed into ctx.ledger and fire ctx.progress on
+  /// the calling thread only, never from pool workers.
   Result<std::vector<FdCodeTuple>> RunCodes(
       FdProblem* problem, ThreadPool* pool, FdStats* stats,
-      const RequestContext& ctx = RequestContext(),
-      const ProgressFn& progress = ProgressFn()) const;
+      const RequestContext& ctx = RequestContext()) const;
 
  private:
   FdOptions options_;

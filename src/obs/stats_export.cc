@@ -15,7 +15,7 @@ std::vector<std::pair<std::string, double>> FdExecutionExtras(
       prof.tasks > 0 ? static_cast<double>(prof.tasks) : 1.0;
   return {
       {"intra_tasks", static_cast<double>(stats.intra_tasks)},
-      {"merge_s", stats.merge_seconds},
+      {"merge_s", static_cast<double>(prof.merge_ns) * 1e-9},
       {"task_nodes_mean", static_cast<double>(prof.nodes_sum) / tasks_d},
       {"task_nodes_min", static_cast<double>(prof.nodes_min)},
       {"task_nodes_max", static_cast<double>(prof.nodes_max)},

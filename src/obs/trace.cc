@@ -73,6 +73,20 @@ struct FlameNode {
   }
 };
 
+/// For the stages without per-unit progress that report (0, 1) on entry
+/// and (1, 1) on completion (see Stage): fires the entry event and returns
+/// the callback for the completion event. Null for every other stage.
+const ProgressFn* FireEntry(const RequestContext& ctx, Stage stage) {
+  if (ctx.progress == nullptr || !*ctx.progress) return nullptr;
+  if (stage != Stage::kDiscover && stage != Stage::kAlign &&
+      stage != Stage::kFdBuild && stage != Stage::kFdEnumerate &&
+      stage != Stage::kFdSubsume) {
+    return nullptr;
+  }
+  (*ctx.progress)(ProgressEvent{stage, 0, 1});
+  return ctx.progress;
+}
+
 void PrintFlame(const FlameNode& node, size_t depth, std::string* out) {
   std::string label(depth * 2, ' ');
   label += node.name;
@@ -228,33 +242,34 @@ std::string Tracer::FlameSummary() const {
   return out;
 }
 
-std::vector<std::pair<std::string, double>> Tracer::StageTotals() const {
-  const std::vector<Span> spans = Spans();
-  std::vector<char> is_root(spans.size() + 1, 0);
-  for (const Span& span : spans) {
-    if (span.parent == 0) is_root[span.id] = 1;
-  }
-  std::vector<std::pair<std::string, double>> totals;
-  for (const Span& span : spans) {
-    if (span.parent == 0 || span.parent > spans.size() ||
-        !is_root[span.parent]) {
-      continue;
-    }
-    const double seconds = static_cast<double>(span.duration_ns) / 1e9;
-    bool found = false;
-    for (auto& entry : totals) {
-      if (entry.first == span.name) {
-        entry.second += seconds;
-        found = true;
-        break;
-      }
-    }
-    if (!found) totals.emplace_back(span.name, seconds);
-  }
-  return totals;
+// Members initialize in declaration order: the entry event fires before the
+// span opens and the clock starts, so a slow callback is not billed to the
+// stage. Stage names are string literals, so the view is NUL-terminated.
+StageScope::StageScope(const RequestContext& ctx, Stage stage)
+    : ledger_(ctx.ledger),
+      progress_(FireEntry(ctx, stage)),
+      stage_(stage),
+      span_(ctx, StageName(stage).data()),
+      start_ns_(SteadyNowNs()) {}
+
+void StageScope::Close() {
+  if (!open_) return;
+  open_ = false;
+  elapsed_ns_ = SteadyNowNs() - start_ns_;
+  span_.End();
+  if (ledger_ != nullptr) ledger_->Record(stage_, elapsed_ns_);
 }
 
-std::string SlowRequestLine(const SlowLogInfo& info, const Tracer* tracer) {
+uint64_t StageScope::End() {
+  if (open_) {
+    Close();
+    if (progress_ != nullptr) (*progress_)(ProgressEvent{stage_, 1, 1});
+  }
+  return elapsed_ns_;
+}
+
+std::string SlowRequestLine(const SlowLogInfo& info,
+                            const StageLedger& stages) {
   char buf[160];
   std::string out = "slow_request";
   std::snprintf(buf, sizeof(buf),
@@ -271,14 +286,15 @@ std::string SlowRequestLine(const SlowLogInfo& info, const Tracer* tracer) {
     out += info.tables[i];
   }
   out += " stages=[";
-  if (tracer != nullptr) {
-    const auto totals = tracer->StageTotals();
-    for (size_t i = 0; i < totals.size(); ++i) {
-      if (i > 0) out += " ";
-      std::snprintf(buf, sizeof(buf), "%s=%.1f", totals[i].first.c_str(),
-                    totals[i].second * 1e3);
-      out += buf;
-    }
+  bool first = true;
+  for (Stage stage : {Stage::kAdmissionWait, Stage::kDiscover, Stage::kAlign,
+                      Stage::kMatch, Stage::kRewrite, Stage::kFd}) {
+    if (stages.runs(stage) == 0) continue;
+    if (!first) out += " ";
+    first = false;
+    std::snprintf(buf, sizeof(buf), "%s=%.1f", StageName(stage).data(),
+                  static_cast<double>(stages.wall_ns(stage)) / 1e6);
+    out += buf;
   }
   out += "]";
   return out;

@@ -14,14 +14,16 @@
 // boundaries — O(stages + components + tasks) per request, never per
 // search node — so one mutex-protected append per span is cheap relative
 // to the work it brackets, and TSan-clean by construction. A null tracer
-// costs one pointer test per seam; defining LAKEFUZZ_DISABLE_TRACING
-// compiles ScopedSpan down to an empty struct (the compile-time-checkable
-// null path).
+// costs one pointer test per seam.
+//
+// Pipeline stages open through StageScope, which times the stage into the
+// request's StageLedger whether or not a tracer is attached; the span tree
+// adds per-component and per-task detail on top.
 //
 // Exports: Chrome trace_event JSON (load in chrome://tracing or
-// https://ui.perfetto.dev), a human-readable flame summary, per-stage
-// totals for the slow-request log, and SlowRequestLine() building the
-// threshold-gated structured log line.
+// https://ui.perfetto.dev), a human-readable flame summary, and
+// SlowRequestLine() building the threshold-gated structured log line from
+// the stage ledger.
 #ifndef LAKEFUZZ_OBS_TRACE_H_
 #define LAKEFUZZ_OBS_TRACE_H_
 
@@ -104,11 +106,6 @@ class Tracer {
   ///       fd_task x16                      9.1 ms
   std::string FlameSummary() const;
 
-  /// Total seconds per top-level stage: direct children of root spans,
-  /// aggregated by name in first-occurrence order. Feeds the slow-request
-  /// log's per-stage breakdown.
-  std::vector<std::pair<std::string, double>> StageTotals() const;
-
  private:
   uint64_t epoch_ns_;  ///< steady-clock origin
   TraceOptions options_;
@@ -118,31 +115,8 @@ class Tracer {
   uint64_t dropped_ = 0;
 };
 
-#ifdef LAKEFUZZ_DISABLE_TRACING
-
-/// Tracing compiled out: every instrumentation seam reduces to an empty
-/// object the optimizer deletes. The Tracer class itself stays available
-/// (tools may still construct one), but no pipeline span is ever recorded.
-inline constexpr bool kTracingCompiledIn = false;
-
-class ScopedSpan {
- public:
-  ScopedSpan() = default;
-  ScopedSpan(Tracer*, const char*, uint64_t = 0) {}
-  ScopedSpan(const RequestContext&, const char*) {}
-  void AddAttr(const char*, int64_t) {}
-  void AddAttr(const char*, std::string) {}
-  void End() {}
-  uint64_t id() const { return 0; }
-  bool active() const { return false; }
-};
-
-#else
-
-inline constexpr bool kTracingCompiledIn = true;
-
 /// RAII span handle: opens on construction (when the tracer is non-null),
-/// closes on destruction or explicit End(). Move-only. The null state
+/// closes on destruction or explicit End(). The null state
 /// (default-constructed, null tracer, or cap-dropped span) makes every
 /// method a no-op, so instrumentation sites need no branching.
 class ScopedSpan {
@@ -159,21 +133,6 @@ class ScopedSpan {
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
-  ScopedSpan(ScopedSpan&& other) noexcept
-      : tracer_(other.tracer_), id_(other.id_) {
-    other.tracer_ = nullptr;
-    other.id_ = 0;
-  }
-  ScopedSpan& operator=(ScopedSpan&& other) noexcept {
-    if (this != &other) {
-      End();
-      tracer_ = other.tracer_;
-      id_ = other.id_;
-      other.tracer_ = nullptr;
-      other.id_ = 0;
-    }
-    return *this;
-  }
 
   void AddAttr(const char* key, int64_t value) {
     if (tracer_ != nullptr && id_ != 0) tracer_->AddAttr(id_, key, value);
@@ -199,9 +158,46 @@ class ScopedSpan {
   uint64_t id_ = 0;
 };
 
-#endif  // LAKEFUZZ_DISABLE_TRACING
+/// RAII timer for one request stage — the only way a Stage is timed. It
+/// takes two steady-clock samples and writes one entry into ctx.ledger (when
+/// set). With a tracer attached it also opens the stage's span, named
+/// StageName(stage) and parented under ctx.trace_parent. For the stages
+/// without per-unit progress it fires (0, 1) on construction and (1, 1)
+/// from End(); a scope destroyed without End() (an early error return)
+/// still records its time and closes its span, but reports no completion.
+/// Construct and end it on the request thread.
+class StageScope {
+ public:
+  StageScope(const RequestContext& ctx, Stage stage);
+  ~StageScope() { Close(); }
 
-/// What the slow-request log needs beyond the trace tree.
+  StageScope(const StageScope&) = delete;
+  StageScope& operator=(const StageScope&) = delete;
+
+  void AddAttr(const char* key, int64_t value) { span_.AddAttr(key, value); }
+  void AddAttr(const char* key, std::string value) {
+    span_.AddAttr(key, std::move(value));
+  }
+  /// The stage's span id, for re-parenting sub-stages (RequestContext::
+  /// WithSpan); 0 when untraced.
+  uint64_t span_id() const { return span_.id(); }
+
+  /// Completes the stage; returns its wall time in nanoseconds.
+  uint64_t End();
+
+ private:
+  void Close();
+
+  StageLedger* ledger_;
+  const ProgressFn* progress_;  ///< null unless entry/completion is reported
+  Stage stage_;
+  ScopedSpan span_;
+  uint64_t start_ns_;
+  uint64_t elapsed_ns_ = 0;
+  bool open_ = true;
+};
+
+/// What the slow-request log needs beyond the stage ledger.
 struct SlowLogInfo {
   uint64_t request_id = 0;
   std::string mode;                 ///< "integrate" / "sink" / "discover+integrate"
@@ -215,10 +211,11 @@ struct SlowLogInfo {
 /// One structured slow-request line, e.g.:
 ///   slow_request id=7 mode=integrate total_ms=812.4 threshold_ms=500
 ///   error=ok truncated=0 tables=a,b,c stages=[align=3.1 match=400.2 fd=401.0]
-/// The per-stage breakdown comes from the trace tree (Tracer::StageTotals);
-/// pass nullptr when the request ran untraced and the stages=[] list is
-/// simply empty.
-std::string SlowRequestLine(const SlowLogInfo& info, const Tracer* tracer);
+/// The per-stage breakdown lists the top-level stages (admission_wait,
+/// discover, align, match, rewrite, fd) that ran, in milliseconds, from the
+/// request's stage ledger — traced or not.
+std::string SlowRequestLine(const SlowLogInfo& info,
+                            const StageLedger& stages);
 
 }  // namespace lakefuzz
 

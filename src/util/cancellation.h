@@ -2,7 +2,7 @@
 //
 // A LakeEngine request may run for minutes on a large lake; callers need to
 // abort it (client disconnected, deadline passed) and to observe where it
-// is. Both travel *down* the pipeline as plain option fields: CancelToken is
+// is. Both travel *down* the pipeline on RequestContext: CancelToken is
 // polled at cooperative checkpoints (between matcher merge rounds, per FD
 // component, inside the enumerator's amortized budget check), and
 // ProgressFn is invoked at stage boundaries. Neither interrupts a running
@@ -58,43 +58,42 @@ class CancelToken {
   std::shared_ptr<std::atomic<bool>> flag_;
 };
 
-/// Pipeline stages that emit progress events and honor cancellation.
+/// Request stages, in pipeline order. Each one is timed into the request's
+/// StageLedger (util/request_context.h) and traced as a span named
+/// StageName(stage). kDiscover, kAlign, kFdBuild, kFdEnumerate and
+/// kFdSubsume report progress (0, 1) on entry and (1, 1) on completion;
+/// kMatch, kRewrite and kEmit report per unit; kAdmissionWait, kFd and
+/// kFdIndex report none.
 enum class Stage {
-  kDiscover,     ///< unionable-candidate search over the discovery index
-  kAlign,        ///< column alignment (holistic or by-name)
-  kMatch,        ///< fuzzy value matching, one unit per universal column
-  kRewrite,      ///< rewriting matched values to representatives
-  kFdBuild,      ///< outer-union construction (FdProblem::Build)
-  kFdEnumerate,  ///< join-graph index + component enumeration
-  kFdSubsume,    ///< subsumption elimination
-  kEmit,         ///< result materialization / sink batches
+  kAdmissionWait,  ///< waiting for an engine admission slot
+  kDiscover,       ///< unionable-candidate search over the discovery index
+  kAlign,          ///< column alignment (holistic or by-name)
+  kMatch,          ///< fuzzy value matching, one unit per universal column
+  kRewrite,        ///< rewriting matched values to representatives
+  kFd,             ///< the whole FD stage: build through emit
+  kFdBuild,        ///< outer-union construction (FdProblem::BuildInterned
+                   ///< on the engine path)
+  kFdIndex,        ///< dictionary + CSR join graph + components: its own
+                   ///< stage, outside kFdEnumerate's events
+  kFdEnumerate,    ///< per-component enumeration
+  kFdSubsume,      ///< subsumption elimination
+  kEmit,           ///< batched decode into the sink
 };
 
+inline constexpr size_t kNumStages = static_cast<size_t>(Stage::kEmit) + 1;
+
+/// The stage's span, metric and log name ("fd_enumerate", ...).
 inline std::string_view StageName(Stage stage) {
-  switch (stage) {
-    case Stage::kDiscover:
-      return "discover";
-    case Stage::kAlign:
-      return "align";
-    case Stage::kMatch:
-      return "match";
-    case Stage::kRewrite:
-      return "rewrite";
-    case Stage::kFdBuild:
-      return "fd_build";
-    case Stage::kFdEnumerate:
-      return "fd_enumerate";
-    case Stage::kFdSubsume:
-      return "fd_subsume";
-    case Stage::kEmit:
-      return "emit";
-  }
-  return "unknown";
+  static constexpr const char* kNames[] = {
+      "admission_wait", "discover",   "align",    "match",
+      "rewrite",        "fd",         "fd_build", "fd_index",
+      "fd_enumerate",   "fd_subsume", "emit"};
+  static_assert(sizeof(kNames) / sizeof(kNames[0]) == kNumStages);
+  return kNames[static_cast<size_t>(stage)];
 }
 
-/// One progress observation. Stages with internal units report
-/// done ∈ [0, total]; stages without report (0, 1) on entry and (1, 1) on
-/// completion.
+/// One progress observation: done ∈ [0, total] (see Stage for which
+/// stages report what).
 struct ProgressEvent {
   Stage stage = Stage::kAlign;
   size_t done = 0;
@@ -104,15 +103,9 @@ struct ProgressEvent {
 /// Invoked synchronously on the thread driving the request — never
 /// concurrently for one request — so an implementation may fire the
 /// request's CancelToken or touch request-local state without locking.
-/// Keep it cheap; it sits on stage boundaries of the hot path.
+/// Keep it cheap; it sits on stage boundaries of the hot path. Carried on
+/// RequestContext::progress.
 using ProgressFn = std::function<void(const ProgressEvent&)>;
-
-/// Emits an event when `progress` is set — the one-liner used at every
-/// reporting site.
-inline void ReportProgress(const ProgressFn& progress, Stage stage,
-                           size_t done, size_t total) {
-  if (progress) progress(ProgressEvent{stage, done, total});
-}
 
 }  // namespace lakefuzz
 

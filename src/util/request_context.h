@@ -14,9 +14,14 @@
 // as hard errors; kTruncate stops cleanly at the checkpoint and returns a
 // *partial* result with a populated Truncation report instead of throwing
 // completed work away.
+//
+// The same context carries the request's StageLedger: every stage records
+// its wall time there, traced or not, so any request can be explained after
+// the fact from the record it already carries.
 #ifndef LAKEFUZZ_UTIL_REQUEST_CONTEXT_H_
 #define LAKEFUZZ_UTIL_REQUEST_CONTEXT_H_
 
+#include <array>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -120,10 +125,42 @@ struct Truncation {
   }
 };
 
+/// The one stage record of a request: wall time and run count per Stage, in
+/// a fixed array (no allocation). StageScope (obs/trace.h) is its only
+/// writer, on the request thread. The report, the per-stage latency
+/// histograms and the slow-request log all read it.
+class StageLedger {
+ public:
+  void Record(Stage stage, uint64_t wall_ns) {
+    Entry& entry = entries_[static_cast<size_t>(stage)];
+    entry.wall_ns += wall_ns;
+    ++entry.runs;
+  }
+
+  uint64_t wall_ns(Stage stage) const {
+    return entries_[static_cast<size_t>(stage)].wall_ns;
+  }
+  /// How many times the stage ran; 0 = it never started.
+  uint32_t runs(Stage stage) const {
+    return entries_[static_cast<size_t>(stage)].runs;
+  }
+  double seconds(Stage stage) const {
+    return static_cast<double>(wall_ns(stage)) * 1e-9;
+  }
+
+ private:
+  struct Entry {
+    uint64_t wall_ns = 0;
+    uint32_t runs = 0;
+  };
+  std::array<Entry, kNumStages> entries_{};
+};
+
 /// Everything a pipeline stage needs to decide "should I keep going, and
-/// what do I do if not": cancel token, deadline, budget, policy. Cheap to
-/// copy (the token is a shared_ptr, the rest PODs); carried by value in
-/// option structs exactly like CancelToken was.
+/// what do I do if not": cancel token, deadline, budget, policy — plus where
+/// to record what it did (tracer, stage ledger, progress). Cheap to copy
+/// (the token is a shared_ptr, the rest PODs and pointers); carried by value
+/// in option structs exactly like CancelToken was.
 class RequestContext {
  public:
   RequestContext() = default;
@@ -145,6 +182,10 @@ class RequestContext {
   /// the request.
   Tracer* tracer = nullptr;
   uint64_t trace_parent = 0;
+  /// The request's stage record and progress callback, both written on the
+  /// request thread only. Null = not recorded / no progress. Not owned.
+  StageLedger* ledger = nullptr;
+  const ProgressFn* progress = nullptr;
 
   /// The checkpoint poll: kCancelled for a fired token, kDeadlineExceeded
   /// for an expired deadline, OK otherwise. `what` names the stage for the
@@ -173,12 +214,12 @@ class RequestContext {
   /// honor cancellation but must not be aborted by the already-expired
   /// deadline it is cleaning up after.
   RequestContext CancelOnly() const {
-    RequestContext ctx;
-    ctx.cancel = cancel;
-    // Tracing survives degradation: cleanup work still shows up in the
-    // trace tree (it changes no behavior, only visibility).
-    ctx.tracer = tracer;
-    ctx.trace_parent = trace_parent;
+    // Observation survives degradation: cleanup work is still timed,
+    // traced and reported (it changes no behavior, only visibility).
+    RequestContext ctx = *this;
+    ctx.deadline = Deadline();
+    ctx.budget = ResourceBudget();
+    ctx.policy = BudgetPolicy::kFail;
     return ctx;
   }
 
@@ -190,6 +231,14 @@ class RequestContext {
     return ctx;
   }
 };
+
+/// Emits a per-unit progress event when the context carries a callback.
+inline void ReportProgress(const RequestContext& ctx, Stage stage,
+                           size_t done, size_t total) {
+  if (ctx.progress != nullptr && *ctx.progress) {
+    (*ctx.progress)(ProgressEvent{stage, done, total});
+  }
+}
 
 }  // namespace lakefuzz
 

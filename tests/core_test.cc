@@ -442,8 +442,14 @@ TEST(FuzzyFdTest, ReportTimingsPopulated) {
                     .RunToTuples(BorrowTables(tables), *aligned,
                                  /*fuzzy=*/true, &report);
   ASSERT_TRUE(result.ok());
-  EXPECT_GE(report.match_seconds, 0.0);
-  EXPECT_GE(report.fd_seconds, 0.0);
+  // A bare pipeline run (no engine) records its own stages into the
+  // report's ledger; alignment happened out of band.
+  for (Stage stage : {Stage::kMatch, Stage::kRewrite, Stage::kFd,
+                      Stage::kFdBuild, Stage::kFdIndex, Stage::kFdEnumerate,
+                      Stage::kFdSubsume, Stage::kEmit}) {
+    EXPECT_EQ(report.stages.runs(stage), 1u) << StageName(stage);
+  }
+  EXPECT_EQ(report.stages.runs(Stage::kAlign), 0u);
   EXPECT_GT(report.total_seconds(), 0.0);
   EXPECT_EQ(report.fd_stats.results, 5u);
 }

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <thread>
+#include <tuple>
 
 #include "core/engine.h"
 #include "table/csv.h"
@@ -421,13 +422,26 @@ TEST(LakeEngineTest, ReportCoversAllStages) {
   auto result = engine->Integrate({"a", "b"});  // holistic → align work > 0
   ASSERT_TRUE(result.ok());
   EXPECT_GE(result->aligned.NumUniversal(), 2u);
-  const FuzzyFdReport& report = result->report;
-  EXPECT_GT(report.align_seconds, 0.0);
-  EXPECT_GE(report.match_seconds, 0.0);
-  // The single total now folds alignment in (satellite: no orphan stage).
-  EXPECT_GE(report.total_seconds(),
-            report.align_seconds + report.match_seconds +
-                report.rewrite_seconds + report.fd_seconds);
+  const StageLedger& stages = result->report.stages;
+  // The report carries the request's whole ledger: every stage of an
+  // Integrate ran exactly once, and only discovery did not run.
+  for (size_t s = 0; s < kNumStages; ++s) {
+    const Stage stage = static_cast<Stage>(s);
+    EXPECT_EQ(stages.runs(stage), stage == Stage::kDiscover ? 0u : 1u)
+        << StageName(stage);
+  }
+  EXPECT_GT(stages.wall_ns(Stage::kAlign), 0u);
+  EXPECT_DOUBLE_EQ(result->report.total_seconds(),
+                   stages.seconds(Stage::kAlign) +
+                       stages.seconds(Stage::kMatch) +
+                       stages.seconds(Stage::kRewrite) +
+                       stages.seconds(Stage::kFd));
+  // The FD sub-stages run one after another inside the fd stage.
+  EXPECT_GE(stages.wall_ns(Stage::kFd),
+            stages.wall_ns(Stage::kFdBuild) + stages.wall_ns(Stage::kFdIndex) +
+                stages.wall_ns(Stage::kFdEnumerate) +
+                stages.wall_ns(Stage::kFdSubsume) +
+                stages.wall_ns(Stage::kEmit));
 }
 
 TEST(LakeEngineTest, TidOrderFollowsNameOrder) {
@@ -462,6 +476,43 @@ TEST(LakeEngineTest, ProgressEventsCoverStages) {
   EXPECT_NE(std::find(seen.begin(), seen.end(), Stage::kMatch), seen.end());
   EXPECT_NE(std::find(seen.begin(), seen.end(), Stage::kFdEnumerate),
             seen.end());
+}
+
+// Characterization: the exact (stage, done, total) sequence of one fuzzy and
+// one regular request. Tests elsewhere inject sleeps and cancels at specific
+// events (kFdBuild with done == 0, kMatch, ...), so the whole sequence is
+// part of the contract, not only its first and last stage.
+TEST(LakeEngineTest, ProgressSequenceIsPinned) {
+  using Event = std::tuple<Stage, size_t, size_t>;
+  auto record = [](bool fuzzy) {
+    std::vector<Event> events;
+    RequestOptions req;
+    req.holistic_alignment = false;
+    req.fuzzy = fuzzy;
+    req.progress = [&events](const ProgressEvent& e) {
+      events.emplace_back(e.stage, e.done, e.total);
+    };
+    EXPECT_TRUE(MakeEngineWithSmallSet()->Integrate({"a", "b"}, req).ok());
+    return events;
+  };
+  const std::vector<Event> fuzzy = {
+      {Stage::kAlign, 0, 1},       {Stage::kAlign, 1, 1},
+      {Stage::kMatch, 0, 3},       {Stage::kMatch, 1, 3},
+      {Stage::kMatch, 2, 3},       {Stage::kMatch, 3, 3},
+      {Stage::kRewrite, 0, 2},     {Stage::kRewrite, 2, 2},
+      {Stage::kFdBuild, 0, 1},     {Stage::kFdBuild, 1, 1},
+      {Stage::kFdEnumerate, 0, 1}, {Stage::kFdEnumerate, 1, 1},
+      {Stage::kFdSubsume, 0, 1},   {Stage::kFdSubsume, 1, 1},
+      {Stage::kEmit, 3, 3}};
+  EXPECT_EQ(record(true), fuzzy);
+
+  const std::vector<Event> regular = {
+      {Stage::kAlign, 0, 1},       {Stage::kAlign, 1, 1},
+      {Stage::kFdBuild, 0, 1},     {Stage::kFdBuild, 1, 1},
+      {Stage::kFdEnumerate, 0, 1}, {Stage::kFdEnumerate, 1, 1},
+      {Stage::kFdSubsume, 0, 1},   {Stage::kFdSubsume, 1, 1},
+      {Stage::kEmit, 4, 4}};
+  EXPECT_EQ(record(false), regular);
 }
 
 // ----------------------------------------------------------- cancellation
@@ -613,7 +664,7 @@ class CollectingSink : public RowSink {
     return Status::OK();
   }
   Status End(const FuzzyFdReport& report) override {
-    (void)report;
+    end_stages_ = report.stages;
     ended_ = true;
     return Status::OK();
   }
@@ -621,6 +672,7 @@ class CollectingSink : public RowSink {
   std::vector<std::string> universal_names_;
   std::vector<FdResultTuple> tuples_;
   std::vector<size_t> batch_sizes_;
+  StageLedger end_stages_;
   bool ended_ = false;
 };
 
@@ -641,7 +693,11 @@ TEST(IntegrateToSinkTest, StreamsSameTuplesAsIntegrate) {
   ASSERT_EQ(sink.tuples_.size(), full->integrated.NumRows());
   EXPECT_EQ(sink.batch_sizes_, (std::vector<size_t>{2, 1}));
   EXPECT_EQ(report->fd_stats.results, sink.tuples_.size());
-  EXPECT_GE(report->align_seconds, 0.0);
+  // The sink's End already sees the request's ledger, emit included.
+  EXPECT_EQ(sink.end_stages_.runs(Stage::kAlign), 1u);
+  EXPECT_EQ(sink.end_stages_.runs(Stage::kEmit), 1u);
+  EXPECT_EQ(report->stages.wall_ns(Stage::kFd),
+            sink.end_stages_.wall_ns(Stage::kFd));
   // Tuples decode to the same cells the materialized table holds.
   Table streamed = FdResultsToTable(sink.tuples_,
                                     sink.universal_names_, "streamed");

@@ -163,8 +163,9 @@ TEST(IntraComponentTest, CancelAtEnumerationEntryReturnsCancelled) {
   FdOptions opts;
   opts.intra_component_min_size = 2;
   FdStats stats;
-  auto result = FullDisjunction(opts).RunCodes(&*problem, &pool, &stats,
-                                               cancel, progress);
+  RequestContext ctx(cancel);
+  ctx.progress = &progress;
+  auto result = FullDisjunction(opts).RunCodes(&*problem, &pool, &stats, ctx);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), ErrorCode::kCancelled);
 }

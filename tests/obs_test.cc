@@ -1,8 +1,9 @@
 // Tests for the observability layer (src/obs/): histogram bucket geometry
 // and shard merging, the metrics registry and its text exposition, trace
-// trees and their Chrome JSON export, the slow-request log line, and the
-// two engine-level contracts — byte-identical results with tracing on or
-// off, and span durations that reconcile with the stage stopwatches.
+// trees and their Chrome JSON export, the stage ledger and its StageScope
+// writer, the slow-request log line, and the two engine-level contracts —
+// byte-identical results with tracing on or off, and span durations that
+// reconcile with the stage ledger.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -232,16 +233,69 @@ TEST(TracerTest, ScopedSpanNullPathIsFree) {
   ScopedSpan via_ctx(ctx, "stage");
   EXPECT_FALSE(via_ctx.active());
   EXPECT_EQ(via_ctx.id(), 0u);
-  // kTracingCompiledIn is the compile-time switch; this build has it on.
-  EXPECT_TRUE(kTracingCompiledIn);
+}
+
+TEST(StageScopeTest, RecordsLedgerSpanAndProgress) {
+  Tracer tracer;
+  StageLedger stages;
+  std::vector<ProgressEvent> events;
+  const ProgressFn progress = [&events](const ProgressEvent& e) {
+    events.push_back(e);
+  };
+  RequestContext ctx;
+  ctx.tracer = &tracer;
+  ctx.ledger = &stages;
+  ctx.progress = &progress;
+  {
+    StageScope align(ctx, Stage::kAlign);
+    align.AddAttr("cached", int64_t{0});
+    EXPECT_NE(align.span_id(), 0u);
+    const uint64_t ns = align.End();
+    EXPECT_EQ(stages.wall_ns(Stage::kAlign), ns);
+  }
+  {
+    // Destroyed without End(): an aborted stage is still timed and traced,
+    // but reports no completion.
+    StageScope build(ctx, Stage::kFdBuild);
+  }
+  {
+    // Ledger-only stages fire no progress at all.
+    StageScope fd(ctx, Stage::kFd);
+    fd.End();
+  }
+  EXPECT_EQ(stages.runs(Stage::kAlign), 1u);
+  EXPECT_EQ(stages.runs(Stage::kFdBuild), 1u);
+  EXPECT_EQ(stages.runs(Stage::kFd), 1u);
+  EXPECT_EQ(stages.runs(Stage::kMatch), 0u);
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[0].stage, Stage::kAlign);
+  EXPECT_EQ(events[0].done, 0u);
+  EXPECT_EQ(events[1].stage, Stage::kAlign);
+  EXPECT_EQ(events[1].done, 1u);
+  EXPECT_EQ(events[2].stage, Stage::kFdBuild);
+  EXPECT_EQ(events[2].done, 0u);
+
+  const std::vector<Span> spans = tracer.Spans();
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(spans[0].name, "align");
+  EXPECT_EQ(spans[1].name, "fd_build");
+  EXPECT_EQ(spans[2].name, "fd");
+  for (const Span& s : spans) EXPECT_FALSE(s.open) << s.name;
+  ASSERT_EQ(spans[0].attrs.size(), 1u);
+  EXPECT_EQ(spans[0].attrs[0].key, "cached");
+
+  // A bare context (no tracer, ledger or progress) is a valid scope too.
+  StageScope bare(RequestContext(), Stage::kMatch);
+  EXPECT_EQ(bare.span_id(), 0u);
+  bare.End();
 }
 
 TEST(TracerTest, SlowRequestLineFormat) {
-  Tracer tracer;
-  const uint64_t root = tracer.BeginSpan("request");
-  const uint64_t fd = tracer.BeginSpan("fd", root);
-  tracer.EndSpan(fd);
-  tracer.EndSpan(root);
+  StageLedger stages;
+  stages.Record(Stage::kAlign, 3'100'000);
+  stages.Record(Stage::kFd, 401'000'000);
+  // Sub-stages of fd are not top-level: the line leaves them out.
+  stages.Record(Stage::kFdEnumerate, 390'000'000);
   SlowLogInfo info;
   info.request_id = 7;
   info.mode = "integrate";
@@ -249,16 +303,17 @@ TEST(TracerTest, SlowRequestLineFormat) {
   info.total_ms = 812.4;
   info.threshold_ms = 500.0;
   info.error = "ok";
-  const std::string line = SlowRequestLine(info, &tracer);
+  const std::string line = SlowRequestLine(info, stages);
   EXPECT_NE(line.find("slow_request id=7 mode=integrate"), std::string::npos);
   EXPECT_NE(line.find("total_ms=812.4"), std::string::npos);
   EXPECT_NE(line.find("threshold_ms=500.0"), std::string::npos);
   EXPECT_NE(line.find("error=ok"), std::string::npos);
   EXPECT_NE(line.find("truncated=0"), std::string::npos);
   EXPECT_NE(line.find("tables=a,b"), std::string::npos);
-  EXPECT_NE(line.find("stages=[fd="), std::string::npos);
-  // Untraced requests still log, with an empty stage list.
-  EXPECT_NE(SlowRequestLine(info, nullptr).find("stages=[]"),
+  EXPECT_NE(line.find(" stages=[align=3.1 fd=401.0]"), std::string::npos)
+      << line;
+  // Stages that never ran are left out.
+  EXPECT_NE(SlowRequestLine(info, StageLedger()).find("stages=[]"),
             std::string::npos);
 }
 
@@ -382,20 +437,26 @@ TEST(TracedEngineTest, DiscoverAndIntegrateSpanCoverageAndReconciliation) {
   EXPECT_NE(json.find("\"pid\":99"), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
 
-  // Summed stage-span durations reconcile with the report's stopwatches:
-  // total_seconds() = align + match + rewrite + fd, and each of those spans
-  // brackets exactly the stopwatch region that fills the report field.
+  // The root's align, match, rewrite and fd child spans reconcile with the
+  // report's ledger: total_seconds() = align + match + rewrite + fd, and
+  // each of those spans is opened by the StageScope that fills the ledger.
+  const std::vector<Span> spans = tracer.Spans();
+  uint64_t root = 0;
+  for (const Span& s : spans) {
+    if (s.parent == 0 && s.name == "request") root = s.id;
+  }
+  ASSERT_NE(root, 0u);
   double span_total = 0.0;
-  for (const auto& [stage, seconds] : tracer.StageTotals()) {
-    if (stage == "align" || stage == "match" || stage == "rewrite" ||
-        stage == "fd") {
-      span_total += seconds;
+  for (const Span& s : spans) {
+    if (s.parent == root && (s.name == "align" || s.name == "match" ||
+                             s.name == "rewrite" || s.name == "fd")) {
+      span_total += static_cast<double>(s.duration_ns) / 1e9;
     }
   }
   const double report_total = report->total_seconds();
   EXPECT_NEAR(span_total, report_total,
               report_total * 0.05 + 0.002)
-      << "span tree and stopwatches disagree";
+      << "span tree and stage ledger disagree";
 
   // The emit span counts the batches the sink received — including one
   // batch of everything when batch_rows is as large as it gets.
@@ -433,14 +494,33 @@ TEST(TracedEngineTest, MetricsSnapshotCountsRequests) {
   req.holistic_alignment = false;
   ASSERT_TRUE(engine->Integrate(names, req).ok());
   ASSERT_TRUE(engine->Integrate(names, req).ok());
+  RequestOptions regular = req;
+  regular.fuzzy = false;
+  ASSERT_TRUE(engine->Integrate(names, regular).ok());
 
   const MetricsSnapshot snap = engine->MetricsSnapshot();
   const MetricSample* total = snap.Find("lakefuzz_requests_total");
   ASSERT_NE(total, nullptr);
-  EXPECT_DOUBLE_EQ(total->value, 2.0);
+  EXPECT_DOUBLE_EQ(total->value, 3.0);
   const MetricSample* latency = snap.Find("lakefuzz_request_latency_ns");
   ASSERT_NE(latency, nullptr);
-  EXPECT_EQ(latency->hist.total_count, 2u);
+  EXPECT_EQ(latency->hist.total_count, 3u);
+  // One histogram per stage, observed only for the stages a request ran:
+  // the regular-FD request skipped match and rewrite, nobody discovered.
+  auto stage_count = [&snap](const std::string& stage) -> uint64_t {
+    const MetricSample* s =
+        snap.Find("lakefuzz_stage_" + stage + "_latency_ns");
+    EXPECT_NE(s, nullptr) << stage;
+    return s != nullptr ? s->hist.total_count : 0;
+  };
+  EXPECT_EQ(stage_count("match"), 2u);
+  EXPECT_EQ(stage_count("rewrite"), 2u);
+  for (const char* stage : {"admission_wait", "align", "fd", "fd_build",
+                            "fd_index", "fd_enumerate", "fd_subsume",
+                            "emit"}) {
+    EXPECT_EQ(stage_count(stage), 3u) << stage;
+  }
+  EXPECT_EQ(stage_count("discover"), 0u);
   const MetricSample* tables = snap.Find("lakefuzz_registered_tables");
   ASSERT_NE(tables, nullptr);
   EXPECT_DOUBLE_EQ(tables->value,
@@ -451,8 +531,8 @@ TEST(TracedEngineTest, MetricsSnapshotCountsRequests) {
 
   // The text exposition renders exactly this snapshot.
   const std::string text = RenderMetricsText(snap);
-  EXPECT_NE(text.find("lakefuzz_requests_total 2\n"), std::string::npos);
-  EXPECT_NE(text.find("lakefuzz_request_latency_ns_count 2\n"),
+  EXPECT_NE(text.find("lakefuzz_requests_total 3\n"), std::string::npos);
+  EXPECT_NE(text.find("lakefuzz_request_latency_ns_count 3\n"),
             std::string::npos);
   for (const MetricSample& s : snap.samples) {
     EXPECT_NE(text.find("# TYPE " + s.name + " "), std::string::npos)
@@ -478,16 +558,18 @@ TEST(TracedEngineTest, SlowLogFiresAboveThreshold) {
     ASSERT_TRUE((*engine)->RegisterTable(t.name(), t).ok());
     names.push_back(t.name());
   }
-  Tracer tracer;
+  // Untraced, as production runs: the stage list comes from the ledger
+  // every request carries.
   RequestOptions req;
   req.holistic_alignment = false;
-  req.tracer = &tracer;
   ASSERT_TRUE((*engine)->Integrate(names, req).ok());
   ASSERT_EQ(slow_lines.size(), 1u);
   EXPECT_NE(slow_lines[0].find("slow_request id=1 mode=integrate"),
             std::string::npos);
-  EXPECT_NE(slow_lines[0].find("stages=["), std::string::npos);
-  EXPECT_NE(slow_lines[0].find("fd="), std::string::npos);
+  const size_t stages = slow_lines[0].find("stages=[");
+  ASSERT_NE(stages, std::string::npos);
+  EXPECT_NE(slow_lines[0].find("align=", stages), std::string::npos);
+  EXPECT_NE(slow_lines[0].find("fd=", stages), std::string::npos);
 }
 
 TEST(StatsExportTest, FdExtrasMatchTheStatsFields) {

@@ -308,6 +308,10 @@ TEST(EngineDeadlineTest, GiantComponentTruncatePolicyReturnsPartial) {
   EXPECT_EQ(cut.stage, Stage::kFdEnumerate);
   EXPECT_GT(cut.components_skipped, 0u);
   EXPECT_EQ(result->integrated.NumRows(), cut.tuples_emitted);
+  // The cleanup after the cut runs on CancelOnly() copies of the context,
+  // which keep the ledger: subsumption and emit are still timed.
+  EXPECT_EQ(result->report.stages.runs(Stage::kFdSubsume), 1u);
+  EXPECT_EQ(result->report.stages.runs(Stage::kEmit), 1u);
 }
 
 TEST(EngineDeadlineTest, FuzzyMatchStageTruncatesUnderPolicy) {
@@ -507,6 +511,8 @@ TEST(EngineBudgetTest, ResultTupleBudgetTruncatesStreamingToo) {
   EXPECT_EQ(sink.count, 2u);
   EXPECT_TRUE(report->truncation.truncated);
   EXPECT_EQ(report->truncation.tuples_emitted, 2u);
+  // The report counts the tuples the sink received, not the pre-cut result.
+  EXPECT_EQ(report->fd_stats.results, 2u);
 }
 
 // ------------------------------------------------------------- admission
