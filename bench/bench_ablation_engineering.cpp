@@ -36,11 +36,14 @@ int main(int argc, char** argv) {
     ImdbBenchmark bench = GenerateImdb(gen);
     auto aligned = AlignByName(bench.tables);
     if (!aligned.ok()) return 1;
+    SessionDict dict;
+    const EncodedTables tables = EncodeTables(bench.tables, &dict);
 
     ReportTable table({"configuration", "match (s)", "FD (s)", "total (s)",
                        "assignment matches"});
     for (bool prepass : {true, false}) {
       FuzzyFdOptions opts;
+      opts.session_dict = &dict;
       opts.matcher.model = model;
       opts.matcher.exact_match_prepass = prepass;
       // Without the pre-pass the join columns form one large assignment
@@ -50,7 +53,7 @@ int main(int argc, char** argv) {
           std::make_shared<KnowledgeBase>(KnowledgeBase::BuiltIn());
       FuzzyFdReport report;
       auto result = FuzzyFullDisjunction(opts).RunToTuples(
-          BorrowTables(bench.tables), *aligned, /*fuzzy=*/true, &report);
+          tables, *aligned, /*fuzzy=*/true, &report);
       if (!result.ok()) {
         std::fprintf(stderr, "failed: %s\n",
                      result.status().ToString().c_str());
@@ -73,15 +76,18 @@ int main(int argc, char** argv) {
     ImdbBenchmark bench = GenerateImdb(gen);
     auto aligned = AlignByName(bench.tables);
     if (!aligned.ok()) return 1;
+    SessionDict dict;
+    const EncodedTables tables = EncodeTables(bench.tables, &dict);
 
     ReportTable table({"executor", "FD (s)", "output tuples"});
     ThreadPool pool(ResolveNumThreads(0));
     for (bool parallel : {false, true}) {
       FuzzyFdOptions opts;
+      opts.session_dict = &dict;
       opts.pool = parallel ? &pool : nullptr;
       FuzzyFdReport report;
       auto result = FuzzyFullDisjunction(opts).RunToTuples(
-          BorrowTables(bench.tables), *aligned, /*fuzzy=*/false, &report);
+          tables, *aligned, /*fuzzy=*/false, &report);
       if (!result.ok()) return 1;
       table.AddRow({parallel ? "pool (hardware threads)" : "inline",
                     FormatDouble(report.stages.seconds(Stage::kFd), 3),

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "util/flags.h"
 #include "util/stopwatch.h"
 #include "util/str.h"
+#include "util/thread_pool.h"
 
 namespace lakefuzz {
 
@@ -96,6 +98,13 @@ inline size_t ParseThreadsFlag(const Flags& flags, size_t def = 1) {
     return def;
   }
   return threads;
+}
+
+/// The pool a thread-count flag asks for: ResolveNumThreads(threads)
+/// workers, or null (serial) when that is 1.
+inline std::unique_ptr<ThreadPool> MakeThreadsPool(size_t threads) {
+  const size_t n = ResolveNumThreads(threads);
+  return n > 1 ? std::make_unique<ThreadPool>(n) : nullptr;
 }
 
 /// Hardware context of a benchmark run, recorded into every artifact so a

@@ -51,10 +51,12 @@ int main(int argc, char** argv) {
       return 1;
     }
 
+    SessionDict dict;
     FuzzyFdOptions opts;
     opts.matcher.model = model;
+    opts.session_dict = &dict;
     FuzzyFullDisjunction pipeline(opts);
-    const TableList tables = BorrowTables(bench.tables);
+    const EncodedTables tables = EncodeTables(bench.tables, &dict);
     auto fuzzy = pipeline.RunToTuples(tables, *aligned, /*fuzzy=*/true);
     auto regular = pipeline.RunToTuples(tables, *aligned, /*fuzzy=*/false);
     if (!fuzzy.ok() || !regular.ok()) {

@@ -79,15 +79,17 @@ int main(int argc, char** argv) {
   std::string json_out = flags.GetString("json_out", "");
   BenchJsonWriter json;
 
+  SessionDict dict;
   FuzzyFdOptions options;
+  options.session_dict = &dict;
   // Smoke instances are far below the production split threshold; lower it
   // so the CI bit-rot guard still drives the intra-component machinery.
   if (smoke) options.fd.intra_component_min_size = 2;
 
   auto owned_tables = MakeSkewLake(num_tables, num_keys, rows_per_key,
                                    corrupt, /*seed=*/20260730);
-  const TableList tables = BorrowTables(owned_tables);
-  auto aligned = AlignByName(tables);
+  const EncodedTables tables = EncodeTables(owned_tables, &dict);
+  auto aligned = AlignByName(owned_tables);
   if (!aligned.ok()) {
     std::fprintf(stderr, "%s\n", aligned.status().ToString().c_str());
     return 1;

@@ -37,8 +37,10 @@ void BM_FullDisjunctionImdb(benchmark::State& state) {
   gen.target_tuples = static_cast<size_t>(state.range(0));
   ImdbBenchmark bench = GenerateImdb(gen);
   auto aligned = AlignByName(bench.tables);
+  SessionDict dict;
+  const EncodedTables tables = EncodeTables(bench.tables, &dict);
   for (auto _ : state) {
-    auto problem = FdProblem::Build(bench.tables, *aligned);
+    auto problem = FdProblem::BuildInterned(tables, *aligned, dict.dict());
     auto result = FullDisjunction().Run(&problem.value());
     benchmark::DoNotOptimize(result);
   }

@@ -64,11 +64,12 @@ int main(int argc, char** argv) {
 
   ReportTable table({"Model", "Precision", "Recall", "F1-Score",
                      "paper P/R/F1", "time (s)"});
+  const std::unique_ptr<ThreadPool> pool = MakeThreadsPool(threads);
   for (ModelKind kind : AllModelKinds()) {
     ValueMatcherOptions opts;
     opts.model = MakeModel(kind);
     opts.threshold = theta;
-    opts.num_threads = threads;
+    opts.pool = pool.get();
     Stopwatch watch;
     BenchRunStats run;
     std::vector<Prf> parts;
@@ -108,10 +109,11 @@ int main(int argc, char** argv) {
                      part.c_str(), kMaxBenchThreads);
         continue;
       }
+      const std::unique_ptr<ThreadPool> scale_pool = MakeThreadsPool(t);
       ValueMatcherOptions opts;
       opts.model = MakeModel(ModelKind::kMistral);
       opts.threshold = theta;
-      opts.num_threads = t;
+      opts.pool = scale_pool.get();
       Stopwatch watch;
       BenchRunStats run;
       for (const auto& set : sets) {

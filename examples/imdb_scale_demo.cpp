@@ -45,11 +45,15 @@ int main(int argc, char** argv) {
   // hardware concurrency); without it everything runs inline.
   std::unique_ptr<ThreadPool> pool;
   if (parallel) pool = std::make_unique<ThreadPool>(ResolveNumThreads(threads));
+  // Encode once (what LakeEngine registration does); the pipeline reads
+  // the code columns and decodes results through the same dictionary.
+  SessionDict dict;
+  const EncodedTables tables = EncodeTables(bench.tables, &dict, pool.get());
   FuzzyFdOptions opts;
   opts.matcher.model = MakeModel(ModelKind::kMistral);
   opts.pool = pool.get();
+  opts.session_dict = &dict;
   FuzzyFullDisjunction pipeline(opts);
-  const TableList tables = BorrowTables(bench.tables);
 
   FuzzyFdReport regular_report;
   auto regular = pipeline.RunToTuples(tables, *aligned, /*fuzzy=*/false,

@@ -607,35 +607,13 @@ Status ReadValue(ByteReader* r, Value* out) {
 /// the live session before any byte is written.
 struct TablePayload {
   std::string name;
-  std::shared_ptr<const Table> table;
-  std::vector<std::shared_ptr<const std::vector<uint32_t>>> codes;
+  std::shared_ptr<const EncodedTable> table;
   std::shared_ptr<const std::vector<ColumnSketch>> sketches;
   uint64_t fingerprint = 0;
 };
 
-uint64_t FingerprintFromCodes(
-    const Table& table,
-    const std::vector<std::shared_ptr<const std::vector<uint32_t>>>& codes,
-    const ValueDict& dict) {
-  uint64_t fp = Fnv1a64("lakefuzz.catalog.table.v1");
-  fp = HashCombine(fp, table.NumRows());
-  fp = HashCombine(fp, table.NumColumns());
-  for (size_t c = 0; c < table.NumColumns(); ++c) {
-    const Field& f = table.schema().field(c);
-    fp = HashCombine(fp, Fnv1a64(f.name));
-    fp = HashCombine(fp, static_cast<uint64_t>(f.type));
-  }
-  for (const auto& col : codes) {
-    for (uint32_t code : *col) {
-      fp = HashCombine(fp,
-                       code == ValueDict::kNullCode ? 0 : dict.HashOf(code));
-    }
-  }
-  return fp;
-}
-
 void SerializeTableBlock(ByteWriter* w, const TablePayload& p) {
-  const Table& t = *p.table;
+  const Table& t = *p.table->table;
   w->U32(static_cast<uint32_t>(t.NumColumns()));
   w->U64(t.NumRows());
   for (size_t c = 0; c < t.NumColumns(); ++c) {
@@ -643,8 +621,8 @@ void SerializeTableBlock(ByteWriter* w, const TablePayload& p) {
     w->Str(f.name);
     w->U8(static_cast<uint8_t>(f.type));
   }
-  for (const auto& col : p.codes) {
-    w->Raw(col->data(), col->size() * sizeof(uint32_t));
+  for (const auto& col : p.table->codes) {
+    w->Raw(col.data(), col.size() * sizeof(uint32_t));
   }
 }
 
@@ -833,7 +811,7 @@ Status VerifySegment(const MappedFile& file, const CatalogState::Segment& seg,
   return Status::OK();
 }
 
-Status GatherPayloads(TableRegistry* registry, SessionDict* dict,
+Status GatherPayloads(TableRegistry* registry, const SessionDict& dict,
                       DiscoveryIndex* discovery,
                       std::vector<TablePayload>* payloads,
                       size_t* columns_resketched) {
@@ -843,21 +821,16 @@ Status GatherPayloads(TableRegistry* registry, SessionDict* dict,
     TablePayload p;
     p.name = name;
     p.table = table;
-    p.codes.reserve(table->NumColumns());
-    for (size_t c = 0; c < table->NumColumns(); ++c) {
-      // Memoized for pinned (registered) tables; this also forces every
-      // cell into the dictionary before the persisted code range is fixed.
-      p.codes.push_back(dict->ColumnCodes(*table, c));
-    }
+    const size_t cols = table->codes.size();
     p.sketches = discovery->TableSketches(name, table.get());
-    if (p.sketches == nullptr || p.sketches->size() != table->NumColumns()) {
+    if (p.sketches == nullptr || p.sketches->size() != cols) {
       // Index was never built (lazy mode, unsynced) — sketch here so the
       // catalog is complete either way.
       p.sketches = std::make_shared<const std::vector<ColumnSketch>>(
           discovery->SketchTable(*table));
-      *columns_resketched += table->NumColumns();
+      *columns_resketched += cols;
     }
-    p.fingerprint = FingerprintFromCodes(*table, p.codes, dict->dict());
+    p.fingerprint = CatalogTableFingerprint(*table, dict.dict());
     payloads->push_back(std::move(p));
   }
   return Status::OK();
@@ -974,13 +947,24 @@ std::string CatalogPinFileName(uint64_t generation, int64_t pid,
                    static_cast<unsigned long long>(seq));
 }
 
-uint64_t CatalogTableFingerprint(const Table& table, SessionDict* dict) {
-  std::vector<std::shared_ptr<const std::vector<uint32_t>>> codes;
-  codes.reserve(table.NumColumns());
-  for (size_t c = 0; c < table.NumColumns(); ++c) {
-    codes.push_back(dict->ColumnCodes(table, c));
+uint64_t CatalogTableFingerprint(const EncodedTable& table,
+                                 const ValueDict& dict) {
+  const Table& t = *table.table;
+  uint64_t fp = Fnv1a64("lakefuzz.catalog.table.v1");
+  fp = HashCombine(fp, t.NumRows());
+  fp = HashCombine(fp, t.NumColumns());
+  for (size_t c = 0; c < t.NumColumns(); ++c) {
+    const Field& f = t.schema().field(c);
+    fp = HashCombine(fp, Fnv1a64(f.name));
+    fp = HashCombine(fp, static_cast<uint64_t>(f.type));
   }
-  return FingerprintFromCodes(table, codes, dict->dict());
+  for (const auto& col : table.codes) {
+    for (uint32_t code : col) {
+      fp = HashCombine(fp,
+                       code == ValueDict::kNullCode ? 0 : dict.HashOf(code));
+    }
+  }
+  return fp;
 }
 
 Result<uint64_t> CatalogCurrentGeneration(const std::string& dir) {
@@ -993,7 +977,7 @@ Result<uint64_t> CatalogCurrentGeneration(const std::string& dir) {
 // ---------------------------------------------------------------- save
 
 Result<CatalogSaveReport> SaveCatalogFrom(
-    const std::string& dir, TableRegistry* registry, SessionDict* dict,
+    const std::string& dir, TableRegistry* registry, const SessionDict* dict,
     DiscoveryIndex* discovery, const DiscoveryOptions& discovery_options,
     CatalogState* state, size_t retain_generations) {
   Stopwatch watch;
@@ -1030,12 +1014,12 @@ Result<CatalogSaveReport> SaveCatalogFrom(
   const uint64_t gen = max_gen + 1;
 
   std::vector<TablePayload> payloads;
-  LAKEFUZZ_RETURN_IF_ERROR(GatherPayloads(registry, dict, discovery,
+  LAKEFUZZ_RETURN_IF_ERROR(GatherPayloads(registry, *dict, discovery,
                                           &payloads,
                                           &report.columns_resketched));
   // Captured AFTER gathering: every code referenced by a payload is
-  // <= value_count, and codes appended by concurrent requests past it are
-  // simply left for the next checkpoint (the dict is append-only).
+  // <= value_count, and codes appended by concurrent registrations past it
+  // are simply left for the next checkpoint (the dict is append-only).
   const uint64_t value_count = dict->NumDistinct();
 
   // Incremental only when this engine's state mirrors the committed
@@ -1115,8 +1099,8 @@ Result<CatalogSaveReport> SaveCatalogFrom(
       }
       CatalogState::TableState ts;
       ts.fingerprint = p.fingerprint;
-      ts.rows = p.table->NumRows();
-      ts.cols = static_cast<uint32_t>(p.table->NumColumns());
+      ts.rows = p.table->table->NumRows();
+      ts.cols = static_cast<uint32_t>(p.table->table->NumColumns());
       ts.table_off = state->tables.size + tbuf.size();
       SerializeTableBlock(&tbuf, p);
       ts.table_size = state->tables.size + tbuf.size() - ts.table_off;
@@ -1162,8 +1146,8 @@ Result<CatalogSaveReport> SaveCatalogFrom(
     for (const TablePayload& p : payloads) {
       CatalogState::TableState ts;
       ts.fingerprint = p.fingerprint;
-      ts.rows = p.table->NumRows();
-      ts.cols = static_cast<uint32_t>(p.table->NumColumns());
+      ts.rows = p.table->table->NumRows();
+      ts.cols = static_cast<uint32_t>(p.table->table->NumColumns());
       ts.table_off = tbuf.size();
       SerializeTableBlock(&tbuf, p);
       ts.table_size = tbuf.size() - ts.table_off;
@@ -1230,8 +1214,7 @@ namespace {
 /// One fully parsed, not-yet-registered catalog table.
 struct StagedTable {
   std::string name;
-  std::shared_ptr<const Table> table;
-  std::vector<std::shared_ptr<const std::vector<uint32_t>>> columns;
+  std::shared_ptr<const EncodedTable> table;
   std::vector<ColumnSketch> sketches;
   std::vector<std::vector<uint64_t>> band_keys;
   bool replaces_live = false;  ///< refresh: a stale live table must go first
@@ -1264,15 +1247,16 @@ Status ParseTableBlock(const MappedFile& seg, const ManifestEntry& e,
     return Status::IoError(
         StrFormat("catalog table block for '%s' truncated", e.name.c_str()));
   }
-  out->columns.reserve(cols);
+  auto record = std::make_shared<EncodedTable>();
+  record->codes.resize(cols);
   std::vector<uint32_t> file_codes;
   for (uint32_t c = 0; c < cols; ++c) {
     if (!r.U32Span(static_cast<size_t>(rows), &file_codes)) {
       return Status::IoError(StrFormat(
           "catalog table block for '%s' truncated", e.name.c_str()));
     }
-    auto session_codes = std::make_shared<std::vector<uint32_t>>();
-    session_codes->reserve(file_codes.size());
+    std::vector<uint32_t>& session_codes = record->codes[c];
+    session_codes.reserve(file_codes.size());
     for (uint32_t code : file_codes) {
       if (code > value_count) {
         return Status::IoError(StrFormat(
@@ -1281,9 +1265,8 @@ Status ParseTableBlock(const MappedFile& seg, const ManifestEntry& e,
             e.name.c_str(), code,
             static_cast<unsigned long long>(value_count)));
       }
-      session_codes->push_back(remap[code]);
+      session_codes.push_back(remap[code]);
     }
-    out->columns.push_back(std::move(session_codes));
   }
   // Materialize the Table row-wise from the remapped codes: cells decode to
   // exactly the writer's values, so results downstream are byte-identical.
@@ -1291,13 +1274,14 @@ Status ParseTableBlock(const MappedFile& seg, const ManifestEntry& e,
   std::vector<Value> row(cols);
   for (uint64_t rr = 0; rr < rows; ++rr) {
     for (uint32_t c = 0; c < cols; ++c) {
-      row[c] = dict.Decode((*out->columns[c])[static_cast<size_t>(rr)]);
+      row[c] = dict.Decode(record->codes[c][static_cast<size_t>(rr)]);
     }
     Status appended = table.AppendRow(row);
     if (!appended.ok()) return appended;
   }
   out->name = e.name;
-  out->table = std::make_shared<const Table>(std::move(table));
+  record->table = std::make_shared<const Table>(std::move(table));
+  out->table = std::move(record);
   return Status::OK();
 }
 
@@ -1361,13 +1345,11 @@ Status ParseSketchBlock(const MappedFile& seg, const ManifestEntry& e,
 }
 
 /// The engine's Unregister sequence, replicated for refresh: take the table
-/// out of the registry, drop its code memo, remove it from discovery.
+/// out of the registry, remove it from discovery.
 void DropLiveTable(const std::string& name, TableRegistry* registry,
-                   SessionDict* dict, DiscoveryIndex* discovery) {
+                   DiscoveryIndex* discovery) {
   uint64_t version = 0;
-  std::shared_ptr<const Table> removed = registry->Take(name, &version);
-  if (removed == nullptr) return;
-  dict->DropTable(removed.get());
+  if (registry->Take(name, &version) == nullptr) return;
   discovery->RemoveTable(name, version);
 }
 
@@ -1533,12 +1515,11 @@ Result<CatalogOpenReport> OpenCatalogInto(
     }
   }
 
-  // Commit: replace/register, seed the column-code memo, and insert the
-  // pre-built sketches + band keys — zero columns re-sketched for an
-  // unchanged lake.
+  // Commit: replace/register the records and insert the pre-built
+  // sketches + band keys — zero columns re-sketched for an unchanged lake.
   for (StagedTable& st : staged) {
     if (st.replaces_live) {
-      DropLiveTable(st.name, registry, dict, discovery);
+      DropLiveTable(st.name, registry, discovery);
       ++report.tables_replaced;
     }
     uint64_t version = 0;
@@ -1547,13 +1528,12 @@ Result<CatalogOpenReport> OpenCatalogInto(
       ++report.tables_kept;  // raced by a concurrent registration
       continue;
     }
-    dict->PinTableWithCodes(st.table, std::move(st.columns));
     discovery->LoadTable(st.name, st.table, std::move(st.sketches),
                          st.band_keys, version);
     ++report.tables_loaded;
   }
   for (const std::string& name : vanished) {
-    DropLiveTable(name, registry, dict, discovery);
+    DropLiveTable(name, registry, discovery);
     ++report.tables_dropped;
   }
 

@@ -37,8 +37,9 @@
 // every commit and flock binds to the inode, hence the stable sibling lock.
 //
 // A reopened engine replays the dict with the persisted hashes (no value
-// re-hashing), seeds the per-column code memo, and inserts pre-built
-// sketches — re-sketching 0 columns for an unchanged lake. Corruption never
+// re-hashing), rebuilds each table's record (fd/session_dict.h
+// EncodedTable) from its persisted codes, and inserts pre-built sketches —
+// re-sketching 0 columns for an unchanged lake. Corruption never
 // crashes: a truncated, bit-flipped, or version-skewed file fails
 // OpenCatalogInto with a typed kIoError / kInvalidArgument before any
 // engine structure is touched, and the caller rebuilds cold.
@@ -188,11 +189,12 @@ struct CatalogStats {
 // -------------------------------------------------------------- operations
 
 /// Content fingerprint of a registered table: schema (field names + types),
-/// row count, and the per-cell content hash sequence (ValueDict::HashOf of
-/// the interned codes — order-sensitive, null = 0). Independent of code
+/// row count, and the per-cell content hash sequence (`dict`.HashOf of the
+/// record's codes — order-sensitive, null = 0). Independent of code
 /// numbering, so writer and reader agree across sessions. This is what
 /// keys "rebuild only tables whose content changed".
-uint64_t CatalogTableFingerprint(const Table& table, SessionDict* dict);
+uint64_t CatalogTableFingerprint(const EncodedTable& table,
+                                 const ValueDict& dict);
 
 /// How OpenCatalogInto reconciles the manifest with tables already live in
 /// the registry.
@@ -224,9 +226,9 @@ Result<uint64_t> CatalogCurrentGeneration(const std::string& dir);
 /// entire generation is validated (CURRENT, manifest header, version,
 /// discovery params, per-segment checksums, block bounds) and parsed into
 /// staging buffers BEFORE any table is registered, so a corrupt catalog
-/// returns its typed error with the registry, memo, and discovery index
-/// untouched (the dictionary may have interned the catalog's values —
-/// harmless, it only grows). On success `state` records the directory and
+/// returns its typed error with the registry and discovery index untouched
+/// (the dictionary may have interned the catalog's values — harmless, it
+/// only grows). On success `state` records the directory and
 /// generation for incremental saves / refreshes. `discovery_options` must
 /// match the persisted sketch parameters (signature size, banding, seed) or
 /// the open fails with kInvalidArgument — signatures from a different
@@ -251,7 +253,7 @@ Result<CatalogOpenReport> OpenCatalogInto(const std::string& dir,
 /// wants sketches persisted without re-sketching (LakeEngine::SaveCatalog
 /// does).
 Result<CatalogSaveReport> SaveCatalogFrom(
-    const std::string& dir, TableRegistry* registry, SessionDict* dict,
+    const std::string& dir, TableRegistry* registry, const SessionDict* dict,
     DiscoveryIndex* discovery, const DiscoveryOptions& discovery_options,
     CatalogState* state,
     size_t retain_generations = kCatalogDefaultRetainGenerations);

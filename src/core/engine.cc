@@ -96,7 +96,7 @@ LakeEngine::LakeEngine(EngineOptions options,
       pool_(std::move(pool)),
       session_dict_(std::make_unique<SessionDict>()),
       discovery_(std::make_unique<DiscoveryIndex>(
-          options_.discovery, session_dict_.get(), pool_.get())) {
+          options_.discovery, &session_dict_->dict(), pool_.get())) {
   // Resolve the metric handles once; increments then never touch the
   // registry lock. A shared external registry whose names are already
   // taken by a different metric kind falls back to a private registry —
@@ -177,19 +177,26 @@ Status LakeEngine::RegisterTable(std::string name, Table table) {
 Status LakeEngine::RegisterTable(std::string name,
                                  std::shared_ptr<const Table> table) {
   if (replica_) return ReplicaForbidden("RegisterTable");
+  if (table == nullptr) {
+    return Status::InvalidArgument(
+        StrFormat("cannot register null table '%s'", name.c_str()));
+  }
+  // Refuse before encoding, so a rejected registration interns nothing.
+  LAKEFUZZ_RETURN_IF_ERROR(registry_.CheckName(name));
+  // The table's one record: encoded once, column-parallel on the session
+  // pool; every later consumer reads its codes.
+  std::shared_ptr<const EncodedTable> record =
+      session_dict_->Encode(std::move(table), pool_.get());
   uint64_t version = 0;
-  LAKEFUZZ_RETURN_IF_ERROR(registry_.Register(name, table, &version));
-  // Pin the snapshot in the session dictionary so its interned column codes
-  // are memoized across requests (released again by Unregister).
-  session_dict_->PinTable(table);
-  // Incremental discovery build: sketch the new table (column-parallel on
+  LAKEFUZZ_RETURN_IF_ERROR(registry_.Register(name, record, &version));
+  // Incremental discovery build: sketch the new record (column-parallel on
   // the session pool). `version` was captured under the registry lock, so
   // the index attributes exactly this mutation (and refuses to fast-forward
   // past concurrent ones it has not seen). With build_at_register off, the
   // index simply falls behind the registry version and the first discovery
   // call bulk-syncs it.
   if (options_.discovery.build_at_register) {
-    discovery_->AddTable(name, std::move(table), version);
+    discovery_->AddTable(name, std::move(record), version);
   }
   return Status::OK();
 }
@@ -205,17 +212,11 @@ Status LakeEngine::RegisterCsv(std::string name, const std::string& path,
 
 Status LakeEngine::Unregister(const std::string& name) {
   if (replica_) return ReplicaForbidden("Unregister");
-  // Atomically take exactly the snapshot being removed, THEN unpin it from
-  // the session dictionary. A non-atomic get/drop/remove could race a
-  // concurrent unregister + re-register of the same name and drop (or
-  // leak) the replacement's pin.
   uint64_t version = 0;
-  std::shared_ptr<const Table> removed = registry_.Take(name, &version);
-  if (removed == nullptr) {
+  if (registry_.Take(name, &version) == nullptr) {
     return Status::NotFound(
         StrFormat("table '%s' is not registered", name.c_str()));
   }
-  session_dict_->DropTable(removed.get());
   // `version` is exactly this removal's registry version; a discovery
   // query racing in between sees a version mismatch and re-syncs.
   discovery_->RemoveTable(name, version);
@@ -564,13 +565,9 @@ void LakeEngine::RefreshGauges() const {
       "replica refreshes that loaded a new generation", cat.refreshes);
   set("lakefuzz_catalog_bytes_written_total", "catalog bytes written",
       cat.bytes_written);
-  const SessionDict::Stats dict = session_dict_->stats();
   set("lakefuzz_dict_values_interned_total",
-      "distinct values in the session dictionary", dict.values_interned);
-  set("lakefuzz_dict_column_hits_total",
-      "column code requests answered from the memo", dict.column_hits);
-  set("lakefuzz_dict_column_requests_total", "column code requests",
-      dict.column_requests);
+      "distinct values in the session dictionary",
+      session_dict_->stats().values_interned);
   // Pool / task-grain / RSS gauges read the same single sources the bench
   // artifacts do (PoolStats, FdTaskProfile via the request counters above,
   // util/rss.h) — /metrics and bench JSON can never drift apart.
@@ -655,22 +652,16 @@ Result<LakeEngine::PreparedRequest> LakeEngine::Prepare(
   LAKEFUZZ_RETURN_IF_ERROR(ctx.CheckStop("request"));
   PreparedRequest prep;
   uint64_t registry_version = 0;
-  LAKEFUZZ_ASSIGN_OR_RETURN(prep.pinned,
+  LAKEFUZZ_ASSIGN_OR_RETURN(prep.tables,
                             registry_.GetMany(names, &registry_version));
-  prep.tables.reserve(prep.pinned.size());
-  for (const auto& t : prep.pinned) prep.tables.push_back(t.get());
 
   StageScope align(ctx, Stage::kAlign);
-  // Alignment cache: keyed by (mode, ordered name set) and valid only at
+  // Alignment cache: keyed by (mode, ordered name list) and valid only at
   // the registry version the snapshot was resolved at — any Register /
   // Unregister bumps the version, so a cached alignment can never outlive
   // the tables it was computed from. Cached repeated Integrate calls skip
   // holistic re-alignment entirely (ROADMAP PR 3 follow-up).
-  std::string schema_key = request.holistic_alignment ? "h" : "n";
-  for (const auto& name : names) {
-    schema_key.push_back('\x1f');
-    schema_key += name;
-  }
+  SchemaKey schema_key{request.holistic_alignment, names};
   bool cached = false;
   {
     std::lock_guard<std::mutex> lock(schema_mu_);
@@ -683,11 +674,12 @@ Result<LakeEngine::PreparedRequest> LakeEngine::Prepare(
     }
   }
   if (!cached) {
+    const TableList tables = TablesOf(prep.tables);
     Result<AlignedSchema> aligned = Status::Internal("unreachable");
     if (request.holistic_alignment) {
-      aligned = HolisticSchemaMatcher(model_).Align(prep.tables);
+      aligned = HolisticSchemaMatcher(model_).Align(tables);
     } else {
-      aligned = AlignByName(prep.tables);
+      aligned = AlignByName(tables);
     }
     if (!aligned.ok()) return aligned.status();
     prep.aligned = std::move(aligned).value();
@@ -702,7 +694,7 @@ Result<LakeEngine::PreparedRequest> LakeEngine::Prepare(
         ++it;
       }
     }
-    schema_cache_[schema_key] =
+    schema_cache_[std::move(schema_key)] =
         CachedSchema{registry_version, prep.aligned};
   }
   align.AddAttr("cached", cached ? int64_t{1} : int64_t{0});
@@ -720,7 +712,6 @@ Result<LakeEngine::PreparedRequest> LakeEngine::Prepare(
   if (pool_ != nullptr) {
     eff.pool = pool_.get();
     eff.matcher.pool = pool_.get();
-    eff.matcher.num_threads = pool_->num_threads();
   }
   prep.effective = std::move(eff);
   return prep;

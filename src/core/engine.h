@@ -28,10 +28,10 @@
 #include <atomic>
 #include <condition_variable>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -160,9 +160,8 @@ struct RequestOptions {
   bool include_provenance = false;
   /// Matcher/FD knobs. The engine overwrites the session-owned fields:
   /// matcher.model, matcher.shared_cache, session_dict, context, and — on a
-  /// pooled engine — pool, matcher.pool and matcher.num_threads (all
-  /// pointing at the session pool). The remaining knobs pass through
-  /// untouched.
+  /// pooled engine — pool and matcher.pool (both the session pool). The
+  /// remaining knobs pass through untouched.
   FuzzyFdOptions fuzzy_fd;
   /// Cooperative cancellation (CancelToken::Create(); fire from any
   /// thread). A cancelled request returns ErrorCode::kCancelled.
@@ -264,8 +263,11 @@ class LakeEngine {
   ~LakeEngine();  // out of line: ThreadPool is incomplete here
 
   // ------------------------------------------------------------ registry
-  /// Registers an in-memory table under `name`
-  /// (ErrorCode::kAlreadyExists on duplicates).
+  /// Registers an in-memory table under `name`: encodes it once into the
+  /// session dictionary (column-parallel on the session pool) into the
+  /// record every later request, discovery sketch and catalog save reads.
+  /// ErrorCode::kAlreadyExists on duplicates and kInvalidArgument on an
+  /// empty name, both checked before anything is encoded.
   Status RegisterTable(std::string name, Table table);
   /// Shared-ownership form (no copy); the snapshot must stay immutable.
   Status RegisterTable(std::string name, std::shared_ptr<const Table> table);
@@ -274,24 +276,25 @@ class LakeEngine {
   Status RegisterCsv(std::string name, const std::string& path,
                      const CsvOptions& csv = CsvOptions());
   /// Typed removal: ErrorCode::kNotFound when absent. Drops the name from
-  /// the registry, the session dictionary's column memo, and the discovery
-  /// index; in-flight requests holding the snapshot are unaffected, and any
-  /// cached alignment involving the name stops validating (version bump).
+  /// the registry and the discovery index; in-flight requests holding the
+  /// record are unaffected, and any cached alignment involving the name
+  /// stops validating (version bump). The dictionary never shrinks.
   Status Unregister(const std::string& name);
   std::vector<std::string> TableNames() const;
   size_t NumTables() const;
 
   // ------------------------------------------------------------- catalog
   /// Loads the durable catalog at `dir` (see catalog/catalog.h): replays
-  /// the persisted dictionary (no value re-hashing), registers every
-  /// cataloged table whose name is not already live, seeds their column
-  /// code memos, and inserts pre-built discovery sketches — a warm restart
-  /// re-sketches zero columns for an unchanged lake. A corrupt, truncated,
-  /// or version-skewed catalog fails with kIoError / kInvalidArgument
-  /// before any table is registered; the engine stays fully usable and the
-  /// caller rebuilds cold. On success the engine remembers `dir`, so the
-  /// next SaveCatalog checkpoints incrementally. A non-null `tracer`
-  /// records the open as a "catalog_open" span.
+  /// the persisted dictionary (no value re-hashing), registers a record
+  /// built from the persisted codes for every cataloged table whose name is
+  /// not already live, and inserts pre-built discovery sketches — a warm
+  /// restart re-sketches zero columns for an unchanged lake, and its
+  /// requests intern nothing. A corrupt, truncated, or version-skewed
+  /// catalog fails with kIoError / kInvalidArgument before any table is
+  /// registered; the engine stays fully usable and the caller rebuilds
+  /// cold. On success the engine remembers `dir`, so the next SaveCatalog
+  /// checkpoints incrementally. A non-null `tracer` records the open as a
+  /// "catalog_open" span.
   Result<CatalogOpenReport> OpenCatalog(const std::string& dir,
                                         Tracer* tracer = nullptr);
 
@@ -387,8 +390,8 @@ class LakeEngine {
   const std::shared_ptr<const EmbeddingModel>& model() const {
     return model_;
   }
-  /// The session interning dictionary (inspect stats() to observe column-
-  /// cache reuse across Integrate calls).
+  /// The session interning dictionary every registered table is encoded
+  /// into (NumDistinct() grows only at registration and catalog open).
   const SessionDict& session_dict() const { return *session_dict_; }
   /// AlignedSchema cache traffic: requests that skipped re-alignment
   /// because the same name set was aligned at the same registry version.
@@ -415,8 +418,7 @@ class LakeEngine {
 
  private:
   struct PreparedRequest {
-    std::vector<std::shared_ptr<const Table>> pinned;  ///< lifetime anchors
-    TableList tables;
+    EncodedTables tables;  ///< the request's pinned records
     AlignedSchema aligned;
     FuzzyFdOptions effective;  ///< request knobs + session resources
   };
@@ -543,10 +545,11 @@ class LakeEngine {
   std::unique_ptr<DiscoveryIndex> discovery_;
   TableRegistry registry_;
 
-  /// AlignedSchema per (alignment mode, ordered name set), validated
+  /// AlignedSchema per (holistic alignment?, ordered name list), validated
   /// against the registry version its snapshot was taken at.
+  using SchemaKey = std::pair<bool, std::vector<std::string>>;
   mutable std::mutex schema_mu_;
-  mutable std::unordered_map<std::string, CachedSchema> schema_cache_;
+  mutable std::map<SchemaKey, CachedSchema> schema_cache_;
   mutable uint64_t schema_cache_hits_ = 0;
 
   /// Catalog association + counters. catalog_mu_ serializes OpenCatalog /

@@ -6,33 +6,38 @@
 
 namespace lakefuzz {
 
-Status TableRegistry::Register(std::string name, Table table) {
-  return Register(std::move(name),
-                  std::make_shared<const Table>(std::move(table)));
+Status TableRegistry::CheckName(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return CheckNameLocked(name);
 }
 
-Status TableRegistry::Register(std::string name,
-                               std::shared_ptr<const Table> table,
-                               uint64_t* version) {
+Status TableRegistry::CheckNameLocked(const std::string& name) const {
   if (name.empty()) {
     return Status::InvalidArgument("registry table name must be non-empty");
   }
+  if (tables_.count(name) != 0) {
+    return Status::AlreadyExists(
+        StrFormat("table '%s' is already registered", name.c_str()));
+  }
+  return Status::OK();
+}
+
+Status TableRegistry::Register(std::string name,
+                               std::shared_ptr<const EncodedTable> table,
+                               uint64_t* version) {
   if (table == nullptr) {
     return Status::InvalidArgument(
         StrFormat("cannot register null table '%s'", name.c_str()));
   }
   std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = tables_.emplace(std::move(name), std::move(table));
-  if (!inserted) {
-    return Status::AlreadyExists(StrFormat(
-        "table '%s' is already registered", it->first.c_str()));
-  }
+  LAKEFUZZ_RETURN_IF_ERROR(CheckNameLocked(name));
+  tables_.emplace(std::move(name), std::move(table));
   ++version_;
   if (version != nullptr) *version = version_;
   return Status::OK();
 }
 
-Result<std::shared_ptr<const Table>> TableRegistry::Get(
+Result<std::shared_ptr<const EncodedTable>> TableRegistry::Get(
     const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = tables_.find(name);
@@ -43,9 +48,9 @@ Result<std::shared_ptr<const Table>> TableRegistry::Get(
   return it->second;
 }
 
-Result<std::vector<std::shared_ptr<const Table>>> TableRegistry::GetMany(
+Result<EncodedTables> TableRegistry::GetMany(
     const std::vector<std::string>& names, uint64_t* version) const {
-  std::vector<std::shared_ptr<const Table>> out;
+  EncodedTables out;
   out.reserve(names.size());
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& name : names) {
@@ -60,27 +65,12 @@ Result<std::vector<std::shared_ptr<const Table>>> TableRegistry::GetMany(
   return out;
 }
 
-bool TableRegistry::Remove(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (tables_.erase(name) == 0) return false;
-  ++version_;
-  return true;
-}
-
-Status TableRegistry::Unregister(const std::string& name) {
-  if (!Remove(name)) {
-    return Status::NotFound(
-        StrFormat("table '%s' is not registered", name.c_str()));
-  }
-  return Status::OK();
-}
-
-std::shared_ptr<const Table> TableRegistry::Take(const std::string& name,
-                                                 uint64_t* version) {
+std::shared_ptr<const EncodedTable> TableRegistry::Take(
+    const std::string& name, uint64_t* version) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = tables_.find(name);
   if (it == tables_.end()) return nullptr;
-  std::shared_ptr<const Table> out = std::move(it->second);
+  std::shared_ptr<const EncodedTable> out = std::move(it->second);
   tables_.erase(it);
   ++version_;
   if (version != nullptr) *version = version_;
@@ -103,9 +93,9 @@ std::vector<std::string> TableRegistry::Names() const {
   return out;
 }
 
-std::vector<std::pair<std::string, std::shared_ptr<const Table>>>
+std::vector<std::pair<std::string, std::shared_ptr<const EncodedTable>>>
 TableRegistry::Snapshot(uint64_t* version) const {
-  std::vector<std::pair<std::string, std::shared_ptr<const Table>>> out;
+  std::vector<std::pair<std::string, std::shared_ptr<const EncodedTable>>> out;
   {
     std::lock_guard<std::mutex> lock(mu_);
     out.reserve(tables_.size());

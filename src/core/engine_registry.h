@@ -2,9 +2,10 @@
 //
 // A long-lived engine serves many Integrate calls over one lake, so tables
 // are registered once under a unique name and borrowed per request instead
-// of being re-read / re-copied per call. Entries are immutable
-// shared_ptr<const Table>: a request pins the snapshot it resolved even if
-// another thread replaces or removes the name mid-flight, so there is no
+// of being re-read / re-copied per call. Entries are the tables' one record,
+// immutable shared_ptr<const EncodedTable> (the Table plus its session code
+// columns, fd/session_dict.h): a request pins the snapshot it resolved even
+// if another thread replaces or removes the name mid-flight, so there is no
 // torn read and no lifetime coupling between requests.
 #ifndef LAKEFUZZ_CORE_ENGINE_REGISTRY_H_
 #define LAKEFUZZ_CORE_ENGINE_REGISTRY_H_
@@ -15,29 +16,32 @@
 #include <unordered_map>
 #include <vector>
 
-#include "table/table.h"
+#include "fd/session_dict.h"
 #include "util/result.h"
 
 namespace lakefuzz {
 
-/// Thread-safe name → table map. All methods may be called concurrently.
+/// Thread-safe name → record map. All methods may be called concurrently.
 class TableRegistry {
  public:
-  /// Registers a table under `name`. ErrorCode::kAlreadyExists when the
-  /// name is taken, kInvalidArgument on an empty name.
-  Status Register(std::string name, Table table);
+  /// What Register would answer for `name` right now:
+  /// ErrorCode::kInvalidArgument on an empty name, kAlreadyExists when the
+  /// name is taken. Lets a caller refuse a registration before doing work
+  /// for it (LakeEngine checks before encoding); Register checks again
+  /// under its lock.
+  Status CheckName(const std::string& name) const;
 
-  /// Shared-ownership form: registers an externally owned snapshot without
-  /// copying (one-shot callers wrap their tables in non-owning aliases;
-  /// callers sharing real ownership just pass their shared_ptr). On
-  /// success, a non-null `version` receives the registry version this
-  /// registration produced — read under the same lock, so derived indexes
-  /// can attribute the mutation exactly even under concurrent writers.
-  Status Register(std::string name, std::shared_ptr<const Table> table,
+  /// Registers `table` under `name` (CheckName's errors, or
+  /// kInvalidArgument for a null record). On success, a non-null `version`
+  /// receives the registry version this registration produced — read under
+  /// the same lock, so derived indexes can attribute the mutation exactly
+  /// even under concurrent writers.
+  Status Register(std::string name, std::shared_ptr<const EncodedTable> table,
                   uint64_t* version = nullptr);
 
-  /// The snapshot registered under `name`, or ErrorCode::kNotFound.
-  Result<std::shared_ptr<const Table>> Get(const std::string& name) const;
+  /// The record registered under `name`, or ErrorCode::kNotFound.
+  Result<std::shared_ptr<const EncodedTable>> Get(
+      const std::string& name) const;
 
   /// Resolves every name (in the given order) under one lock acquisition,
   /// so an Integrate request sees a consistent snapshot of the registry.
@@ -45,46 +49,41 @@ class TableRegistry {
   /// non-null it receives the registry version the snapshot was taken at
   /// (same lock hold), the key derived caches — the engine's AlignedSchema
   /// cache — validate against.
-  Result<std::vector<std::shared_ptr<const Table>>> GetMany(
-      const std::vector<std::string>& names,
-      uint64_t* version = nullptr) const;
+  Result<EncodedTables> GetMany(const std::vector<std::string>& names,
+                                uint64_t* version = nullptr) const;
 
-  /// Removes `name`; false when absent. In-flight requests holding the
-  /// snapshot are unaffected.
-  bool Remove(const std::string& name);
+  /// Atomic remove-and-return: the record that was registered under
+  /// `name`, or null when absent (the version is then unchanged). Lets a
+  /// caller release exactly the registration it removed (LakeEngine drops
+  /// it from the discovery index) without racing a concurrent
+  /// re-registration of the name. In-flight requests holding the record are
+  /// unaffected. On removal, a non-null `version` receives the resulting
+  /// registry version (same lock hold, like Register).
+  std::shared_ptr<const EncodedTable> Take(const std::string& name,
+                                           uint64_t* version = nullptr);
 
-  /// Typed removal: ErrorCode::kNotFound when `name` is absent (so callers
-  /// branch on codes, matching Register's kAlreadyExists), version bump on
-  /// success. In-flight requests holding the snapshot are unaffected.
-  Status Unregister(const std::string& name);
-
-  /// Atomic remove-and-return: the snapshot that was registered under
-  /// `name`, or null when absent. Lets a caller release exactly the
-  /// registration it removed (LakeEngine unpins it from the session
-  /// dictionary) without racing a concurrent re-registration of the name.
-  /// On removal, a non-null `version` receives the resulting registry
-  /// version (same lock hold, like Register).
-  std::shared_ptr<const Table> Take(const std::string& name,
-                                    uint64_t* version = nullptr);
-
-  /// Mutation counter: bumped by every successful Register and Remove.
-  /// Equal versions ⇒ identical name → snapshot mapping.
+  /// Mutation counter: bumped by every successful Register and Take.
+  /// Equal versions ⇒ identical name → record mapping.
   uint64_t version() const;
 
   /// Registered names, sorted (deterministic listing for CLIs and tests).
   std::vector<std::string> Names() const;
 
-  /// Every (name, snapshot) pair sorted by name, resolved in one lock hold
+  /// Every (name, record) pair sorted by name, resolved in one lock hold
   /// together with the registry version — the consistent view derived
   /// indexes (the engine's discovery index) resync against.
-  std::vector<std::pair<std::string, std::shared_ptr<const Table>>> Snapshot(
-      uint64_t* version = nullptr) const;
+  std::vector<std::pair<std::string, std::shared_ptr<const EncodedTable>>>
+  Snapshot(uint64_t* version = nullptr) const;
 
   size_t size() const;
 
  private:
+  /// CheckName with mu_ held.
+  Status CheckNameLocked(const std::string& name) const;
+
   mutable std::mutex mu_;
-  std::unordered_map<std::string, std::shared_ptr<const Table>> tables_;
+  std::unordered_map<std::string, std::shared_ptr<const EncodedTable>>
+      tables_;
   uint64_t version_ = 0;
 };
 

@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <unordered_map>
 
-#include "fd/session_dict.h"
-#include "fd/value_dict.h"
 #include "obs/trace.h"
 #include "util/fault_injection.h"
 #include "util/thread_pool.h"
@@ -13,36 +11,28 @@
 namespace lakefuzz {
 namespace {
 
-/// Original typed Value for each distinct string of one source column
-/// (first occurrence wins; ToString is injective enough in practice, and
-/// collisions only affect which typed twin survives the rewrite).
-using StringToValue = std::unordered_map<std::string, Value>;
-
-/// Output of the FD stage proper: the problem (owning the decode
-/// dictionary) plus the post-subsumption interned result rows. Keeping
-/// results interned here is what lets the pipeline decode in batches
-/// without ever materializing the full result set.
+/// Output of the FD stage proper: the problem (decoding through the
+/// session dictionary) plus the post-subsumption interned result rows.
+/// Keeping results interned here is what lets the pipeline decode in
+/// batches without ever materializing the full result set.
 struct FdStage {
   FdProblem problem;
   std::vector<FdCodeTuple> codes;
   FdStats stats;
 };
 
-/// The FD stage: outer-union build + executor run to interned codes. With a
-/// session dictionary the build interns codes straight from the source
-/// tables (tables pinned in the dictionary scatter memoized column codes);
-/// otherwise the legacy padded-row Build runs. Also fills
-/// `report->fd_stats` when a report is given.
-Result<FdStage> RunFdStage(const TableList& tables,
+/// The FD stage: outer-union gather of the (remapped) code columns +
+/// executor run to interned codes. Also fills `report->fd_stats` when a
+/// report is given.
+Result<FdStage> RunFdStage(const EncodedTables& tables,
                            const AlignedSchema& aligned,
+                           const CodeRemaps& remaps,
                            const FuzzyFdOptions& options,
                            const RequestContext& ctx, FuzzyFdReport* report) {
   StageScope build(ctx, Stage::kFdBuild);
   LAKEFUZZ_FAULT_POINT("fd/build");
-  Result<FdProblem> built =
-      options.session_dict != nullptr
-          ? FdProblem::BuildInterned(tables, aligned, options.session_dict)
-          : FdProblem::Build(tables, aligned);
+  Result<FdProblem> built = FdProblem::BuildInterned(
+      tables, aligned, options.session_dict->dict(), remaps);
   if (!built.ok()) return built.status();
   FdProblem problem = std::move(built).value();
   build.AddAttr("tuples", static_cast<int64_t>(problem.num_tuples()));
@@ -134,23 +124,58 @@ Result<size_t> EmitCodeBatches(const FdProblem& problem,
   return emitted;
 }
 
-/// Match + rewrite output in borrowed form: tables the rewrite stage never
-/// touched stay caller-owned pointers (so a session dictionary can serve
-/// their memoized column codes), only modified tables are materialized.
-struct RewrittenSet {
-  std::vector<Table> storage;  ///< rewritten copies, in input order
-  TableList list;              ///< per input: original pointer or &storage[k]
-  std::vector<char> borrowed;  ///< list[l] points at the caller's table
+/// The codes of one aligning column keyed by their rendering (ToString),
+/// each with its cell count. Typed twins such as Int(5) and String("5")
+/// share one rendering, so a rendering may carry several codes (first
+/// occurrence first).
+using RenderedCodes =
+    std::unordered_map<std::string, std::vector<std::pair<uint32_t, size_t>>>;
+
+/// Reads the distinct non-null values of one aligning column from its code
+/// column: appends each distinct rendering once, in first-occurrence order,
+/// to `strings` (the matcher's input) and returns the codes behind them.
+RenderedCodes DistinctValues(const std::vector<uint32_t>& column,
+                             const ValueDict& dict,
+                             std::vector<std::string>* strings) {
+  std::vector<uint32_t> order;
+  std::unordered_map<uint32_t, size_t> cells;
+  for (uint32_t code : column) {
+    if (code == ValueDict::kNullCode) continue;
+    auto [it, fresh] = cells.try_emplace(code, 0);
+    if (fresh) order.push_back(code);
+    ++it->second;
+  }
+  RenderedCodes out;
+  for (uint32_t code : order) {
+    std::string str = dict.Decode(code).ToString();
+    auto [it, fresh] = out.try_emplace(str);
+    it->second.emplace_back(code, cells[code]);
+    if (fresh) strings->push_back(std::move(str));
+  }
+  return out;
+}
+
+/// One matched universal column: its aligning (table, column) sources, the
+/// codes behind the values the matcher saw per source, and the groups it
+/// found.
+struct MatchedColumn {
+  std::vector<std::pair<size_t, size_t>> sources;
+  std::vector<RenderedCodes> codes;
+  std::vector<ValueGroup> groups;
 };
 
-/// The match + rewrite stages (paper Sec 2.2): shared core of the public
-/// copying RewriteTables and the borrowing pipeline.
-Result<RewrittenSet> RewriteCore(const FuzzyFdOptions& options,
-                                 const RequestContext& ctx,
-                                 const TableList& tables,
-                                 const AlignedSchema& aligned,
-                                 FuzzyFdReport* report) {
-  LAKEFUZZ_RETURN_IF_ERROR(ValidateAlignedSchema(aligned, tables));
+/// The match + rewrite stages (paper Sec 2.2): shared core of the
+/// inspection API RewriteTables and the pipeline. Returns the rewrite as
+/// per-(table, column) code remaps: every member of a matched group maps to
+/// its representative's code (typed: the code of the representative
+/// rendering's first occurrence in its column).
+Result<CodeRemaps> RewriteCore(const FuzzyFdOptions& options,
+                               const RequestContext& ctx,
+                               const EncodedTables& tables,
+                               const AlignedSchema& aligned,
+                               FuzzyFdReport* report) {
+  LAKEFUZZ_RETURN_IF_ERROR(ValidateAlignedSchema(aligned, TablesOf(tables)));
+  const ValueDict& dict = options.session_dict->dict();
   StageScope match(ctx, Stage::kMatch);
   ValueMatcherOptions matcher_options = options.matcher;
   // Session plumbing: the request's pool reaches the matcher unless the
@@ -160,14 +185,7 @@ Result<RewrittenSet> RewriteCore(const FuzzyFdOptions& options,
   }
   ValueMatcher matcher(matcher_options);
 
-  // Per (table, column): value-string → replacement Value.
-  std::vector<std::vector<std::unordered_map<std::string, Value>>> rewrites(
-      tables.size());
-  for (size_t l = 0; l < tables.size(); ++l) {
-    rewrites[l].resize(tables[l]->NumColumns());
-  }
-
-  size_t sets_matched = 0;
+  std::vector<MatchedColumn> matched_columns;
   ValueMatchStats agg_stats;
 
   // Under kTruncate, a deadline (or matcher-internal budget) stop here
@@ -191,20 +209,15 @@ Result<RewrittenSet> RewriteCore(const FuzzyFdOptions& options,
       degrade(stop);
       break;
     }
-    auto sources = aligned.SourcesOf(u);
-    if (sources.size() < 2) continue;  // nothing to make consistent
+    MatchedColumn m;
+    m.sources = aligned.SourcesOf(u);
+    if (m.sources.size() < 2) continue;  // nothing to make consistent
 
-    // Distinct value strings per aligning column, plus their typed originals.
-    std::vector<std::vector<std::string>> columns(sources.size());
-    std::vector<StringToValue> originals(sources.size());
-    for (size_t s = 0; s < sources.size(); ++s) {
-      auto [l, c] = sources[s];
-      for (const Value& v : tables[l]->DistinctNonNull(c)) {
-        std::string str = v.ToString();
-        if (originals[s].emplace(str, v).second) {
-          columns[s].push_back(std::move(str));
-        }
-      }
+    std::vector<std::vector<std::string>> columns(m.sources.size());
+    for (size_t s = 0; s < m.sources.size(); ++s) {
+      const auto [l, c] = m.sources[s];
+      m.codes.push_back(
+          DistinctValues(tables[l]->codes[c], dict, &columns[s]));
     }
 
     Result<ValueMatchResult> matched_result =
@@ -217,7 +230,6 @@ Result<RewrittenSet> RewriteCore(const FuzzyFdOptions& options,
       break;
     }
     ValueMatchResult matched = std::move(matched_result).value();
-    ++sets_matched;
     agg_stats.exact_matches += matched.stats.exact_matches;
     agg_stats.assignment_matches += matched.stats.assignment_matches;
     agg_stats.dense_solves += matched.stats.dense_solves;
@@ -229,21 +241,11 @@ Result<RewrittenSet> RewriteCore(const FuzzyFdOptions& options,
     agg_stats.thresholds_used.insert(agg_stats.thresholds_used.end(),
                                      matched.stats.thresholds_used.begin(),
                                      matched.stats.thresholds_used.end());
-
-    for (const auto& g : matched.groups) {
-      if (g.members.size() < 2) continue;
-      // Typed representative: the original Value of the elected member.
-      const auto& [rep_src, rep_str] = g.members[g.representative_member];
-      const Value& rep_value = originals[rep_src].at(rep_str);
-      for (const auto& [src, str] : g.members) {
-        if (str == rep_str) continue;
-        auto [l, c] = sources[src];
-        rewrites[l][c].emplace(str, rep_value);
-      }
-    }
+    m.groups = std::move(matched.groups);
+    matched_columns.push_back(std::move(m));
   }
   ReportProgress(ctx, Stage::kMatch, num_universal, num_universal);
-  match.AddAttr("sets_matched", static_cast<int64_t>(sets_matched));
+  match.AddAttr("sets_matched", static_cast<int64_t>(matched_columns.size()));
   match.AddAttr("cost_evaluations",
                 static_cast<int64_t>(agg_stats.cost_evaluations));
   match.AddAttr("embedding_cache_hits",
@@ -252,69 +254,45 @@ Result<RewrittenSet> RewriteCore(const FuzzyFdOptions& options,
 
   StageScope rewrite(ctx, Stage::kRewrite);
   ReportProgress(ctx, Stage::kRewrite, 0, tables.size());
-  RewrittenSet out;
-  // Reserve up front: list holds pointers into storage, which must not
-  // reallocate as modified tables are appended.
-  out.storage.reserve(tables.size());
-  out.list.reserve(tables.size());
-  out.borrowed.assign(tables.size(), 0);
-  size_t values_rewritten = 0;
+  CodeRemaps remaps(tables.size());
   for (size_t l = 0; l < tables.size(); ++l) {
-    bool touched = false;
-    for (const auto& map : rewrites[l]) {
-      if (!map.empty()) {
-        touched = true;
-        break;
-      }
-    }
-    if (!touched) {
-      // No value of this table matched anything fuzzily: borrow the
-      // caller's table instead of copying it. On the engine path this keeps
-      // the registry snapshot's identity, so its interned column codes stay
-      // cache hits.
-      out.borrowed[l] = 1;
-      out.list.push_back(tables[l]);
-      continue;
-    }
-    Table t = *tables[l];
-    for (size_t c = 0; c < t.NumColumns(); ++c) {
-      const auto& map = rewrites[l][c];
-      if (map.empty()) continue;
-      // Interned scan (ROADMAP PR-2 follow-up): cells are interned into a
-      // per-column ValueDict, so the string key is materialized and hashed
-      // once per *distinct* value; every repeat of a value hits the flat
-      // code-indexed replacement table instead of re-running ToString +
-      // string hashing per cell. Codes are dense, so the table grows by
-      // exactly one slot per new value; slot 0 is the (unused) null code.
-      ValueDict dict;
-      std::vector<const Value*> replacement(1, nullptr);
-      for (size_t r = 0; r < t.NumRows(); ++r) {
-        const Value& v = t.At(r, c);
-        if (v.is_null()) continue;
-        const uint32_t code = dict.Intern(v);
-        if (code >= replacement.size()) {
-          auto it = map.find(v.ToString());
-          replacement.push_back(it != map.end() ? &it->second : nullptr);
-        }
-        if (replacement[code] != nullptr) {
-          t.Set(r, c, *replacement[code]);
-          ++values_rewritten;
+    remaps[l].resize(tables[l]->codes.size());
+  }
+  size_t values_rewritten = 0;
+  for (const MatchedColumn& m : matched_columns) {
+    for (const ValueGroup& g : m.groups) {
+      if (g.members.size() < 2) continue;
+      const auto& [rep_src, rep_str] = g.members[g.representative_member];
+      const uint32_t rep_code = m.codes[rep_src].at(rep_str).front().first;
+      for (const auto& [src, str] : g.members) {
+        if (str == rep_str) continue;
+        auto [l, c] = m.sources[src];
+        for (const auto& [code, cells] : m.codes[src].at(str)) {
+          remaps[l][c].emplace(code, rep_code);
+          values_rewritten += cells;
         }
       }
     }
-    out.storage.push_back(std::move(t));
-    out.list.push_back(&out.storage.back());
   }
   ReportProgress(ctx, Stage::kRewrite, tables.size(), tables.size());
   rewrite.AddAttr("values_rewritten", static_cast<int64_t>(values_rewritten));
   rewrite.End();
 
   if (report != nullptr) {
-    report->aligned_sets_matched = sets_matched;
+    report->aligned_sets_matched = matched_columns.size();
     report->values_rewritten = values_rewritten;
     report->match_stats = agg_stats;
   }
-  return out;
+  return remaps;
+}
+
+Status RequireSessionDict(const FuzzyFdOptions& options) {
+  if (options.session_dict == nullptr) {
+    return Status::InvalidArgument(
+        "the pipeline requires FuzzyFdOptions::session_dict (the dictionary "
+        "the tables were encoded into)");
+  }
+  return Status::OK();
 }
 
 /// The pipeline's context: the caller's, recording into the report's own
@@ -329,28 +307,37 @@ RequestContext PipelineContext(const FuzzyFdOptions& options,
 }  // namespace
 
 Result<std::vector<Table>> FuzzyFullDisjunction::RewriteTables(
-    const TableList& tables, const AlignedSchema& aligned,
+    const EncodedTables& tables, const AlignedSchema& aligned,
     FuzzyFdReport* report) const {
+  LAKEFUZZ_RETURN_IF_ERROR(RequireSessionDict(options_));
   LAKEFUZZ_ASSIGN_OR_RETURN(
-      RewrittenSet set,
+      CodeRemaps remaps,
       RewriteCore(options_, PipelineContext(options_, report), tables,
                   aligned, report));
+  const ValueDict& dict = options_.session_dict->dict();
   std::vector<Table> out;
   out.reserve(tables.size());
-  size_t k = 0;
   for (size_t l = 0; l < tables.size(); ++l) {
-    if (set.borrowed[l]) {
-      out.push_back(*tables[l]);
-    } else {
-      out.push_back(std::move(set.storage[k++]));
+    const EncodedTable& t = *tables[l];
+    Table decoded(t.table->name(), t.table->schema());
+    std::vector<Value> row(t.codes.size());
+    for (size_t r = 0; r < t.table->NumRows(); ++r) {
+      for (size_t c = 0; c < t.codes.size(); ++c) {
+        auto it = remaps[l][c].find(t.codes[c][r]);
+        row[c] = dict.Decode(it == remaps[l][c].end() ? t.codes[c][r]
+                                                      : it->second);
+      }
+      LAKEFUZZ_RETURN_IF_ERROR(decoded.AppendRow(row));
     }
+    out.push_back(std::move(decoded));
   }
   return out;
 }
 
 Result<size_t> FuzzyFullDisjunction::RunToBatches(
-    const TableList& tables, const AlignedSchema& aligned, bool fuzzy,
+    const EncodedTables& tables, const AlignedSchema& aligned, bool fuzzy,
     size_t batch_rows, const FdBatchFn& emit, FuzzyFdReport* report) const {
+  LAKEFUZZ_RETURN_IF_ERROR(RequireSessionDict(options_));
   if (batch_rows == 0) {
     return Status::InvalidArgument("batch_rows must be positive");
   }
@@ -358,18 +345,18 @@ Result<size_t> FuzzyFullDisjunction::RunToBatches(
     return Status::InvalidArgument("the pipeline requires an emit callback");
   }
   const RequestContext ctx = PipelineContext(options_, report);
-  RewrittenSet rewritten;
+  CodeRemaps remaps;
   if (fuzzy) {
     LAKEFUZZ_ASSIGN_OR_RETURN(
-        rewritten, RewriteCore(options_, ctx, tables, aligned, report));
+        remaps, RewriteCore(options_, ctx, tables, aligned, report));
   }
-  const TableList& fd_tables = fuzzy ? rewritten.list : tables;
   // The fd stage covers build + enumerate + subsume + batch decode/emit;
   // the sub-stages hang off its span as children.
   StageScope fd(ctx, Stage::kFd);
   const RequestContext fd_ctx = ctx.WithSpan(fd.span_id());
   LAKEFUZZ_ASSIGN_OR_RETURN(
-      FdStage stage, RunFdStage(fd_tables, aligned, options_, fd_ctx, report));
+      FdStage stage,
+      RunFdStage(tables, aligned, remaps, options_, fd_ctx, report));
   // Emitting an already-truncated partial is cleanup: it still honors
   // cancellation but is not re-aborted by the expired deadline.
   const RequestContext emit_ctx =
@@ -387,7 +374,7 @@ Result<size_t> FuzzyFullDisjunction::RunToBatches(
 }
 
 Result<FdResult> FuzzyFullDisjunction::RunToTuples(
-    const TableList& tables, const AlignedSchema& aligned, bool fuzzy,
+    const EncodedTables& tables, const AlignedSchema& aligned, bool fuzzy,
     FuzzyFdReport* report) const {
   FuzzyFdReport local_report;
   if (report == nullptr) report = &local_report;

@@ -8,10 +8,13 @@
 // with match and rewrite skipped, so both sides of the paper's comparisons
 // share one code path and one executor.
 //
-// Session integration: the pipeline takes borrowed table pointers
-// (TableList) so a LakeEngine can serve requests over registry-owned tables
-// without copying; options carry an optional session ThreadPool and a
-// RequestContext (cancel + deadline + resource budget, honored at matcher
+// The pipeline runs on encoded tables (fd/session_dict.h): the matcher
+// reads each aligning column's distinct values from its codes, the rewrite
+// is a code→code remap per touched column (no table is copied), and the FD
+// build gathers the remapped code columns. A LakeEngine passes its
+// registry's records; standalone callers encode with EncodeTables first.
+// Options carry the session dictionary, an optional session ThreadPool and
+// a RequestContext (cancel + deadline + resource budget, honored at matcher
 // merge rounds, per FD component, inside the enumerator, and between
 // batches; plus the stage ledger and progress callback every stage reports
 // to).
@@ -22,12 +25,11 @@
 
 #include "core/value_matcher.h"
 #include "fd/full_disjunction.h"
+#include "fd/session_dict.h"
 #include "util/request_context.h"
 #include "util/result.h"
 
 namespace lakefuzz {
-
-class SessionDict;
 
 struct FuzzyFdOptions {
   ValueMatcherOptions matcher;
@@ -37,14 +39,11 @@ struct FuzzyFdOptions {
   /// decode run on it, and so does the matcher unless `matcher.pool` is
   /// already set. Null runs every stage inline. Not owned.
   ThreadPool* pool = nullptr;
-  /// Session-lived interning dictionary (LakeEngine). When set, the FD
-  /// problem is built with FdProblem::BuildInterned — codes scatter straight
-  /// from source-table cells, no padded Value rows — and input tables the
-  /// rewrite stage left untouched are interned through the per-column code
-  /// cache (they must be session-owned snapshots; see fd/session_dict.h for
-  /// the invalidation contract). Not owned; must outlive every result
-  /// decoded against it.
-  SessionDict* session_dict = nullptr;
+  /// Required: the dictionary the input tables were encoded into (the
+  /// LakeEngine's session dictionary, or the caller's for EncodeTables).
+  /// Values are decoded through it; the pipeline never interns. Null fails
+  /// with kInvalidArgument. Not owned; must outlive every run.
+  const SessionDict* session_dict = nullptr;
   /// Request lifecycle: cancel token, deadline, resource budget, and the
   /// truncate-vs-fail policy; the matcher polls the same context. A fired
   /// token surfaces as Status::Cancelled, an expired deadline as
@@ -93,8 +92,9 @@ class FuzzyFullDisjunction {
       : options_(std::move(options)) {}
 
   /// Value matching + value rewriting only (no FD); exposed for tests and
-  /// for inspecting the consistent tables (Fig. 2 bottom-left).
-  Result<std::vector<Table>> RewriteTables(const TableList& tables,
+  /// for inspecting the consistent tables (Fig. 2 bottom-left): each table
+  /// decoded from its remapped code columns.
+  Result<std::vector<Table>> RewriteTables(const EncodedTables& tables,
                                            const AlignedSchema& aligned,
                                            FuzzyFdReport* report) const;
 
@@ -105,14 +105,14 @@ class FuzzyFullDisjunction {
   /// result set is never materialized as a whole. Provenance TIDs are global
   /// outer-union ids: table order, then row order. Returns the number of
   /// tuples emitted. Cancellation is additionally polled between batches.
-  Result<size_t> RunToBatches(const TableList& tables,
+  Result<size_t> RunToBatches(const EncodedTables& tables,
                               const AlignedSchema& aligned, bool fuzzy,
                               size_t batch_rows, const FdBatchFn& emit,
                               FuzzyFdReport* report = nullptr) const;
 
   /// The pipeline collected into one FdResult (stats = the report's
   /// fd_stats).
-  Result<FdResult> RunToTuples(const TableList& tables,
+  Result<FdResult> RunToTuples(const EncodedTables& tables,
                                const AlignedSchema& aligned, bool fuzzy,
                                FuzzyFdReport* report = nullptr) const;
 

@@ -80,14 +80,11 @@ Result<ValueMatchResult> ValueMatcher::MatchColumns(
 
   // Scoring substrate: an embedding cache (representatives recur across
   // merge rounds; values recur across columns — and, with a session-shared
-  // cache, across MatchColumns calls) and one thread pool shared by every
-  // fill below. A session (LakeEngine) may supply both; otherwise the
-  // cache is per-call and the pool is created lazily on the first fill
-  // large enough to use it — the many small residual problems left after
-  // the exact-match prepass run serially either way and must not pay N
-  // thread spawns per column. Output is identical at any thread count and
-  // any cache state because each cost cell is a pure function of its
-  // (group, value) pair.
+  // cache, across MatchColumns calls) and the caller's thread pool, shared
+  // by every fill below large enough to use it — the many small residual
+  // problems left after the exact-match prepass run serially. Output is
+  // identical with or without a pool and at any cache state because each
+  // cost cell is a pure function of its (group, value) pair.
   std::unique_ptr<EmbeddingCache> local_cache;
   EmbeddingCache* cache = nullptr;
   if (use_embeddings) {
@@ -101,14 +98,8 @@ Result<ValueMatchResult> ValueMatcher::MatchColumns(
   }
   const EmbeddingCache::Counters counters_before =
       cache != nullptr ? cache->counters() : EmbeddingCache::Counters{};
-  const size_t num_threads = ResolveNumThreads(options_.num_threads);
-  std::unique_ptr<ThreadPool> pool;
   auto pool_for = [&](size_t work_items, size_t min_work) -> ThreadPool* {
-    if (work_items < min_work) return nullptr;
-    if (options_.pool != nullptr) return options_.pool;
-    if (num_threads <= 1) return nullptr;
-    if (pool == nullptr) pool = std::make_unique<ThreadPool>(num_threads);
-    return pool.get();
+    return work_items < min_work ? nullptr : options_.pool;
   };
   // Embedding calls are heavyweight relative to pool dispatch; a much
   // smaller batch than a cost fill already amortizes the pool.

@@ -77,10 +77,6 @@ struct ValueMatcherOptions {
   /// under `auto_threshold` the budget is lifted to 1.0 — every value
   /// exact, zero prunes; the banded DP still applies.
   BoundedStringDistanceFn bounded_string_distance;
-  /// Worker threads for cost-matrix fill, sparse-edge scoring, and value
-  /// embedding: 0 = hardware concurrency, 1 = serial (no pool is created).
-  /// Results are deterministic regardless of the setting.
-  size_t num_threads = 1;
   /// Sizing of the per-MatchColumns embedding cache (embedding mode only;
   /// ignored when `shared_cache` is set).
   EmbeddingCacheOptions embedding_cache;
@@ -92,10 +88,10 @@ struct ValueMatcherOptions {
   /// delta of the cache's counters. Match results are unaffected — the
   /// cache memoizes a pure function.
   std::shared_ptr<EmbeddingCache> shared_cache;
-  /// Externally owned worker pool (a LakeEngine's session pool). Takes
-  /// precedence over the lazily created per-call pool; `num_threads` then
-  /// only matters as documentation. Not owned. Work below the
-  /// parallelization thresholds still runs serially.
+  /// Worker pool for cost-matrix fill, sparse-edge scoring, and value
+  /// embedding (a LakeEngine's session pool, or the caller's); null runs
+  /// them serially. Not owned. Work below the parallelization thresholds
+  /// still runs serially. Results are deterministic regardless of the pool.
   ThreadPool* pool = nullptr;
 };
 
@@ -122,9 +118,8 @@ struct ValueMatchStats {
   /// Embedding-cache traffic (embedding mode only): hits are value→vector
   /// lookups answered from the cache. Deterministic with an unbounded cache
   /// (misses = distinct strings embedded); with `embedding_cache.max_entries`
-  /// set AND num_threads > 1, which keys stay cached depends on arrival
-  /// order, so these two counters may vary run-to-run. Match results never
-  /// do.
+  /// set AND a pool, which keys stay cached depends on arrival order, so
+  /// these two counters may vary run-to-run. Match results never do.
   size_t embedding_cache_hits = 0;
   size_t embedding_cache_misses = 0;
   /// θ actually used per assignment round (one entry per solve; equals the

@@ -83,8 +83,8 @@ class SketchScratch {
   ArenaAllocator arena_;
 };
 
-/// Sketches one interned column. `codes` is the column's code span (from
-/// SessionDict::ColumnCodes); `dict` supplies Decode/HashOf for profiling
+/// Sketches one interned column. `codes` is one of an EncodedTable's code
+/// columns; `dict` supplies Decode/HashOf for profiling
 /// and hashing. Deterministic: depends only on the multiset of values, not
 /// on code numbering, intern interleaving, or thread count. `scratch`
 /// (optional) supplies the reusable salt table + dedup arena of the calling

@@ -35,8 +35,8 @@ Status DiscoveryOptions::Validate() const {
   return Status::OK();
 }
 
-DiscoveryIndex::DiscoveryIndex(DiscoveryOptions options, SessionDict* dict,
-                               ThreadPool* pool)
+DiscoveryIndex::DiscoveryIndex(DiscoveryOptions options,
+                               const ValueDict* dict, ThreadPool* pool)
     : options_(std::move(options)),
       dict_(dict),
       pool_(pool),
@@ -46,20 +46,17 @@ DiscoveryIndex::DiscoveryIndex(DiscoveryOptions options, SessionDict* dict,
 }
 
 std::vector<ColumnSketch> DiscoveryIndex::SketchTable(
-    const Table& table) const {
-  std::vector<ColumnSketch> sketches(table.NumColumns());
-  // Column-parallel: each worker interns its column through the sharded
-  // session dictionary and sketches the returned code span. Results land in
-  // distinct slots, so no synchronization beyond the ParallelFor barrier.
-  // Lane-indexed scratches carry the salt table and dedup arena across the
-  // columns a worker sketches.
-  std::vector<SketchScratch> scratches(
-      MaxLanes(pool_, table.NumColumns()));
-  MaybeParallelForWithLane(pool_, table.NumColumns(), [&](size_t lane,
-                                                          size_t c) {
-    auto codes = dict_->ColumnCodes(table, c);
-    sketches[c] = BuildColumnSketch(table.schema().field(c).name, *codes,
-                                    dict_->dict(), sketch_options_,
+    const EncodedTable& table) const {
+  const size_t cols = table.codes.size();
+  std::vector<ColumnSketch> sketches(cols);
+  // Column-parallel: each worker sketches one code column of the record.
+  // Results land in distinct slots, so no synchronization beyond the
+  // ParallelFor barrier. Lane-indexed scratches carry the salt table and
+  // dedup arena across the columns a worker sketches.
+  std::vector<SketchScratch> scratches(MaxLanes(pool_, cols));
+  MaybeParallelForWithLane(pool_, cols, [&](size_t lane, size_t c) {
+    sketches[c] = BuildColumnSketch(table.table->schema().field(c).name,
+                                    table.codes[c], *dict_, sketch_options_,
                                     &scratches[lane]);
   });
   return sketches;
@@ -80,7 +77,7 @@ std::vector<ColumnSketch> DiscoveryIndex::SketchQuery(
 }
 
 void DiscoveryIndex::AddTableLocked(
-    const std::string& name, std::shared_ptr<const Table> table,
+    const std::string& name, std::shared_ptr<const EncodedTable> table,
     std::vector<ColumnSketch> sketches,
     const std::vector<std::vector<uint64_t>>* band_keys) {
   auto it = by_name_.find(name);
@@ -139,7 +136,7 @@ void DiscoveryIndex::RemoveSlotLocked(size_t slot) {
 }
 
 void DiscoveryIndex::AddTable(const std::string& name,
-                              std::shared_ptr<const Table> table,
+                              std::shared_ptr<const EncodedTable> table,
                               uint64_t version) {
   if (table == nullptr) return;
   std::vector<ColumnSketch> sketches = SketchTable(*table);
@@ -153,7 +150,7 @@ void DiscoveryIndex::AddTable(const std::string& name,
 }
 
 void DiscoveryIndex::LoadTable(
-    const std::string& name, std::shared_ptr<const Table> table,
+    const std::string& name, std::shared_ptr<const EncodedTable> table,
     std::vector<ColumnSketch> sketches,
     const std::vector<std::vector<uint64_t>>& band_keys, uint64_t version) {
   if (table == nullptr) return;
@@ -167,7 +164,7 @@ void DiscoveryIndex::LoadTable(
 }
 
 std::shared_ptr<const std::vector<ColumnSketch>> DiscoveryIndex::TableSketches(
-    const std::string& name, const Table* pin) const {
+    const std::string& name, const EncodedTable* pin) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = by_name_.find(name);
   if (it == by_name_.end()) return nullptr;
@@ -186,19 +183,20 @@ void DiscoveryIndex::RemoveTable(const std::string& name, uint64_t version) {
 }
 
 Status DiscoveryIndex::Resync(
-    const std::vector<std::pair<std::string, std::shared_ptr<const Table>>>&
+    const std::vector<
+        std::pair<std::string, std::shared_ptr<const EncodedTable>>>&
         snapshot,
     uint64_t version, const RequestContext& ctx) {
   // One resync at a time: a second stale query waits here, then finds the
   // version already advanced and diffs to a no-op.
   std::lock_guard<std::mutex> sync_lock(resync_mu_);
-  std::vector<std::pair<std::string, std::shared_ptr<const Table>>> to_add;
+  std::vector<std::pair<std::string, std::shared_ptr<const EncodedTable>>>
+      to_add;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (version_ >= version) return Status::OK();
     // Pass 1: drop entries the snapshot no longer has (or has replaced —
-    // the pin's pointer identity is the check, matching SessionDict's
-    // address-keyed memo).
+    // the pinned record's pointer identity is the check).
     for (size_t slot = 0; slot < entries_.size(); ++slot) {
       if (!entries_[slot].live) continue;
       auto it = std::lower_bound(
@@ -222,8 +220,8 @@ Status DiscoveryIndex::Resync(
   std::vector<std::pair<size_t, size_t>> tasks;  // (to_add idx, column)
   std::vector<std::vector<ColumnSketch>> built(to_add.size());
   for (size_t t = 0; t < to_add.size(); ++t) {
-    built[t].resize(to_add[t].second->NumColumns());
-    for (size_t c = 0; c < to_add[t].second->NumColumns(); ++c) {
+    built[t].resize(to_add[t].second->codes.size());
+    for (size_t c = 0; c < to_add[t].second->codes.size(); ++c) {
       tasks.emplace_back(t, c);
     }
   }
@@ -239,10 +237,9 @@ Status DiscoveryIndex::Resync(
       return;
     }
     const auto [t, c] = tasks[i];
-    const Table& table = *to_add[t].second;
-    auto codes = dict_->ColumnCodes(table, c);
-    built[t][c] = BuildColumnSketch(table.schema().field(c).name, *codes,
-                                    dict_->dict(), sketch_options_,
+    const EncodedTable& table = *to_add[t].second;
+    built[t][c] = BuildColumnSketch(table.table->schema().field(c).name,
+                                    table.codes[c], *dict_, sketch_options_,
                                     &scratches[lane]);
   });
   // Nothing is inserted on a stop and the version stays behind: the index

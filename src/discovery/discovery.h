@@ -66,9 +66,10 @@ struct DiscoveryOptions {
   double overlap_weight = 0.7;
   double schema_weight = 0.3;
   /// Sketch and index each table as it registers (incremental, on the
-  /// session pool). When false, registration is untouched and the whole
-  /// index is built lazily — in one parallel bulk pass — by the first
-  /// discovery call that observes a registry version mismatch.
+  /// session pool). When false, registration only encodes the table and
+  /// the whole index is built lazily — in one parallel bulk pass over the
+  /// registered records' codes — by the first discovery call that observes
+  /// a registry version mismatch.
   bool build_at_register = true;
 
   DiscoveryOptions& SetSignatureSize(size_t k) {
@@ -113,23 +114,25 @@ struct DiscoveryCandidate {
 /// mutex; the expensive sketching always happens outside it).
 class DiscoveryIndex {
  public:
-  /// `dict` supplies interned codes + content hashes for sketching; `pool`
+  /// `dict` is the session dictionary the indexed records were encoded
+  /// into (it supplies the content hashes sketches are built over); `pool`
   /// (nullable = serial) runs sketch builds. Neither is owned; both must
   /// outlive the index.
-  DiscoveryIndex(DiscoveryOptions options, SessionDict* dict,
+  DiscoveryIndex(DiscoveryOptions options, const ValueDict* dict,
                  ThreadPool* pool);
 
   const DiscoveryOptions& options() const { return options_; }
 
-  /// Sketches `table` (column-parallel on the pool) and indexes it under
-  /// `name`, replacing any existing entry of that name. `version` is the
+  /// Sketches the record `table` (column-parallel on the pool) and indexes
+  /// it under `name`, replacing any existing entry of that name; the entry
+  /// pins the record. `version` is the
   /// registry version the corresponding Register produced (captured under
   /// the registry lock). The index version advances to `version` only when
   /// it was current at `version - 1` — an index that was already stale
   /// stays stale, so the next query's Resync still runs (this is what
   /// keeps a lazily built index from claiming freshness it does not have).
-  void AddTable(const std::string& name, std::shared_ptr<const Table> table,
-                uint64_t version);
+  void AddTable(const std::string& name,
+                std::shared_ptr<const EncodedTable> table, uint64_t version);
 
   /// Drops `name` from the index (no-op when absent). Same version-advance
   /// rule as AddTable.
@@ -142,7 +145,8 @@ class DiscoveryIndex {
   /// open re-sketch zero columns. The sketches must have been built with
   /// this index's options (the catalog manifest enforces that). Same
   /// version-advance rule as AddTable.
-  void LoadTable(const std::string& name, std::shared_ptr<const Table> table,
+  void LoadTable(const std::string& name,
+                 std::shared_ptr<const EncodedTable> table,
                  std::vector<ColumnSketch> sketches,
                  const std::vector<std::vector<uint64_t>>& band_keys,
                  uint64_t version);
@@ -152,10 +156,10 @@ class DiscoveryIndex {
   /// same staleness check Resync uses). Lets the catalog writer persist
   /// already-built sketches instead of re-sketching.
   std::shared_ptr<const std::vector<ColumnSketch>> TableSketches(
-      const std::string& name, const Table* pin) const;
+      const std::string& name, const EncodedTable* pin) const;
 
   /// Reconciles the index against a full registry snapshot (sorted
-  /// name → table pairs from TableRegistry::Snapshot): stale entries are
+  /// name → record pairs from TableRegistry::Snapshot): stale entries are
   /// removed, replaced tables re-sketched, missing tables added — sketching
   /// parallelized over (table, column) tasks. Idempotent; concurrent
   /// resyncs serialize. A fired token / expired deadline in `ctx` aborts
@@ -164,7 +168,8 @@ class DiscoveryIndex {
   /// dominant cost of a lazy-mode discovery call, so it must honor the
   /// request's lifecycle.
   Status Resync(
-      const std::vector<std::pair<std::string, std::shared_ptr<const Table>>>&
+      const std::vector<
+          std::pair<std::string, std::shared_ptr<const EncodedTable>>>&
           snapshot,
       uint64_t version, const RequestContext& ctx = RequestContext());
 
@@ -176,10 +181,9 @@ class DiscoveryIndex {
   /// Indexed (non-empty) columns across all tables.
   size_t num_columns() const;
 
-  /// Sketches a registered table for indexing (column-parallel). Values
-  /// are interned through the session dictionary, so the pinned column
-  /// codes double as a warm start for later Integrate calls.
-  std::vector<ColumnSketch> SketchTable(const Table& table) const;
+  /// Sketches a registered table for indexing (column-parallel) from its
+  /// record's code columns — no cell is hashed or interned.
+  std::vector<ColumnSketch> SketchTable(const EncodedTable& table) const;
 
   /// Sketches an ad-hoc query table without touching the session
   /// dictionary (MinHash needs only Value content hashes, which are
@@ -210,7 +214,7 @@ class DiscoveryIndex {
  private:
   struct TableEntry {
     std::string name;
-    std::shared_ptr<const Table> pin;  ///< identity check for Resync
+    std::shared_ptr<const EncodedTable> pin;  ///< identity check for Resync
     /// Immutable once built: queries snapshot the shared_ptr under the
     /// index lock and score outside it (a concurrent RemoveTable cannot
     /// invalidate an in-flight scoring pass).
@@ -229,7 +233,7 @@ class DiscoveryIndex {
   /// When `band_keys` is non-null, column c is LSH-inserted via its
   /// precomputed keys instead of hashing its signature (the catalog path).
   void AddTableLocked(
-      const std::string& name, std::shared_ptr<const Table> table,
+      const std::string& name, std::shared_ptr<const EncodedTable> table,
       std::vector<ColumnSketch> sketches,
       const std::vector<std::vector<uint64_t>>* band_keys = nullptr);
   void RemoveSlotLocked(size_t slot);
@@ -246,7 +250,7 @@ class DiscoveryIndex {
 
   DiscoveryOptions options_;
   SketchOptions sketch_options_;
-  SessionDict* dict_;
+  const ValueDict* dict_;
   ThreadPool* pool_;
 
   mutable std::mutex mu_;  ///< guards everything below

@@ -879,7 +879,6 @@ Result<std::vector<FdCodeTuple>> FullDisjunction::RunCodes(
   stats->distinct_values = problem->index_stats().distinct_values;
   stats->posting_lists = problem->index_stats().posting_lists;
   stats->posting_entries = problem->index_stats().posting_entries;
-  stats->value_copies = problem->index_stats().value_copies;
 
   // Largest components first: they dominate runtime, so schedule them before
   // the long tail of singletons.

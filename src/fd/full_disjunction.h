@@ -110,9 +110,6 @@ struct FdStats {
   size_t distinct_values = 0;
   size_t posting_lists = 0;
   size_t posting_entries = 0;
-  /// Value copies paid building the problem (see FdIndexStats::value_copies;
-  /// near zero on the BuildInterned path with a warm session dictionary).
-  size_t value_copies = 0;
   /// Wall time of the fd_enumerate stage (the StageScope's own samples;
   /// the other FD stages are timed in the request's StageLedger only).
   /// Includes the deterministic merge, task_profile.merge_ns.

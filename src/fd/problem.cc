@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "fd/posting_shards.h"
-#include "fd/session_dict.h"
 #include "util/hash.h"
 #include "util/str.h"
 #include "util/thread_pool.h"
@@ -13,55 +12,36 @@
 
 namespace lakefuzz {
 
-Result<FdProblem> FdProblem::Build(const TableList& tables,
-                                   const AlignedSchema& aligned) {
-  LAKEFUZZ_RETURN_IF_ERROR(ValidateAlignedSchema(aligned, tables));
-  FdProblem problem(aligned.NumUniversal(), aligned.universal_names);
-  for (size_t l = 0; l < tables.size(); ++l) {
-    const Table& t = *tables[l];
-    for (size_t r = 0; r < t.NumRows(); ++r) {
-      std::vector<Value> padded(aligned.NumUniversal());
-      for (size_t c = 0; c < t.NumColumns(); ++c) {
-        padded[aligned.column_map[l][c]] = t.At(r, c);
-      }
-      problem.value_copies_ += t.NumColumns();
-      LAKEFUZZ_RETURN_IF_ERROR(
-          problem.AddTuple(static_cast<uint32_t>(l), std::move(padded)));
-    }
-  }
-  return problem;
-}
-
-Result<FdProblem> FdProblem::Build(const std::vector<Table>& tables,
-                                   const AlignedSchema& aligned) {
-  return Build(BorrowTables(tables), aligned);
-}
-
-Result<FdProblem> FdProblem::BuildInterned(const TableList& tables,
+Result<FdProblem> FdProblem::BuildInterned(const EncodedTables& tables,
                                            const AlignedSchema& aligned,
-                                           SessionDict* dict) {
-  if (dict == nullptr) {
-    return Status::InvalidArgument("BuildInterned requires a SessionDict");
-  }
-  LAKEFUZZ_RETURN_IF_ERROR(ValidateAlignedSchema(aligned, tables));
+                                           const ValueDict& dict,
+                                           const CodeRemaps& remaps) {
+  LAKEFUZZ_RETURN_IF_ERROR(ValidateAlignedSchema(aligned, TablesOf(tables)));
   FdProblem problem(aligned.NumUniversal(), aligned.universal_names);
   const size_t cols = aligned.NumUniversal();
   size_t total_rows = 0;
-  for (const Table* t : tables) total_rows += t->NumRows();
+  for (const auto& t : tables) total_rows += t->table->NumRows();
   problem.codes_.assign(total_rows * cols, kNullCode);
   problem.table_ids_.reserve(total_rows);
 
-  const uint64_t interned_before = dict->stats().values_interned;
   size_t base = 0;
   for (size_t l = 0; l < tables.size(); ++l) {
-    const Table& t = *tables[l];
-    const size_t rows = t.NumRows();
-    for (size_t c = 0; c < t.NumColumns(); ++c) {
-      auto column = dict->ColumnCodes(t, c);
-      const uint32_t* src = column->data();
+    const EncodedTable& t = *tables[l];
+    const size_t rows = t.table->NumRows();
+    for (size_t c = 0; c < t.codes.size(); ++c) {
+      const uint32_t* src = t.codes[c].data();
       uint32_t* dst = problem.codes_.data() + base * cols +
                       aligned.column_map[l][c];
-      for (size_t r = 0; r < rows; ++r) dst[r * cols] = src[r];
+      if (l >= remaps.size() || c >= remaps[l].size() ||
+          remaps[l][c].empty()) {
+        for (size_t r = 0; r < rows; ++r) dst[r * cols] = src[r];
+        continue;
+      }
+      const CodeRemap& remap = remaps[l][c];
+      for (size_t r = 0; r < rows; ++r) {
+        auto it = remap.find(src[r]);
+        dst[r * cols] = it == remap.end() ? src[r] : it->second;
+      }
     }
     for (size_t r = 0; r < rows; ++r) {
       problem.table_ids_.push_back(static_cast<uint32_t>(l));
@@ -70,8 +50,7 @@ Result<FdProblem> FdProblem::BuildInterned(const TableList& tables,
         std::max(problem.num_tables_, static_cast<uint32_t>(l) + 1);
     base += rows;
   }
-  problem.value_copies_ = dict->stats().values_interned - interned_before;
-  problem.external_dict_ = &dict->dict();
+  problem.external_dict_ = &dict;
   problem.codes_ready_ = true;
   return problem;
 }
@@ -139,7 +118,6 @@ void FdProblem::BuildIndex(ThreadPool* pool) {
         if (!vals[c].is_null()) out[c] = dict_.InternHashed(vals[c], h[c]);
       }
     }
-    value_copies_ += dict_.NumDistinct();
     codes_ready_ = true;
   }
 
@@ -251,7 +229,6 @@ void FdProblem::BuildIndex(ThreadPool* pool) {
   }
   index_stats_.posting_lists = num_postings;
   index_stats_.posting_entries = num_entries;
-  index_stats_.value_copies = value_copies_;
   index_built_ = true;
 }
 

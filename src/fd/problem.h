@@ -1,29 +1,32 @@
 // FdProblem: the outer-union representation Full Disjunction operates on.
 //
 // Every input tuple is padded to the universal schema with nulls and tagged
-// with its source table and a global tuple id (TID). BuildIndex interns all
-// cell values into a per-problem ValueDict so tuples become flat uint32 code
-// rows, then builds posting lists over (column, code) pairs. The posting
-// lists *are* the join graph, stored implicitly in CSR form: tuples sharing
-// an equal non-null value on a universal column are joinable neighbors, and
-// a posting list of k tuples represents its k·(k−1) adjacency edges in O(k)
-// space — no materialized all-pairs edge lists. Connected components of the
-// graph partition the FD computation.
+// with its source table and a global tuple id (TID), as a flat uint32 code
+// row: BuildInterned gathers the rows from encoded tables' session codes
+// (tuple-level AddTuple instances are interned into a per-problem ValueDict
+// by BuildIndex instead). BuildIndex then builds posting lists over
+// (column, code) pairs. The posting lists *are* the join graph, stored
+// implicitly in CSR form: tuples sharing an equal non-null value on a
+// universal column are joinable neighbors, and a posting list of k tuples
+// represents its k·(k−1) adjacency edges in O(k) space — no materialized
+// all-pairs edge lists. Connected components of the graph partition the FD
+// computation.
 #ifndef LAKEFUZZ_FD_PROBLEM_H_
 #define LAKEFUZZ_FD_PROBLEM_H_
 
 #include <cassert>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "fd/aligned_schema.h"
+#include "fd/session_dict.h"
 #include "fd/value_dict.h"
 #include "table/table.h"
 #include "util/result.h"
 
 namespace lakefuzz {
 
-class SessionDict;
 class ThreadPool;
 
 /// One null-padded input tuple.
@@ -38,12 +41,14 @@ struct FdIndexStats {
   size_t distinct_values = 0;   ///< non-null dictionary entries
   size_t posting_lists = 0;     ///< multi-tuple (joinable) posting lists
   size_t posting_entries = 0;   ///< Σ posting-list lengths (CSR size)
-  /// Value objects copied while constructing + interning the problem. The
-  /// legacy Build path pays O(rows × columns) (padded outer-union rows) plus
-  /// one copy per distinct value; BuildInterned pays only the distinct
-  /// values *new to the session dictionary* — zero on a warm cache.
-  size_t value_copies = 0;
 };
+
+/// A code→code substitution for one column (the fuzzy rewrite); codes
+/// absent from the map are kept.
+using CodeRemap = std::unordered_map<uint32_t, uint32_t>;
+/// remaps[l][c] applies to column c of table l. Empty outer vector = no
+/// substitution anywhere.
+using CodeRemaps = std::vector<std::vector<CodeRemap>>;
 
 /// A materialized Full Disjunction instance.
 class FdProblem {
@@ -54,32 +59,26 @@ class FdProblem {
   FdProblem(size_t num_columns, std::vector<std::string> column_names)
       : num_columns_(num_columns), column_names_(std::move(column_names)) {}
 
-  /// Outer-unions `tables` under `aligned` (validated first). The TableList
-  /// form borrows (the engine request path); the vector<Table> overload
-  /// forwards.
-  static Result<FdProblem> Build(const TableList& tables,
-                                 const AlignedSchema& aligned);
-  static Result<FdProblem> Build(const std::vector<Table>& tables,
-                                 const AlignedSchema& aligned);
-
-  /// Zero-copy outer union: interns codes directly from source-table cells
-  /// into the flat uint32 rows — no padded std::vector<Value> per tuple, no
-  /// AddTuple copy. `dict` (not owned; must outlive the problem) supplies
-  /// and keeps the codes, so repeated builds over the same tables only pay
-  /// dictionary lookups — or, for tables pinned in the session dictionary,
-  /// a flat scatter of memoized column codes with zero hashing. Problems
-  /// built this way have no materialized tuples(): all downstream work runs
-  /// on code rows and decodes through dict().
-  static Result<FdProblem> BuildInterned(const TableList& tables,
+  /// The outer union of `tables` under `aligned` (validated first),
+  /// gathered from the records' code columns into flat uint32 rows: no
+  /// padded Value rows, no Value copies, and nothing is interned. When
+  /// `remaps` is non-empty, remaps[l][c] substitutes codes of column c of
+  /// table l as they are gathered (the fuzzy rewrite stage's output).
+  /// `dict` is the dictionary the records were encoded into (not owned;
+  /// must outlive the problem): all downstream work runs on code rows and
+  /// decodes through it. Problems built this way have no materialized
+  /// tuples().
+  static Result<FdProblem> BuildInterned(const EncodedTables& tables,
                                          const AlignedSchema& aligned,
-                                         SessionDict* dict);
+                                         const ValueDict& dict,
+                                         const CodeRemaps& remaps = {});
 
   size_t num_columns() const { return num_columns_; }
   const std::vector<std::string>& column_names() const {
     return column_names_;
   }
-  /// Padded input tuples (legacy Build/AddTuple path only; empty for
-  /// BuildInterned problems, which never materialize per-tuple Values).
+  /// Padded input tuples (AddTuple problems only; empty for BuildInterned
+  /// problems, which never materialize per-tuple Values).
   const std::vector<FdInputTuple>& tuples() const { return tuples_; }
   size_t num_tuples() const { return table_ids_.size(); }
 
@@ -87,8 +86,9 @@ class FdProblem {
   uint32_t num_tables() const { return num_tables_; }
   uint32_t table_id(uint32_t tid) const { return table_ids_[tid]; }
 
-  /// Appends a tuple (used by Build and by tests constructing instances
-  /// directly). `values` must have num_columns() entries.
+  /// Appends a tuple (tuple-level instances: the FD unit tests and the
+  /// oracle's reference problems). `values` must have num_columns()
+  /// entries.
   Status AddTuple(uint32_t table_id, std::vector<Value> values);
 
   /// Builds the value dictionary, interned code rows, CSR posting lists,
@@ -99,9 +99,9 @@ class FdProblem {
   void BuildIndex(ThreadPool* pool = nullptr);
   bool index_built() const { return index_built_; }
 
-  /// The interning dictionary: the problem-owned one (legacy Build), or the
-  /// session dictionary a BuildInterned problem was encoded against.
-  /// Requires BuildIndex() on the legacy path.
+  /// The interning dictionary: the problem-owned one (AddTuple problems),
+  /// or the session dictionary a BuildInterned problem was encoded against.
+  /// Requires BuildIndex() on AddTuple problems.
   const ValueDict& dict() const {
     return external_dict_ != nullptr ? *external_dict_ : dict_;
   }
@@ -147,19 +147,18 @@ class FdProblem {
  private:
   size_t num_columns_;
   std::vector<std::string> column_names_;
-  std::vector<FdInputTuple> tuples_;  ///< legacy Build path only
+  std::vector<FdInputTuple> tuples_;  ///< AddTuple problems only
   std::vector<uint32_t> table_ids_;   ///< table id per TID (both paths)
   uint32_t num_tables_ = 0;
 
   bool index_built_ = false;
   /// True once codes_ holds the interned rows (set by BuildInterned, or by
-  /// BuildIndex phases 1–2 on the legacy path).
+  /// BuildIndex phases 1–2 on AddTuple problems).
   bool codes_ready_ = false;
   ValueDict dict_;
   /// Session dictionary the rows were encoded against (BuildInterned); not
-  /// owned, must outlive the problem. Null on the legacy path.
+  /// owned, must outlive the problem. Null on AddTuple problems.
   const ValueDict* external_dict_ = nullptr;
-  size_t value_copies_ = 0;      ///< see FdIndexStats::value_copies
   std::vector<uint32_t> codes_;  ///< num_tuples × num_columns interned cells
 
   // CSR join graph. Posting lists keep only multi-tuple lists (singletons

@@ -170,7 +170,7 @@ TEST(CatalogRoundTripTest, IdenticalResultsAcrossThreadCounts) {
     EXPECT_EQ(reader->discovery_index().num_tables(), 3u);
 
     // Warm requests must not re-intern anything: the dictionary was
-    // replayed and every column memo was seeded from persisted codes.
+    // replayed and every record was rebuilt from persisted codes.
     const uint64_t interned_after_open =
         reader->session_dict().stats().values_interned;
     auto warm = reader->Integrate(names);
@@ -667,15 +667,17 @@ TEST(CatalogFingerprintTest, ContentKeyedNotCodeKeyed) {
   auto warm = Table::FromRows("warm", {"City"},
                               {{S("Quito")}, {S("Berlin")}, {S("Xi'an")}});
   ASSERT_TRUE(warm.ok());
-  for (size_t c = 0; c < warm->NumColumns(); ++c) {
-    backward.ColumnCodes(*warm, c);  // skew backward's code numbering
-  }
-  const uint64_t fp_fwd = CatalogTableFingerprint(lake[0], &forward);
-  const uint64_t fp_bwd = CatalogTableFingerprint(lake[0], &backward);
+  // Skew backward's code numbering.
+  backward.Encode(std::make_shared<const Table>(*warm));
+  auto fingerprint = [](const Table& table, SessionDict* dict) {
+    return CatalogTableFingerprint(
+        *dict->Encode(std::make_shared<const Table>(table)), dict->dict());
+  };
+  const uint64_t fp_fwd = fingerprint(lake[0], &forward);
+  const uint64_t fp_bwd = fingerprint(lake[0], &backward);
   EXPECT_EQ(fp_fwd, fp_bwd);
   // Different content ⇒ different fingerprint.
-  EXPECT_NE(CatalogTableFingerprint(lake[0], &forward),
-            CatalogTableFingerprint(lake[1], &forward));
+  EXPECT_NE(fingerprint(lake[0], &forward), fingerprint(lake[1], &forward));
 }
 
 // ------------------------------------------------------------- peak RSS

@@ -10,6 +10,7 @@
 #include "core/value_matcher.h"
 #include "embedding/knowledge_base.h"
 #include "embedding/model_zoo.h"
+#include "fd_problems.h"
 #include "util/thread_pool.h"
 
 namespace lakefuzz {
@@ -299,6 +300,7 @@ std::vector<Table> Fig1Tables() {
 FuzzyFdOptions PaperFuzzyFdOptions() {
   FuzzyFdOptions opts;
   opts.matcher = MistralOptions();
+  opts.session_dict = TestSessionDict();
   return opts;
 }
 
@@ -308,7 +310,7 @@ TEST(FuzzyFdTest, Fig1FuzzyIntegrationProducesFiveTuples) {
   ASSERT_TRUE(aligned.ok());
   FuzzyFullDisjunction fuzzy(PaperFuzzyFdOptions());
   FuzzyFdReport report;
-  auto result = fuzzy.RunToTuples(BorrowTables(tables), *aligned,
+  auto result = fuzzy.RunToTuples(TestEncoded(tables), *aligned,
                                   /*fuzzy=*/true, &report);
   ASSERT_TRUE(result.ok());
   // Paper Fig. 1 Fuzzy FD(T1,T2,T3): f10..f14 — five tuples.
@@ -331,7 +333,7 @@ TEST(FuzzyFdTest, Fig1RepresentativeValuesFollowPaperRule) {
   ASSERT_TRUE(aligned.ok());
   FuzzyFullDisjunction fuzzy(PaperFuzzyFdOptions());
   auto result =
-      fuzzy.RunToTuples(BorrowTables(tables), *aligned, /*fuzzy=*/true);
+      fuzzy.RunToTuples(TestEncoded(tables), *aligned, /*fuzzy=*/true);
   ASSERT_TRUE(result.ok());
   for (const auto& t : result->tuples) {
     if (t.tids == std::vector<uint32_t>{0, 6, 8}) {
@@ -355,7 +357,7 @@ TEST(FuzzyFdTest, RewriteTablesMakesValuesConsistent) {
   ASSERT_TRUE(aligned.ok());
   FuzzyFullDisjunction fuzzy(PaperFuzzyFdOptions());
   FuzzyFdReport report;
-  auto rewritten = fuzzy.RewriteTables(BorrowTables(tables), *aligned,
+  auto rewritten = fuzzy.RewriteTables(TestEncoded(tables), *aligned,
                                        &report);
   ASSERT_TRUE(rewritten.ok());
   // T1's Berlinn must now read Berlin; T3's barcelona must read Barcelona.
@@ -379,10 +381,10 @@ TEST(FuzzyFdTest, DegeneratesToRegularFdWithImpossibleThreshold) {
   opts.matcher.normalize_identity = false;  // prepass = byte equality only
   FuzzyFullDisjunction fuzzy(opts);
   auto fuzzy_result =
-      fuzzy.RunToTuples(BorrowTables(tables), *aligned, /*fuzzy=*/true);
+      fuzzy.RunToTuples(TestEncoded(tables), *aligned, /*fuzzy=*/true);
   ASSERT_TRUE(fuzzy_result.ok());
   auto regular =
-      fuzzy.RunToTuples(BorrowTables(tables), *aligned, /*fuzzy=*/false);
+      fuzzy.RunToTuples(TestEncoded(tables), *aligned, /*fuzzy=*/false);
   ASSERT_TRUE(regular.ok());
   ASSERT_EQ(fuzzy_result->tuples.size(), regular->tuples.size());
   for (size_t i = 0; i < regular->tuples.size(); ++i) {
@@ -399,9 +401,9 @@ TEST(FuzzyFdTest, PooledPipelineMatchesInline) {
   FuzzyFdOptions par_opts = PaperFuzzyFdOptions();
   par_opts.pool = &pool;
   auto seq = FuzzyFullDisjunction(seq_opts).RunToTuples(
-      BorrowTables(tables), *aligned, /*fuzzy=*/true);
+      TestEncoded(tables), *aligned, /*fuzzy=*/true);
   auto par = FuzzyFullDisjunction(par_opts).RunToTuples(
-      BorrowTables(tables), *aligned, /*fuzzy=*/true);
+      TestEncoded(tables), *aligned, /*fuzzy=*/true);
   ASSERT_TRUE(seq.ok());
   ASSERT_TRUE(par.ok());
   ASSERT_EQ(seq->tuples.size(), par->tuples.size());
@@ -416,12 +418,12 @@ TEST(FuzzyFdTest, BatchesCoverTheResultInOrder) {
   ASSERT_TRUE(aligned.ok());
   FuzzyFullDisjunction fuzzy(PaperFuzzyFdOptions());
   auto whole =
-      fuzzy.RunToTuples(BorrowTables(tables), *aligned, /*fuzzy=*/true);
+      fuzzy.RunToTuples(TestEncoded(tables), *aligned, /*fuzzy=*/true);
   ASSERT_TRUE(whole.ok());
   std::vector<FdResultTuple> streamed;
   std::vector<size_t> batch_sizes;
   auto emitted = fuzzy.RunToBatches(
-      BorrowTables(tables), *aligned, /*fuzzy=*/true, /*batch_rows=*/2,
+      TestEncoded(tables), *aligned, /*fuzzy=*/true, /*batch_rows=*/2,
       [&](std::vector<FdResultTuple>* batch) {
         batch_sizes.push_back(batch->size());
         streamed.insert(streamed.end(), batch->begin(), batch->end());
@@ -439,7 +441,7 @@ TEST(FuzzyFdTest, ReportTimingsPopulated) {
   ASSERT_TRUE(aligned.ok());
   FuzzyFdReport report;
   auto result = FuzzyFullDisjunction(PaperFuzzyFdOptions())
-                    .RunToTuples(BorrowTables(tables), *aligned,
+                    .RunToTuples(TestEncoded(tables), *aligned,
                                  /*fuzzy=*/true, &report);
   ASSERT_TRUE(result.ok());
   // A bare pipeline run (no engine) records its own stages into the
@@ -452,6 +454,22 @@ TEST(FuzzyFdTest, ReportTimingsPopulated) {
   EXPECT_EQ(report.stages.runs(Stage::kAlign), 0u);
   EXPECT_GT(report.total_seconds(), 0.0);
   EXPECT_EQ(report.fd_stats.results, 5u);
+}
+
+TEST(FuzzyFdTest, PipelineRequiresSessionDict) {
+  auto tables = Fig1Tables();
+  auto aligned = AlignByName(tables);
+  ASSERT_TRUE(aligned.ok());
+  FuzzyFdOptions opts = PaperFuzzyFdOptions();
+  opts.session_dict = nullptr;
+  FuzzyFullDisjunction fuzzy(opts);
+  for (bool fuzzy_mode : {true, false}) {
+    EXPECT_EQ(
+        fuzzy.RunToTuples(TestEncoded(tables), *aligned, fuzzy_mode).code(),
+        ErrorCode::kInvalidArgument);
+  }
+  EXPECT_EQ(fuzzy.RewriteTables(TestEncoded(tables), *aligned, nullptr).code(),
+            ErrorCode::kInvalidArgument);
 }
 
 TEST(FuzzyFdTest, InternedRewriteMatchesStringKeyedSemantics) {
@@ -474,6 +492,7 @@ TEST(FuzzyFdTest, InternedRewriteMatchesStringKeyedSemantics) {
   ASSERT_TRUE(aligned.ok());
 
   FuzzyFdOptions opts;
+  opts.session_dict = TestSessionDict();
   // Deterministic toy distance: "05" ~ "5" are near, everything else far,
   // so the assignment merges exactly that pair. Tie on global frequency →
   // the earlier column's "05" is elected representative, producing the
@@ -483,7 +502,7 @@ TEST(FuzzyFdTest, InternedRewriteMatchesStringKeyedSemantics) {
   };
   FuzzyFdReport report;
   auto rewritten = FuzzyFullDisjunction(opts).RewriteTables(
-      BorrowTables(tables), *aligned, &report);
+      TestEncoded(tables), *aligned, &report);
   ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
 
   // All four "5"-rendering cells rewrote — both String twins and both Int
@@ -508,11 +527,11 @@ TEST(FuzzyFdTest, TypedValuesSurviveRewrite) {
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
   FuzzyFullDisjunction fuzzy(PaperFuzzyFdOptions());
-  auto rewritten = fuzzy.RewriteTables(BorrowTables(tables), *aligned, nullptr);
+  auto rewritten = fuzzy.RewriteTables(TestEncoded(tables), *aligned, nullptr);
   ASSERT_TRUE(rewritten.ok());
   EXPECT_EQ((*rewritten)[0].At(0, 0).type(), ValueType::kInt64);
   auto result =
-      fuzzy.RunToTuples(BorrowTables(tables), *aligned, /*fuzzy=*/true);
+      fuzzy.RunToTuples(TestEncoded(tables), *aligned, /*fuzzy=*/true);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->tuples.size(), 3u);  // join on 1, singles for 2 and 3
 }

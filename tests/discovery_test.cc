@@ -441,10 +441,12 @@ TEST(DiscoveryTest, CancelAbortsBulkResyncAndLeavesIndexStale) {
   opts.group_size = 3;
   auto lake = GenerateLake(opts);
   SessionDict dict;
-  DiscoveryIndex index(DiscoveryOptions(), &dict, /*pool=*/nullptr);
-  std::vector<std::pair<std::string, std::shared_ptr<const Table>>> snapshot;
+  DiscoveryIndex index(DiscoveryOptions(), &dict.dict(), /*pool=*/nullptr);
+  std::vector<std::pair<std::string, std::shared_ptr<const EncodedTable>>>
+      snapshot;
   for (auto& t : lake.tables) {
-    snapshot.emplace_back(t.name(), std::make_shared<const Table>(t));
+    snapshot.emplace_back(t.name(),
+                          dict.Encode(std::make_shared<const Table>(t)));
   }
   CancelToken fired = CancelToken::Create();
   fired.Cancel();
@@ -493,25 +495,26 @@ TEST(DiscoveryTest, UnregisterRemovesFromIndexAndTypesErrors) {
 // ---------------------------------------------- session-dict concurrency
 
 TEST(DiscoveryTest, ConcurrentColdInterningStaysConsistent) {
-  // The sharded intern path: many threads interning overlapping value sets
+  // The sharded intern path: many threads encoding overlapping value sets
   // concurrently must agree on one code per value, with no lost inserts.
   SessionDict dict;
   constexpr size_t kThreads = 8;
   constexpr size_t kValues = 2000;
   std::vector<std::thread> workers;
-  std::vector<std::vector<uint32_t>> codes(kThreads,
-                                           std::vector<uint32_t>(kValues));
+  std::vector<std::vector<uint32_t>> codes(kThreads);
   for (size_t t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
+      // Each thread's column interleaves shared values (contended) with
+      // private ones (cold inserts in parallel).
+      auto column = std::make_shared<Table>("t", Schema::FromNames({"v"}));
       for (size_t i = 0; i < kValues; ++i) {
-        // Each thread interleaves shared values (contended) with private
-        // ones (cold inserts in parallel).
         const bool shared = i % 2 == 0;
         const std::string s = shared
                                   ? "shared_" + std::to_string(i)
                                   : StrFormat("t%zu_%zu", t, i);
-        codes[t][i] = dict.InternValue(Value::String(s));
+        EXPECT_TRUE(column->AppendRow({Value::String(s)}).ok());
       }
+      codes[t] = dict.Encode(std::move(column))->codes[0];
     });
   }
   for (auto& w : workers) w.join();

@@ -140,23 +140,45 @@ TEST(TableRegistryTest, NamesSortedAndUnregister) {
 }
 
 TEST(TableRegistryTest, UnregisterIsTypedAndBumpsVersion) {
-  // Registry-level contract: typed kNotFound on a miss, version bump on a
-  // hit (so derived caches keyed on the version stop validating).
+  // Registry-level contract: Take returns null on a miss and mutates
+  // nothing, and bumps the version on a hit (so derived caches keyed on the
+  // version stop validating).
   TableRegistry registry;
+  SessionDict dict;
   auto tables = SmallIntegrationSet();
-  ASSERT_TRUE(registry.Register("a", std::move(tables[0])).ok());
+  ASSERT_TRUE(registry
+                  .Register("a", dict.Encode(std::make_shared<const Table>(
+                                     std::move(tables[0]))))
+                  .ok());
   const uint64_t before = registry.version();
-  EXPECT_EQ(registry.Unregister("missing").code(), ErrorCode::kNotFound);
+  EXPECT_EQ(registry.Take("missing"), nullptr);
   EXPECT_EQ(registry.version(), before);  // a miss mutates nothing
-  EXPECT_TRUE(registry.Unregister("a").ok());
+  EXPECT_NE(registry.Take("a"), nullptr);
   EXPECT_GT(registry.version(), before);
-  EXPECT_EQ(registry.Unregister("a").code(), ErrorCode::kNotFound);
+  EXPECT_EQ(registry.Take("a"), nullptr);
   EXPECT_EQ(registry.size(), 0u);
 
   // Engine-level twin of the same taxonomy.
   auto engine = MakeEngineWithSmallSet();
   EXPECT_TRUE(engine->Unregister("a").ok());
   EXPECT_EQ(engine->Unregister("a").code(), ErrorCode::kNotFound);
+}
+
+TEST(TableRegistryTest, SchemaCacheKeysOnTheNameList) {
+  // Registry names may contain any byte, including one a joined-string key
+  // would use as its separator: {"a", "b"} and {"a\x1fb"} are different
+  // requests and must not share a cached alignment.
+  auto engine = MakeEngineWithSmallSet();
+  const std::string joined = "a\x1f" "b";
+  ASSERT_TRUE(engine->RegisterTable(joined, SmallIntegrationSet()[0]).ok());
+  RequestOptions by_name;
+  by_name.holistic_alignment = false;
+  by_name.fuzzy = false;
+  ASSERT_TRUE(engine->Integrate({"a", "b"}, by_name).ok());
+  auto single = engine->Integrate({joined}, by_name);
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  EXPECT_EQ(single->aligned.column_map.size(), 1u);
+  EXPECT_EQ(engine->schema_cache_hits(), 0u);
 }
 
 TEST(TableRegistryTest, SchemaCacheInvalidatedOnUnregister) {
@@ -338,10 +360,10 @@ TEST(LakeEngineTest, AlignedSchemaCachedPerNameSetAndInvalidated) {
   EXPECT_EQ(after->aligned.NumUniversal(), 4u);  // Mayor joined the schema
 }
 
-TEST(LakeEngineTest, SessionDictColumnCodesReusedAcrossCalls) {
-  // Defer discovery sketching: this test observes the *request-driven*
-  // cold → warm transition, which register-time sketching would pre-warm
-  // (that eager path is covered by discovery_test).
+TEST(LakeEngineTest, RegisteredTablesAreEncodedOnce) {
+  // Registration encodes each table into the session dictionary once;
+  // requests and discovery read those codes and intern nothing — even the
+  // first request, and with sketching deferred to the first discovery call.
   auto engine = LakeEngine::Create(EngineOptions().SetDiscovery(
       DiscoveryOptions().SetBuildAtRegister(false)));
   ASSERT_TRUE(engine.ok());
@@ -350,44 +372,36 @@ TEST(LakeEngineTest, SessionDictColumnCodesReusedAcrossCalls) {
     ASSERT_TRUE((*engine)->RegisterTable("a", tables[0]).ok());
     ASSERT_TRUE((*engine)->RegisterTable("b", tables[1]).ok());
   }
-  RequestOptions req;
-  req.holistic_alignment = false;
-  req.fuzzy = false;  // regular FD: registered snapshots reach the FD build
-  auto first = (*engine)->Integrate({"a", "b"}, req);
-  ASSERT_TRUE(first.ok());
-  // Cold call interned the lake once (one copy per distinct value)...
-  EXPECT_GT(first->report.fd_stats.value_copies, 0u);
-  const auto cold = (*engine)->session_dict().stats();
-  EXPECT_GT(cold.values_interned, 0u);
-
-  auto second = (*engine)->Integrate({"a", "b"}, req);
-  ASSERT_TRUE(second.ok());
-  // ... and the warm call is zero-copy: every column a memo hit, no new
-  // values interned (the acceptance criterion for BuildInterned).
-  EXPECT_EQ(second->report.fd_stats.value_copies, 0u);
-  const auto warm = (*engine)->session_dict().stats();
-  EXPECT_EQ(warm.values_interned, cold.values_interned);
-  EXPECT_GT(warm.column_hits, cold.column_hits);
-  ExpectTablesIdentical(first->integrated, second->integrated);
+  const size_t encoded = (*engine)->session_dict().NumDistinct();
+  EXPECT_EQ(encoded, 8u);  // every distinct cell of both tables
+  for (bool fuzzy : {true, false}) {
+    RequestOptions req;
+    req.holistic_alignment = false;
+    req.fuzzy = fuzzy;
+    auto first = (*engine)->Integrate({"a", "b"}, req);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    EXPECT_EQ((*engine)->session_dict().NumDistinct(), encoded) << fuzzy;
+    auto second = (*engine)->Integrate({"a", "b"}, req);
+    ASSERT_TRUE(second.ok());
+    EXPECT_EQ((*engine)->session_dict().NumDistinct(), encoded) << fuzzy;
+    ExpectTablesIdentical(first->integrated, second->integrated);
+  }
+  ASSERT_TRUE((*engine)->DiscoverUnionable("a", 1).ok());
+  EXPECT_EQ((*engine)->session_dict().NumDistinct(), encoded);
 }
 
-TEST(LakeEngineTest, FuzzyPathBorrowsUntouchedTablesIntoSessionDict) {
-  // In the fuzzy pipeline only tables the rewrite stage modified are
-  // copied; untouched ones keep their registry identity, so their interned
-  // column codes become cache hits on repeat calls.
+TEST(LakeEngineTest, RejectedRegistrationInternsNothing) {
   auto engine = MakeEngineWithSmallSet();
-  RequestOptions req;
-  req.holistic_alignment = false;
-  ASSERT_TRUE(engine->Integrate({"a", "b"}, req).ok());
-  const auto cold = engine->session_dict().stats();
-  ASSERT_TRUE(engine->Integrate({"a", "b"}, req).ok());
-  const auto warm = engine->session_dict().stats();
-  // "Berlinn" → "Berlin" rewrites table a, so table b (untouched) is the
-  // one that must hit the memo on the second call.
-  EXPECT_GT(warm.column_hits, cold.column_hits);
-  // Rewritten temporaries never pollute the dictionary cache with new
-  // values on the second pass: the rewrite is deterministic.
-  EXPECT_EQ(warm.values_interned, cold.values_interned);
+  const size_t before = engine->session_dict().NumDistinct();
+  auto fresh = Table::FromRows("fresh", {"City"},
+                               {{S("Quito")}, {S("Xi'an")}});
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(engine->RegisterTable("a", *fresh).code(),
+            ErrorCode::kAlreadyExists);
+  EXPECT_EQ(engine->RegisterTable("", *fresh).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(engine->session_dict().NumDistinct(), before);
+  EXPECT_EQ(engine->NumTables(), 2u);
 }
 
 TEST(LakeEngineTest, ParallelEngineMatchesSerialEngine) {

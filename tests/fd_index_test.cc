@@ -354,11 +354,13 @@ TEST(ThreadInvarianceTest, CorruptedImdbIdenticalAcrossThreadCounts) {
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
 
+  SessionDict dict;
+  const EncodedTables encoded = EncodeTables(tables, &dict);
   FuzzyFdOptions serial_opts;
   serial_opts.matcher.model = MakeModel(ModelKind::kMistral);
+  serial_opts.session_dict = &dict;
   auto reference = FuzzyFullDisjunction(serial_opts)
-                       .RunToTuples(BorrowTables(tables), *aligned,
-                                    /*fuzzy=*/true);
+                       .RunToTuples(encoded, *aligned, /*fuzzy=*/true);
   ASSERT_TRUE(reference.ok());
   ASSERT_GT(reference->tuples.size(), 0u);
 
@@ -367,7 +369,7 @@ TEST(ThreadInvarianceTest, CorruptedImdbIdenticalAcrossThreadCounts) {
     FuzzyFdOptions opts = serial_opts;
     opts.pool = &pool;
     auto result = FuzzyFullDisjunction(opts).RunToTuples(
-        BorrowTables(tables), *aligned, /*fuzzy=*/true);
+        encoded, *aligned, /*fuzzy=*/true);
     ASSERT_TRUE(result.ok()) << threads;
     ASSERT_EQ(result->tuples.size(), reference->tuples.size()) << threads;
     for (size_t i = 0; i < result->tuples.size(); ++i) {
@@ -383,18 +385,22 @@ TEST(ThreadInvarianceTest, RegularFdOnCorruptedImdbMatchesSerial) {
   auto tables = CorruptedImdbTables();
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
+  SessionDict dict;
+  const EncodedTables encoded = EncodeTables(tables, &dict);
+  FuzzyFdOptions serial_opts;
+  serial_opts.session_dict = &dict;
   FuzzyFdReport serial_report;
-  auto serial = FuzzyFullDisjunction(FuzzyFdOptions())
-                    .RunToTuples(BorrowTables(tables), *aligned,
-                                 /*fuzzy=*/false, &serial_report);
+  auto serial = FuzzyFullDisjunction(serial_opts)
+                    .RunToTuples(encoded, *aligned, /*fuzzy=*/false,
+                                 &serial_report);
   ASSERT_TRUE(serial.ok());
   EXPECT_GT(serial_report.fd_stats.posting_lists, 0u);
   for (size_t threads : {2u, 8u}) {
     ThreadPool pool(threads);
-    FuzzyFdOptions opts;
+    FuzzyFdOptions opts = serial_opts;
     opts.pool = &pool;
     auto parallel = FuzzyFullDisjunction(opts).RunToTuples(
-        BorrowTables(tables), *aligned, /*fuzzy=*/false);
+        encoded, *aligned, /*fuzzy=*/false);
     ASSERT_TRUE(parallel.ok());
     ASSERT_EQ(parallel->tuples.size(), serial->tuples.size());
     for (size_t i = 0; i < parallel->tuples.size(); ++i) {

@@ -1,8 +1,8 @@
-// Tests for PR 4's FD hot-path work: intra-component parallel enumeration
+// Tests for the FD hot path: intra-component parallel enumeration
 // (thread-count invariance on a single giant component, cancellation and
-// budget exhaustion mid-subtree) and zero-copy interning
-// (FdProblem::BuildInterned vs the legacy padded Build, session-dict column
-// caching, concurrent decode-while-intern safety).
+// budget exhaustion mid-subtree) and the code build (FdProblem::
+// BuildInterned vs a tuple-level AddTuple problem, concurrent
+// decode-while-encode safety).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include "fd/full_disjunction.h"
 #include "fd/problem.h"
 #include "fd/session_dict.h"
+#include "fd_problems.h"
 #include "util/rng.h"
 #include "util/str.h"
 #include "util/thread_pool.h"
@@ -50,7 +51,7 @@ std::vector<Table> GiantComponentTables(size_t num_tables, size_t num_keys,
 Result<FdProblem> BuildGiant(const std::vector<Table>& tables) {
   auto aligned = AlignByName(tables);
   EXPECT_TRUE(aligned.ok());
-  return FdProblem::Build(tables, *aligned);
+  return EncodedProblem(tables, *aligned);
 }
 
 // ------------------------------------------ intra-component parallelism
@@ -115,17 +116,19 @@ TEST(IntraComponentTest, ManyComponentsWithIntraStillMatchSerial) {
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
 
-  auto serial = FuzzyFullDisjunction(FuzzyFdOptions())
-                    .RunToTuples(BorrowTables(tables), *aligned,
-                                 /*fuzzy=*/false);
+  const EncodedTables encoded = TestEncoded(tables);
+  FuzzyFdOptions serial_opts;
+  serial_opts.session_dict = TestSessionDict();
+  auto serial = FuzzyFullDisjunction(serial_opts)
+                    .RunToTuples(encoded, *aligned, /*fuzzy=*/false);
   ASSERT_TRUE(serial.ok());
   for (size_t threads : {2u, 8u}) {
     ThreadPool pool(threads);
-    FuzzyFdOptions opts;
+    FuzzyFdOptions opts = serial_opts;
     opts.fd.intra_component_min_size = 4;
     opts.pool = &pool;
     auto parallel = FuzzyFullDisjunction(opts).RunToTuples(
-        BorrowTables(tables), *aligned, /*fuzzy=*/false);
+        encoded, *aligned, /*fuzzy=*/false);
     ASSERT_TRUE(parallel.ok());
     ASSERT_EQ(parallel->tuples.size(), serial->tuples.size());
     for (size_t i = 0; i < serial->tuples.size(); ++i) {
@@ -247,117 +250,70 @@ TEST(BuildInternedTest, ParityWithLegacyBuildOnRandomTypedTables) {
     auto aligned = AlignByName(tables);
     ASSERT_TRUE(aligned.ok());
 
-    auto legacy = FdProblem::Build(tables, *aligned);
-    ASSERT_TRUE(legacy.ok());
+    // Reference: the same rows as a tuple-level instance, interned by the
+    // problem itself.
+    FdProblem reference = PaddedProblem(tables, *aligned);
     SessionDict dict;
-    auto interned =
-        FdProblem::BuildInterned(BorrowTables(tables), *aligned, &dict);
+    const EncodedTables encoded = EncodeTables(tables, &dict);
+    const size_t distinct_encoded = dict.NumDistinct();
+    auto interned = FdProblem::BuildInterned(encoded, *aligned, dict.dict());
     ASSERT_TRUE(interned.ok());
+    // The code build is a gather: it adds no dictionary entry.
+    EXPECT_EQ(dict.NumDistinct(), distinct_encoded) << trial;
 
-    ASSERT_EQ(legacy->num_tuples(), interned->num_tuples());
-    for (uint32_t tid = 0; tid < legacy->num_tuples(); ++tid) {
-      ASSERT_EQ(legacy->table_id(tid), interned->table_id(tid));
+    ASSERT_EQ(reference.num_tuples(), interned->num_tuples());
+    for (uint32_t tid = 0; tid < reference.num_tuples(); ++tid) {
+      ASSERT_EQ(reference.table_id(tid), interned->table_id(tid));
     }
 
-    auto legacy_result = FullDisjunction().Run(&*legacy);
+    auto reference_result = FullDisjunction().Run(&reference);
     auto interned_result = FullDisjunction().Run(&*interned);
-    ASSERT_TRUE(legacy_result.ok()) << trial;
+    ASSERT_TRUE(reference_result.ok()) << trial;
     ASSERT_TRUE(interned_result.ok()) << trial;
-    ASSERT_EQ(legacy_result->tuples.size(), interned_result->tuples.size())
+    EXPECT_EQ(dict.NumDistinct(), distinct_encoded) << trial;
+    ASSERT_EQ(reference_result->tuples.size(), interned_result->tuples.size())
         << trial;
-    for (size_t i = 0; i < legacy_result->tuples.size(); ++i) {
-      ASSERT_EQ(legacy_result->tuples[i].values,
+    for (size_t i = 0; i < reference_result->tuples.size(); ++i) {
+      ASSERT_EQ(reference_result->tuples[i].values,
                 interned_result->tuples[i].values)
           << "trial " << trial << " tuple " << i;
-      ASSERT_EQ(legacy_result->tuples[i].tids,
+      ASSERT_EQ(reference_result->tuples[i].tids,
                 interned_result->tuples[i].tids)
           << "trial " << trial << " tuple " << i;
     }
-
-    // The acceptance claim: the legacy path copies every padded cell; the
-    // interned path copies only the values new to the session dictionary.
-    size_t cells = 0;
-    for (const auto& t : tables) cells += t.NumRows() * t.NumColumns();
-    EXPECT_GE(legacy_result->stats.value_copies, cells) << trial;
-    EXPECT_LE(interned_result->stats.value_copies, dict.NumDistinct())
-        << trial;
     // distinct_values describes THIS problem on both paths, even though
     // the session dictionary spans the whole session.
-    EXPECT_EQ(legacy_result->stats.distinct_values,
+    EXPECT_EQ(reference_result->stats.distinct_values,
               interned_result->stats.distinct_values)
         << trial;
   }
 }
 
-TEST(BuildInternedTest, PinnedTablesWarmToZeroCopiesAndCacheHits) {
-  auto tables = GiantComponentTables(3, 8, 2);
-  auto aligned = AlignByName(tables);
-  ASSERT_TRUE(aligned.ok());
-  SessionDict dict;
-  TableList borrowed;
-  std::vector<std::shared_ptr<const Table>> pinned;
-  for (auto& t : tables) {
-    pinned.push_back(std::make_shared<const Table>(std::move(t)));
-    dict.PinTable(pinned.back());
-    borrowed.push_back(pinned.back().get());
-  }
-
-  auto cold = FdProblem::BuildInterned(borrowed, *aligned, &dict);
-  ASSERT_TRUE(cold.ok());
-  cold->BuildIndex();
-  EXPECT_GT(cold->index_stats().value_copies, 0u);
-  const auto cold_stats = dict.stats();
-  EXPECT_EQ(cold_stats.column_hits, 0u);
-
-  auto warm = FdProblem::BuildInterned(borrowed, *aligned, &dict);
-  ASSERT_TRUE(warm.ok());
-  warm->BuildIndex();
-  // Warm rebuild: every column answered from the memo, zero Value copies.
-  EXPECT_EQ(warm->index_stats().value_copies, 0u);
-  const auto warm_stats = dict.stats();
-  EXPECT_EQ(warm_stats.column_hits - cold_stats.column_hits,
-            borrowed.size() * 3);
-
-  // Identical code rows both times (codes are session-stable).
-  ASSERT_EQ(cold->num_tuples(), warm->num_tuples());
-  for (uint32_t tid = 0; tid < cold->num_tuples(); ++tid) {
-    for (size_t c = 0; c < cold->num_columns(); ++c) {
-      ASSERT_EQ(cold->CodeRow(tid)[c], warm->CodeRow(tid)[c]);
-    }
-  }
-
-  // Dropping a table unpins it: the next build re-interns (still zero NEW
-  // values, but no memo hit for that table's columns).
-  dict.DropTable(pinned[0].get());
-  auto after_drop = FdProblem::BuildInterned(borrowed, *aligned, &dict);
-  ASSERT_TRUE(after_drop.ok());
-  const auto drop_stats = dict.stats();
-  EXPECT_EQ(drop_stats.column_hits - warm_stats.column_hits,
-            (borrowed.size() - 1) * 3);
-}
-
 TEST(BuildInternedTest, DecodeStaysValidWhileAnotherThreadInterns) {
   // The session-dict contract: one request may stream-decode its codes
-  // while another request is still interning new values. ASan flags any
+  // while another thread is still encoding new values. ASan flags any
   // use-after-free if dictionary growth ever moved decoded storage.
+  auto column_table = [](const std::string& prefix, int from, int to) {
+    auto t = std::make_shared<Table>("t", Schema::FromNames({"v"}));
+    for (int i = from; i < to; ++i) {
+      EXPECT_TRUE(t->AppendRow({S(prefix + std::to_string(i))}).ok());
+    }
+    return std::shared_ptr<const Table>(std::move(t));
+  };
   SessionDict dict;
-  std::vector<uint32_t> codes;
-  std::vector<std::string> originals;
-  for (int i = 0; i < 2000; ++i) {
-    originals.push_back("warm_" + std::to_string(i));
-    codes.push_back(dict.InternValue(S(originals.back())));
-  }
+  auto warm = dict.Encode(column_table("warm_", 0, 2000));
+  const std::vector<uint32_t>& codes = warm->codes[0];
   std::atomic<bool> stop{false};
   std::thread interner([&] {
-    for (int i = 0; i < 60000 && !stop.load(); ++i) {
-      dict.InternValue(S("grow_" + std::to_string(i)));
+    for (int i = 0; i < 60000 && !stop.load(); i += 1000) {
+      dict.Encode(column_table("grow_", i, i + 1000));
     }
   });
   size_t mismatches = 0;
   for (int round = 0; round < 50; ++round) {
     for (size_t i = 0; i < codes.size(); ++i) {
       const Value& v = dict.dict().Decode(codes[i]);
-      if (!(v == S(originals[i]))) ++mismatches;
+      if (!(v == S("warm_" + std::to_string(i)))) ++mismatches;
     }
   }
   stop.store(true);
@@ -369,9 +325,7 @@ TEST(BuildInternedTest, AddTupleRejectedOnInternedProblem) {
   auto tables = GiantComponentTables(2, 2, 1);
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
-  SessionDict dict;
-  auto problem =
-      FdProblem::BuildInterned(BorrowTables(tables), *aligned, &dict);
+  auto problem = EncodedProblem(tables, *aligned);
   ASSERT_TRUE(problem.ok());
   auto status = problem->AddTuple(
       0, std::vector<Value>(problem->num_columns()));

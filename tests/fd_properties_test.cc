@@ -15,6 +15,7 @@
 #include "core/fuzzy_fd.h"
 #include "embedding/model_zoo.h"
 #include "fd/full_disjunction.h"
+#include "fd_problems.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -193,17 +194,17 @@ TEST(FuzzyFdInvariantTest, PipelineOutputUpholdsFdInvariants) {
 
   FuzzyFdOptions opts;
   opts.matcher.model = MakeModel(ModelKind::kMistral);
+  opts.session_dict = TestSessionDict();
   FuzzyFullDisjunction fuzzy(opts);
-  auto rewritten = fuzzy.RewriteTables(BorrowTables(tables), *aligned, nullptr);
+  auto rewritten = fuzzy.RewriteTables(TestEncoded(tables), *aligned, nullptr);
   ASSERT_TRUE(rewritten.ok());
-  auto result = fuzzy.RunToTuples(BorrowTables(tables), *aligned,
+  auto result = fuzzy.RunToTuples(TestEncoded(tables), *aligned,
                                   /*fuzzy=*/true);
   ASSERT_TRUE(result.ok());
 
-  auto problem = FdProblem::Build(*rewritten, *aligned);
-  ASSERT_TRUE(problem.ok());
-  problem->BuildIndex();
-  CheckInvariants(*problem, *result);
+  FdProblem problem = PaddedProblem(*rewritten, *aligned);
+  problem.BuildIndex();
+  CheckInvariants(problem, *result);
 }
 
 }  // namespace

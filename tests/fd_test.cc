@@ -10,6 +10,7 @@
 #include "fd/oracle.h"
 #include "fd/problem.h"
 #include "fd/subsumption.h"
+#include "fd_problems.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -104,22 +105,22 @@ TEST(FdProblemTest, BuildPadsWithNulls) {
   auto tables = Fig1Tables();
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
-  auto problem = FdProblem::Build(tables, *aligned);
+  auto problem = EncodedProblem(tables, *aligned);
   ASSERT_TRUE(problem.ok());
   EXPECT_EQ(problem->num_tuples(), 11u);
   EXPECT_EQ(problem->num_columns(), 5u);
   // First T1 tuple: City/Country set, rest null.
-  const auto& t0 = problem->tuples()[0];
-  EXPECT_EQ(t0.table_id, 0u);
-  EXPECT_EQ(t0.values[0], S("Berlinn"));
-  EXPECT_TRUE(t0.values[2].is_null());
+  const uint32_t* t0 = problem->CodeRow(0);
+  EXPECT_EQ(problem->table_id(0), 0u);
+  EXPECT_EQ(problem->dict().Decode(t0[0]), S("Berlinn"));
+  EXPECT_EQ(t0[2], FdProblem::kNullCode);
 }
 
 TEST(FdProblemTest, NeighborsViaSharedValues) {
   auto tables = Fig1Tables();
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
-  auto problem = FdProblem::Build(tables, *aligned);
+  auto problem = EncodedProblem(tables, *aligned);
   ASSERT_TRUE(problem.ok());
   problem->BuildIndex();
   // TID 1 = (Toronto, Canada); TID 4 = T2 (CA, Toronto, 83%): share City.
@@ -133,7 +134,7 @@ TEST(FdProblemTest, ComponentsPartitionTuples) {
   auto tables = Fig1Tables();
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
-  auto problem = FdProblem::Build(tables, *aligned);
+  auto problem = EncodedProblem(tables, *aligned);
   ASSERT_TRUE(problem.ok());
   problem->BuildIndex();
   size_t total = 0;
@@ -242,7 +243,7 @@ TEST(FullDisjunctionTest, Fig1EquiJoinProducesNineTuples) {
   auto tables = Fig1Tables();
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
-  auto problem = FdProblem::Build(tables, *aligned);
+  auto problem = EncodedProblem(tables, *aligned);
   ASSERT_TRUE(problem.ok());
   FullDisjunction fd;
   auto result = fd.Run(&problem.value());
@@ -284,7 +285,7 @@ TEST(FullDisjunctionTest, TwoTableCaseEqualsFullOuterJoin) {
   std::vector<Table> tables{*left, *right};
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
-  auto problem = FdProblem::Build(tables, *aligned);
+  auto problem = EncodedProblem(tables, *aligned);
   ASSERT_TRUE(problem.ok());
   auto result = FullDisjunction().Run(&problem.value());
   ASSERT_TRUE(result.ok());
@@ -302,7 +303,7 @@ TEST(FullDisjunctionTest, CrossProductWhenMultipleJoinPartners) {
   std::vector<Table> tables{*left, *right};
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
-  auto problem = FdProblem::Build(tables, *aligned);
+  auto problem = EncodedProblem(tables, *aligned);
   ASSERT_TRUE(problem.ok());
   auto result = FullDisjunction().Run(&problem.value());
   ASSERT_TRUE(result.ok());
@@ -327,7 +328,7 @@ TEST(FullDisjunctionTest, SingleTableIsIdentityModuloSubsumption) {
   std::vector<Table> tables{*t};
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
-  auto problem = FdProblem::Build(tables, *aligned);
+  auto problem = EncodedProblem(tables, *aligned);
   ASSERT_TRUE(problem.ok());
   auto result = FullDisjunction().Run(&problem.value());
   ASSERT_TRUE(result.ok());
@@ -340,7 +341,7 @@ TEST(FullDisjunctionTest, DuplicateTuplesCollapse) {
   std::vector<Table> tables{*t};
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
-  auto problem = FdProblem::Build(tables, *aligned);
+  auto problem = EncodedProblem(tables, *aligned);
   ASSERT_TRUE(problem.ok());
   auto result = FullDisjunction().Run(&problem.value());
   ASSERT_TRUE(result.ok());
@@ -354,7 +355,7 @@ TEST(FullDisjunctionTest, BudgetExhaustionSurfacesError) {
   FdOptions opts;
   opts.max_search_nodes = 1;  // absurdly small
   for (ThreadPool* pool : ExecutorPools()) {
-    auto problem = FdProblem::Build(tables, *aligned);
+    auto problem = EncodedProblem(tables, *aligned);
     ASSERT_TRUE(problem.ok());
     auto result = FullDisjunction(opts).Run(&problem.value(), pool);
     ASSERT_FALSE(result.ok()) << Workers(pool);
@@ -366,12 +367,12 @@ TEST(FullDisjunctionTest, Fig1IdenticalAtEveryPoolSize) {
   auto tables = Fig1Tables();
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
-  auto p0 = FdProblem::Build(tables, *aligned);
+  auto p0 = EncodedProblem(tables, *aligned);
   ASSERT_TRUE(p0.ok());
   auto reference = FullDisjunction().Run(&p0.value());
   ASSERT_TRUE(reference.ok());
   for (ThreadPool* pool : ExecutorPools()) {
-    auto problem = FdProblem::Build(tables, *aligned);
+    auto problem = EncodedProblem(tables, *aligned);
     ASSERT_TRUE(problem.ok());
     auto result = FullDisjunction().Run(&problem.value(), pool);
     ASSERT_TRUE(result.ok()) << Workers(pool);
@@ -387,7 +388,7 @@ TEST(FullDisjunctionTest, ResultsToTableWithProvenance) {
   auto tables = Fig1Tables();
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
-  auto problem = FdProblem::Build(tables, *aligned);
+  auto problem = EncodedProblem(tables, *aligned);
   ASSERT_TRUE(problem.ok());
   auto result = FullDisjunction().Run(&problem.value());
   ASSERT_TRUE(result.ok());
@@ -489,7 +490,7 @@ TEST(FullDisjunctionTest, TableOrderInvariantUpToProvenance) {
   auto tables = Fig1Tables();
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
-  auto problem = FdProblem::Build(tables, *aligned);
+  auto problem = EncodedProblem(tables, *aligned);
   ASSERT_TRUE(problem.ok());
   auto base = FullDisjunction().Run(&problem.value());
   ASSERT_TRUE(base.ok());
@@ -499,7 +500,7 @@ TEST(FullDisjunctionTest, TableOrderInvariantUpToProvenance) {
   for (size_t i : perm) shuffled.push_back(tables[i]);
   auto aligned2 = AlignByName(shuffled);
   ASSERT_TRUE(aligned2.ok());
-  auto problem2 = FdProblem::Build(shuffled, *aligned2);
+  auto problem2 = EncodedProblem(shuffled, *aligned2);
   ASSERT_TRUE(problem2.ok());
   auto permuted = FullDisjunction().Run(&problem2.value());
   ASSERT_TRUE(permuted.ok());
@@ -561,9 +562,7 @@ TEST(OracleTest, HandlesFig1) {
   auto tables = Fig1Tables();
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
-  auto problem = FdProblem::Build(tables, *aligned);
-  ASSERT_TRUE(problem.ok());
-  auto oracle = NaiveFdOracle(*problem);
+  auto oracle = NaiveFdOracle(PaddedProblem(tables, *aligned));
   ASSERT_TRUE(oracle.ok());
   EXPECT_EQ(oracle->size(), 9u);
 }

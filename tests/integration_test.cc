@@ -60,10 +60,12 @@ TEST(IntegrationTest, EmDownstreamFuzzyBeatsRegular) {
   auto aligned = AlignByName(bench.tables);
   ASSERT_TRUE(aligned.ok());
 
+  SessionDict dict;
   FuzzyFdOptions opts;
   opts.matcher.model = MakeModel(ModelKind::kMistral);
+  opts.session_dict = &dict;
   FuzzyFullDisjunction pipeline(opts);
-  const TableList tables = BorrowTables(bench.tables);
+  const EncodedTables tables = EncodeTables(bench.tables, &dict);
   auto fuzzy = pipeline.RunToTuples(tables, *aligned, /*fuzzy=*/true);
   ASSERT_TRUE(fuzzy.ok());
   auto regular = pipeline.RunToTuples(tables, *aligned, /*fuzzy=*/false);
@@ -93,10 +95,12 @@ TEST(IntegrationTest, ImdbEquiWorkloadFuzzyAddsResultsIdenticalToRegular) {
   auto aligned = AlignByName(bench.tables);
   ASSERT_TRUE(aligned.ok());
 
+  SessionDict dict;
   FuzzyFdOptions opts;
   opts.matcher.model = MakeModel(ModelKind::kMistral);
+  opts.session_dict = &dict;
   FuzzyFullDisjunction pipeline(opts);
-  const TableList tables = BorrowTables(bench.tables);
+  const EncodedTables tables = EncodeTables(bench.tables, &dict);
   FuzzyFdReport fuzzy_report;
   auto fuzzy =
       pipeline.RunToTuples(tables, *aligned, /*fuzzy=*/true, &fuzzy_report);
@@ -132,10 +136,12 @@ TEST(IntegrationTest, SchemaMatcherFeedsFuzzyFdWithoutHeaders) {
   ASSERT_TRUE(aligned.ok());
   ASSERT_EQ(aligned->NumUniversal(), 2u);
 
+  SessionDict dict;
   FuzzyFdOptions opts;
   opts.matcher.model = model;
+  opts.session_dict = &dict;
   auto result = FuzzyFullDisjunction(opts).RunToTuples(
-      BorrowTables(tables), *aligned, /*fuzzy=*/true);
+      EncodeTables(tables, &dict), *aligned, /*fuzzy=*/true);
   ASSERT_TRUE(result.ok());
   // Berlinn/Berlin and Toronto/Toronto integrate; Barcelona and Madrid
   // stay separate → 4 tuples.
@@ -158,10 +164,12 @@ TEST(IntegrationTest, CsvRoundTripThroughPipeline) {
   std::vector<Table> tables{*r1, *r2};
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
+  SessionDict dict;
   FuzzyFdOptions opts;
   opts.matcher.model = MakeModel(ModelKind::kMistral);
+  opts.session_dict = &dict;
   auto result = FuzzyFullDisjunction(opts).RunToTuples(
-      BorrowTables(tables), *aligned, /*fuzzy=*/true);
+      EncodeTables(tables, &dict), *aligned, /*fuzzy=*/true);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->tuples.size(), 3u);  // Berlin merged, Oslo, Lima
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "embedding/hashed_model.h"
 #include "embedding/model_zoo.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace lakefuzz {
 namespace {
@@ -74,9 +76,11 @@ TEST(ParallelMatcherTest, EmbeddingResultsIdenticalAcrossThreadCounts) {
   auto columns = CorruptedImdbColumns(120);
   ValueMatchResult baseline;
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
     ValueMatcherOptions opts;
     opts.model = MakeModel(ModelKind::kMistral, 256);
-    opts.num_threads = threads;
+    opts.pool = pool.get();
     auto result = ValueMatcher(opts).MatchColumns(columns);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     if (threads == 1) {
@@ -84,7 +88,7 @@ TEST(ParallelMatcherTest, EmbeddingResultsIdenticalAcrossThreadCounts) {
       continue;
     }
     EXPECT_EQ(Canonical(*result), Canonical(baseline))
-        << "groups diverged at num_threads=" << threads;
+        << "groups diverged at threads=" << threads;
     EXPECT_EQ(result->stats.exact_matches, baseline.stats.exact_matches);
     EXPECT_EQ(result->stats.assignment_matches,
               baseline.stats.assignment_matches);
@@ -97,6 +101,8 @@ TEST(ParallelMatcherTest, StringDistanceResultsIdenticalAcrossThreadCounts) {
   auto columns = CorruptedImdbColumns(120);
   ValueMatchResult baseline;
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
     ValueMatcherOptions opts;
     opts.bounded_string_distance =
         MakeBoundedStringDistance(StringDistanceKind::kNormalizedLevenshtein);
@@ -104,7 +110,7 @@ TEST(ParallelMatcherTest, StringDistanceResultsIdenticalAcrossThreadCounts) {
     // Masking makes the θ-budget pruning path active (see value_matcher.cc);
     // this test then covers pruning and threading together.
     opts.mask_before_solve = true;
-    opts.num_threads = threads;
+    opts.pool = pool.get();
     auto result = ValueMatcher(opts).MatchColumns(columns);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     if (threads == 1) {
@@ -125,9 +131,9 @@ TEST(ParallelMatcherTest, ZeroThreadsMeansHardwareConcurrency) {
   auto columns = CorruptedImdbColumns(60);
   ValueMatcherOptions opts;
   opts.model = MakeModel(ModelKind::kMistral, 256);
-  opts.num_threads = 1;
   auto serial = ValueMatcher(opts).MatchColumns(columns);
-  opts.num_threads = 0;
+  ThreadPool pool(ResolveNumThreads(0));
+  opts.pool = &pool;
   auto hardware = ValueMatcher(opts).MatchColumns(columns);
   ASSERT_TRUE(serial.ok() && hardware.ok());
   EXPECT_EQ(Canonical(*serial), Canonical(*hardware));

@@ -10,6 +10,7 @@
 #include "core/engine.h"
 #include "fd/full_disjunction.h"
 #include "fd/problem.h"
+#include "fd_problems.h"
 #include "table/csv.h"
 #include "util/request_context.h"
 #include "util/str.h"
@@ -107,7 +108,7 @@ std::vector<std::string> RegisterAll(LakeEngine* engine,
 Result<FdProblem> BuildByName(const std::vector<Table>& tables) {
   auto aligned = AlignByName(tables);
   EXPECT_TRUE(aligned.ok());
-  return FdProblem::Build(tables, *aligned);
+  return EncodedProblem(tables, *aligned);
 }
 
 // ---------------------------------------------------------------- Deadline
