@@ -94,21 +94,21 @@ BENCHMARK(BM_CsvParse);
 void BM_Subsumption(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Rng rng(11);
-  std::vector<FdResultTuple> tuples;
+  std::vector<FdCodeTuple> tuples;
   tuples.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    FdResultTuple t;
-    t.values.resize(6);
+    FdCodeTuple t;
+    t.codes.resize(6, FdProblem::kNullCode);
     for (size_t c = 0; c < 6; ++c) {
       if (rng.Bernoulli(0.4)) continue;
-      t.values[c] = Value::Int(static_cast<int64_t>(rng.Uniform(n / 4 + 1)));
+      t.codes[c] = 1 + static_cast<uint32_t>(rng.Uniform(n / 4 + 1));
     }
     t.tids = {static_cast<uint32_t>(i)};
     tuples.push_back(std::move(t));
   }
   for (auto _ : state) {
     auto copy = tuples;
-    auto result = EliminateSubsumed(std::move(copy));
+    auto result = EliminateSubsumedCodes(std::move(copy));
     benchmark::DoNotOptimize(result);
   }
   state.SetComplexityN(static_cast<int64_t>(n));

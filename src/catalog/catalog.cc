@@ -707,9 +707,11 @@ std::string SerializeManifest(const Manifest& m) {
   return out.bytes();
 }
 
-/// Cap on manifest table entries — a corrupt count must not drive a
-/// multi-gigabyte allocation before the bounds checks catch it.
-constexpr uint64_t kMaxManifestTables = 16u << 20;
+/// Smallest serialized manifest entry: an empty name's length prefix plus
+/// the fixed fields (fingerprint, rows, cols, two offset/size pairs). A
+/// declared table count is bounded by the bytes left / this before
+/// anything is allocated for it.
+constexpr size_t kMinManifestEntryBytes = 4 + 8 + 8 + 4 + 4 * 8;
 
 /// `discovery_options` may be null (GC parses manifests only for their
 /// base; it has no discovery context and skips the parameter check).
@@ -761,7 +763,7 @@ Status ParseManifest(const std::string& bytes,
     seg->checksum = r.U64();
   }
   const uint64_t num_tables = r.U64();
-  if (r.failed() || num_tables > kMaxManifestTables ||
+  if (r.failed() || num_tables > r.remaining() / kMinManifestEntryBytes ||
       out->value_count >= UINT32_MAX || out->generation == 0 ||
       out->base == 0 || out->base > out->generation) {
     return Status::IoError("catalog manifest truncated");
@@ -1238,6 +1240,13 @@ Status ParseTableBlock(const MappedFile& seg, const ManifestEntry& e,
         "catalog table block for '%s' does not match its manifest entry",
         e.name.c_str()));
   }
+  // Each column holds at least a name length and a type byte: bound the
+  // declared count by the block before allocating for it.
+  constexpr size_t kMinColumnBytes = 4 + 1;
+  if (cols > r.remaining() / kMinColumnBytes) {
+    return Status::IoError(
+        StrFormat("catalog table block for '%s' truncated", e.name.c_str()));
+  }
   std::vector<Field> fields(cols);
   for (Field& f : fields) {
     if (!r.Str(&f.name)) break;
@@ -1299,6 +1308,14 @@ Status ParseSketchBlock(const MappedFile& seg, const ManifestEntry& e,
     return Status::IoError(StrFormat(
         "catalog sketch block for '%s' does not match its manifest entry",
         e.name.c_str()));
+  }
+  // Each column sketch holds at least a name length, three counts, five
+  // fractions and two array lengths: bound the declared count by the block
+  // before allocating for it.
+  constexpr size_t kMinSketchBytes = 4 + 3 * 8 + 5 * 8 + 4 + 4;
+  if (cols > r.remaining() / kMinSketchBytes) {
+    return Status::IoError(
+        StrFormat("catalog sketch block for '%s' truncated", e.name.c_str()));
   }
   out->sketches.resize(cols);
   out->band_keys.resize(cols);

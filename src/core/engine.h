@@ -220,7 +220,7 @@ class RowSink {
     return Status::OK();
   }
 
-  /// One window of result tuples in FdTupleLess order. The vector is
+  /// One window of result tuples in TID-list order. The vector is
   /// reused between calls — copy what outlives the call.
   virtual Status OnBatch(const std::vector<FdResultTuple>& batch) = 0;
 

@@ -101,7 +101,7 @@ class FuzzyFullDisjunction {
   /// The pipeline. With `fuzzy` set: match → rewrite → FD; without it,
   /// match and rewrite are skipped (regular FD). Result tuples are decoded
   /// on the pool in windows of at most `batch_rows` (the final batch may be
-  /// smaller) and handed to `emit` in FdTupleLess order, so the decoded
+  /// smaller) and handed to `emit` in TID-list order, so the decoded
   /// result set is never materialized as a whole. Provenance TIDs are global
   /// outer-union ids: table order, then row order. Returns the number of
   /// tuples emitted. Cancellation is additionally polled between batches.

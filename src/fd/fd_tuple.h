@@ -47,9 +47,6 @@ bool Subsumes(const FdResultTuple& b, const FdResultTuple& a);
 /// Number of non-null values.
 size_t NonNullCount(const FdResultTuple& t);
 
-/// Deterministic ordering: by TID list, then values.
-bool FdTupleLess(const FdResultTuple& a, const FdResultTuple& b);
-
 /// Materializes results as a table. When `include_provenance` is set, a
 /// leading "TIDs" column renders each provenance set as "{t0,t3}".
 Table FdResultsToTable(const std::vector<FdResultTuple>& results,

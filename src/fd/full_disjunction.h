@@ -17,14 +17,15 @@
 // Joins of non-maximal sets are subsumed by construction, so only maximal
 // sets are materialized before the final subsumption pass.
 //
-// The whole pipeline runs on dictionary-encoded tuples: FdProblem interns
-// every cell into a uint32 code, the enumerator merges and compares flat
-// integer rows, candidates stream from the CSR posting-list join graph, and
-// subsumption operates on code rows too. Values are decoded exactly once,
-// when the final FdResult is materialized.
+// The whole pipeline runs on dictionary-encoded tuples: FdProblem gathers
+// the session codes of the encoded input tables into flat uint32 rows, the
+// enumerator merges and compares those rows, candidates stream from the CSR
+// posting-list join graph, and subsumption operates on code rows too.
+// Values are decoded exactly once, when the final FdResult is materialized.
 //
 // Equivalence with the textbook all-outer-join-orders definition is
-// property-tested against fd/oracle.h on randomized inputs.
+// property-tested against fd/oracle.h, which reads the input tables
+// directly, on randomized inputs.
 #ifndef LAKEFUZZ_FD_FULL_DISJUNCTION_H_
 #define LAKEFUZZ_FD_FULL_DISJUNCTION_H_
 
@@ -106,7 +107,8 @@ struct FdStats {
   uint64_t intra_tasks = 0;
   size_t results_before_subsumption = 0;
   size_t results = 0;
-  /// Interned-core counters: dictionary size and CSR join-graph extent.
+  /// Interned-core counters: distinct non-null codes in the problem and
+  /// CSR join-graph extent.
   size_t distinct_values = 0;
   size_t posting_lists = 0;
   size_t posting_entries = 0;
@@ -138,7 +140,7 @@ struct FdStats {
 };
 
 struct FdResult {
-  std::vector<FdResultTuple> tuples;  ///< sorted by FdTupleLess
+  std::vector<FdResultTuple> tuples;  ///< sorted by TID list
   FdStats stats;
 };
 

@@ -1,21 +1,33 @@
 #include "fd/oracle.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "util/str.h"
 
 namespace lakefuzz {
 namespace {
 
+/// Largest input the oracle enumerates: 2^20 subsets. Keeps every subset
+/// mask well inside 32 bits.
+constexpr size_t kMaxRows = 20;
+
+/// One input row padded to the universal schema with nulls.
+struct PaddedRow {
+  size_t table = 0;
+  std::vector<Value> values;
+};
+
 /// Join-consistency of a subset: every column has at most one distinct
-/// non-null value. Fills `merged` on success.
-bool SubsetConsistent(const FdProblem& problem,
+/// non-null value. Fills `merged` with the join on success.
+bool SubsetConsistent(const std::vector<PaddedRow>& rows,
                       const std::vector<uint32_t>& subset,
                       std::vector<Value>* merged) {
-  merged->assign(problem.num_columns(), Value::Null());
+  const size_t cols = rows[subset[0]].values.size();
+  merged->assign(cols, Value::Null());
   for (uint32_t tid : subset) {
-    const auto& vals = problem.tuples()[tid].values;
-    for (size_t c = 0; c < problem.num_columns(); ++c) {
+    const auto& vals = rows[tid].values;
+    for (size_t c = 0; c < cols; ++c) {
       if (vals[c].is_null()) continue;
       if ((*merged)[c].is_null()) {
         (*merged)[c] = vals[c];
@@ -28,13 +40,13 @@ bool SubsetConsistent(const FdProblem& problem,
 }
 
 /// Connectivity of a subset under "shares an equal non-null value".
-bool SubsetConnected(const FdProblem& problem,
+bool SubsetConnected(const std::vector<PaddedRow>& rows,
                      const std::vector<uint32_t>& subset) {
   if (subset.size() <= 1) return true;
   auto share_value = [&](uint32_t a, uint32_t b) {
-    const auto& va = problem.tuples()[a].values;
-    const auto& vb = problem.tuples()[b].values;
-    for (size_t c = 0; c < problem.num_columns(); ++c) {
+    const auto& va = rows[a].values;
+    const auto& vb = rows[b].values;
+    for (size_t c = 0; c < va.size(); ++c) {
       if (!va[c].is_null() && !vb[c].is_null() && va[c] == vb[c]) return true;
     }
     return false;
@@ -57,42 +69,89 @@ bool SubsetConnected(const FdProblem& problem,
   return reached == subset.size();
 }
 
+/// True when `b` carries all of `a`'s information: equal wherever `a` is
+/// non-null.
+bool Covers(const FdResultTuple& b, const FdResultTuple& a) {
+  for (size_t c = 0; c < a.values.size(); ++c) {
+    if (!a.values[c].is_null() && !(b.values[c] == a.values[c])) return false;
+  }
+  return true;
+}
+
+/// Which of two equal joins survives: the most complete provenance, then the
+/// lexicographically smallest.
+bool PreferredProvenance(const FdResultTuple& a, const FdResultTuple& b) {
+  if (a.tids.size() != b.tids.size()) return a.tids.size() > b.tids.size();
+  return a.tids < b.tids;
+}
+
 }  // namespace
 
-Result<std::vector<FdResultTuple>> NaiveFdOracle(const FdProblem& problem,
-                                                 size_t max_tuples) {
-  const size_t n = problem.num_tuples();
-  if (n > max_tuples) {
-    return Status::InvalidArgument(
-        StrFormat("oracle limited to %zu tuples, got %zu", max_tuples, n));
-  }
-  std::vector<FdResultTuple> results;
-  std::vector<Value> merged;
-  for (uint64_t mask = 1; mask < (uint64_t{1} << n); ++mask) {
-    std::vector<uint32_t> subset;
-    for (size_t i = 0; i < n; ++i) {
-      if (mask & (uint64_t{1} << i)) subset.push_back(static_cast<uint32_t>(i));
+Result<std::vector<FdResultTuple>> NaiveFdOracle(
+    const std::vector<Table>& tables, const AlignedSchema& aligned) {
+  LAKEFUZZ_RETURN_IF_ERROR(ValidateAlignedSchema(aligned, tables));
+  std::vector<PaddedRow> rows;
+  for (size_t l = 0; l < tables.size(); ++l) {
+    for (size_t r = 0; r < tables[l].NumRows(); ++r) {
+      PaddedRow row{l, std::vector<Value>(aligned.NumUniversal())};
+      for (size_t c = 0; c < tables[l].NumColumns(); ++c) {
+        row.values[aligned.column_map[l][c]] = tables[l].At(r, c);
+      }
+      rows.push_back(std::move(row));
     }
-    // At most one tuple per relation in an FD set.
+  }
+  const size_t n = rows.size();
+  if (n > kMaxRows) {
+    return Status::InvalidArgument(
+        StrFormat("oracle limited to %zu rows, got %zu", kMaxRows, n));
+  }
+  // table_rows[l]: the mask bits of table l's rows. An FD set holds at most
+  // one tuple per relation.
+  std::vector<uint32_t> table_rows(tables.size(), 0);
+  for (size_t i = 0; i < n; ++i) table_rows[rows[i].table] |= 1u << i;
+
+  std::vector<FdResultTuple> joins;
+  std::vector<Value> merged;
+  for (uint32_t mask = 1; mask < (1u << n); ++mask) {
     bool table_repeat = false;
-    for (size_t i = 0; i < subset.size() && !table_repeat; ++i) {
-      for (size_t j = i + 1; j < subset.size(); ++j) {
-        if (problem.tuples()[subset[i]].table_id ==
-            problem.tuples()[subset[j]].table_id) {
-          table_repeat = true;
-          break;
-        }
+    for (uint32_t bits : table_rows) {
+      const uint32_t chosen = mask & bits;
+      if ((chosen & (chosen - 1)) != 0) {  // two or more bits set
+        table_repeat = true;
+        break;
       }
     }
     if (table_repeat) continue;
-    if (!SubsetConsistent(problem, subset, &merged)) continue;
-    if (!SubsetConnected(problem, subset)) continue;
+    std::vector<uint32_t> subset;
+    for (uint32_t i = 0; i < n; ++i) {
+      if (mask & (1u << i)) subset.push_back(i);
+    }
+    if (!SubsetConsistent(rows, subset, &merged)) continue;
+    if (!SubsetConnected(rows, subset)) continue;
     FdResultTuple t;
     t.values = merged;
-    t.tids = subset;
-    results.push_back(std::move(t));
+    t.tids = std::move(subset);
+    joins.push_back(std::move(t));
   }
-  return EliminateSubsumed(std::move(results));
+
+  // All-pairs elimination: a join goes when another one covers it and
+  // either carries strictly more information or is an equal join with the
+  // preferred provenance.
+  std::vector<FdResultTuple> out;
+  for (size_t i = 0; i < joins.size(); ++i) {
+    bool dropped = false;
+    for (size_t j = 0; j < joins.size() && !dropped; ++j) {
+      dropped = j != i && Covers(joins[j], joins[i]) &&
+                (joins[j].values != joins[i].values ||
+                 PreferredProvenance(joins[j], joins[i]));
+    }
+    if (!dropped) out.push_back(joins[i]);
+  }
+  std::sort(out.begin(), out.end(),
+            [](const FdResultTuple& a, const FdResultTuple& b) {
+              return a.tids < b.tids;
+            });
+  return out;
 }
 
 }  // namespace lakefuzz

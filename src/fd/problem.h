@@ -2,15 +2,15 @@
 //
 // Every input tuple is padded to the universal schema with nulls and tagged
 // with its source table and a global tuple id (TID), as a flat uint32 code
-// row: BuildInterned gathers the rows from encoded tables' session codes
-// (tuple-level AddTuple instances are interned into a per-problem ValueDict
-// by BuildIndex instead). BuildIndex then builds posting lists over
-// (column, code) pairs. The posting lists *are* the join graph, stored
-// implicitly in CSR form: tuples sharing an equal non-null value on a
-// universal column are joinable neighbors, and a posting list of k tuples
-// represents its k·(k−1) adjacency edges in O(k) space — no materialized
-// all-pairs edge lists. Connected components of the graph partition the FD
-// computation.
+// row. BuildInterned is the only way to make a problem: it gathers the rows
+// from encoded tables' session codes, so TIDs always run in table order,
+// then row order — each table's tuples form one contiguous TID range.
+// BuildIndex then builds posting lists over (column, code) pairs. The
+// posting lists *are* the join graph, stored implicitly in CSR form: tuples
+// sharing an equal non-null value on a universal column are joinable
+// neighbors, and a posting list of k tuples represents its k·(k−1)
+// adjacency edges in O(k) space — no materialized all-pairs edge lists.
+// Connected components of the graph partition the FD computation.
 #ifndef LAKEFUZZ_FD_PROBLEM_H_
 #define LAKEFUZZ_FD_PROBLEM_H_
 
@@ -22,23 +22,15 @@
 #include "fd/aligned_schema.h"
 #include "fd/session_dict.h"
 #include "fd/value_dict.h"
-#include "table/table.h"
 #include "util/result.h"
 
 namespace lakefuzz {
 
 class ThreadPool;
 
-/// One null-padded input tuple.
-struct FdInputTuple {
-  uint32_t table_id = 0;
-  /// Values over the universal schema (size = FdProblem::num_columns()).
-  std::vector<Value> values;
-};
-
 /// Size counters of the CSR join-graph index (reported by FdStats).
 struct FdIndexStats {
-  size_t distinct_values = 0;   ///< non-null dictionary entries
+  size_t distinct_values = 0;   ///< distinct non-null codes in the problem
   size_t posting_lists = 0;     ///< multi-tuple (joinable) posting lists
   size_t posting_entries = 0;   ///< Σ posting-list lengths (CSR size)
 };
@@ -56,9 +48,6 @@ class FdProblem {
   /// Code of a null cell in interned rows (== ValueDict::kNullCode).
   static constexpr uint32_t kNullCode = ValueDict::kNullCode;
 
-  FdProblem(size_t num_columns, std::vector<std::string> column_names)
-      : num_columns_(num_columns), column_names_(std::move(column_names)) {}
-
   /// The outer union of `tables` under `aligned` (validated first),
   /// gathered from the records' code columns into flat uint32 rows: no
   /// padded Value rows, no Value copies, and nothing is interned. When
@@ -66,8 +55,7 @@ class FdProblem {
   /// table l as they are gathered (the fuzzy rewrite stage's output).
   /// `dict` is the dictionary the records were encoded into (not owned;
   /// must outlive the problem): all downstream work runs on code rows and
-  /// decodes through it. Problems built this way have no materialized
-  /// tuples().
+  /// decodes through it.
   static Result<FdProblem> BuildInterned(const EncodedTables& tables,
                                          const AlignedSchema& aligned,
                                          const ValueDict& dict,
@@ -77,37 +65,24 @@ class FdProblem {
   const std::vector<std::string>& column_names() const {
     return column_names_;
   }
-  /// Padded input tuples (AddTuple problems only; empty for BuildInterned
-  /// problems, which never materialize per-tuple Values).
-  const std::vector<FdInputTuple>& tuples() const { return tuples_; }
   size_t num_tuples() const { return table_ids_.size(); }
 
-  /// One more than the largest table_id added (0 for an empty problem).
+  /// Number of input tables (0 for an empty integration set).
   uint32_t num_tables() const { return num_tables_; }
+  /// Source table of `tid`; non-decreasing in `tid` (table-ordered TIDs).
   uint32_t table_id(uint32_t tid) const { return table_ids_[tid]; }
 
-  /// Appends a tuple (tuple-level instances: the FD unit tests and the
-  /// oracle's reference problems). `values` must have num_columns()
-  /// entries.
-  Status AddTuple(uint32_t table_id, std::vector<Value> values);
-
-  /// Builds the value dictionary, interned code rows, CSR posting lists,
-  /// and components. Idempotent. When `pool` is non-null the cell-hashing,
-  /// posting-shard, and union-find phases run on it; results are identical
-  /// to the serial build. BuildInterned problems skip the hash + intern
-  /// phases entirely (their code rows already exist).
+  /// Builds the CSR posting lists and components over the gathered code
+  /// rows. Idempotent. When `pool` is non-null the posting-shard and
+  /// union-find phases run on it; results are identical to the inline
+  /// build.
   void BuildIndex(ThreadPool* pool = nullptr);
   bool index_built() const { return index_built_; }
 
-  /// The interning dictionary: the problem-owned one (AddTuple problems),
-  /// or the session dictionary a BuildInterned problem was encoded against.
-  /// Requires BuildIndex() on AddTuple problems.
-  const ValueDict& dict() const {
-    return external_dict_ != nullptr ? *external_dict_ : dict_;
-  }
+  /// The session dictionary the problem's codes decode through.
+  const ValueDict& dict() const { return *dict_; }
 
-  /// Interned row of `tid`: num_columns() codes, kNullCode where null.
-  /// Requires BuildIndex().
+  /// Code row of `tid`: num_columns() codes, kNullCode where null.
   const uint32_t* CodeRow(uint32_t tid) const {
     return codes_.data() + static_cast<size_t>(tid) * num_columns_;
   }
@@ -145,21 +120,22 @@ class FdProblem {
   const FdIndexStats& index_stats() const { return index_stats_; }
 
  private:
+  FdProblem(size_t num_columns, std::vector<std::string> column_names,
+            const ValueDict* dict)
+      : num_columns_(num_columns),
+        column_names_(std::move(column_names)),
+        dict_(dict) {}
+
   size_t num_columns_;
   std::vector<std::string> column_names_;
-  std::vector<FdInputTuple> tuples_;  ///< AddTuple problems only
-  std::vector<uint32_t> table_ids_;   ///< table id per TID (both paths)
+  std::vector<uint32_t> table_ids_;  ///< table id per TID
   uint32_t num_tables_ = 0;
 
   bool index_built_ = false;
-  /// True once codes_ holds the interned rows (set by BuildInterned, or by
-  /// BuildIndex phases 1–2 on AddTuple problems).
-  bool codes_ready_ = false;
-  ValueDict dict_;
-  /// Session dictionary the rows were encoded against (BuildInterned); not
-  /// owned, must outlive the problem. Null on AddTuple problems.
-  const ValueDict* external_dict_ = nullptr;
-  std::vector<uint32_t> codes_;  ///< num_tuples × num_columns interned cells
+  /// Session dictionary the rows were encoded against; not owned, must
+  /// outlive the problem.
+  const ValueDict* dict_;
+  std::vector<uint32_t> codes_;  ///< num_tuples × num_columns code cells
 
   // CSR join graph. Posting lists keep only multi-tuple lists (singletons
   // induce no edges). posting_offsets_ has one extra trailing entry; the

@@ -38,15 +38,6 @@ size_t NonNullCount(const FdResultTuple& t) {
   return n;
 }
 
-bool FdTupleLess(const FdResultTuple& a, const FdResultTuple& b) {
-  if (a.tids != b.tids) return a.tids < b.tids;
-  for (size_t c = 0; c < a.values.size() && c < b.values.size(); ++c) {
-    if (a.values[c] == b.values[c]) continue;
-    return a.values[c] < b.values[c];
-  }
-  return a.values.size() < b.values.size();
-}
-
 Table FdResultsToTable(const std::vector<FdResultTuple>& results,
                        const std::vector<std::string>& column_names,
                        const std::string& table_name,
@@ -78,110 +69,6 @@ void AppendFdResults(const std::vector<FdResultTuple>& results,
     assert(s.ok());
     (void)s;
   }
-}
-
-namespace {
-
-uint64_t ValuesSignature(const FdResultTuple& t) {
-  uint64_t h = 0x5ca1ab1e;
-  for (size_t c = 0; c < t.values.size(); ++c) {
-    if (t.values[c].is_null()) continue;
-    h = HashCombine(h, HashCombine(Mix64(c), t.values[c].Hash()));
-  }
-  return h;
-}
-
-}  // namespace
-
-std::vector<FdResultTuple> EliminateSubsumed(
-    std::vector<FdResultTuple> tuples) {
-  // Pass 1: collapse exact duplicates (same values). The survivor is the
-  // copy with the most complete provenance (largest TID set), then the
-  // lexicographically smallest — this makes the production enumerator
-  // (which only materializes maximal sets) and the subset oracle agree
-  // tuple-for-tuple, TIDs included.
-  auto prefer = [](const FdResultTuple& a, const FdResultTuple& b) {
-    if (a.tids.size() != b.tids.size()) {
-      return a.tids.size() > b.tids.size();
-    }
-    return a.tids < b.tids;
-  };
-  std::unordered_map<uint64_t, std::vector<size_t>> by_sig;
-  std::vector<char> dead(tuples.size(), 0);
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    auto& bucket = by_sig[ValuesSignature(tuples[i])];
-    bool merged = false;
-    for (size_t j : bucket) {
-      if (tuples[j].values == tuples[i].values) {
-        if (prefer(tuples[i], tuples[j])) {
-          std::swap(tuples[i], tuples[j]);
-        }
-        dead[i] = 1;
-        merged = true;
-        break;
-      }
-    }
-    if (!merged) bucket.push_back(i);
-  }
-
-  // Pass 2: posting lists over live tuples; each tuple checks only tuples
-  // sharing its rarest non-null (column, value).
-  struct Key {
-    size_t col;
-    uint64_t vhash;
-    bool operator==(const Key& o) const {
-      return col == o.col && vhash == o.vhash;
-    }
-  };
-  struct KeyHasher {
-    size_t operator()(const Key& k) const {
-      return static_cast<size_t>(HashCombine(Mix64(k.col), k.vhash));
-    }
-  };
-  std::unordered_map<Key, std::vector<size_t>, KeyHasher> postings;
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    if (dead[i]) continue;
-    for (size_t c = 0; c < tuples[i].values.size(); ++c) {
-      if (tuples[i].values[c].is_null()) continue;
-      postings[Key{c, tuples[i].values[c].Hash()}].push_back(i);
-    }
-  }
-  size_t live_count = 0;
-  for (size_t i = 0; i < tuples.size(); ++i) live_count += !dead[i];
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    if (dead[i]) continue;
-    size_t nn_i = NonNullCount(tuples[i]);
-    if (nn_i == 0) {
-      // All-null tuple: subsumed by any *other* tuple (vacuously); survives
-      // only when it is the sole live tuple. Pass 1 collapsed all-null
-      // duplicates to one, so live_count > 1 means a distinct tuple exists.
-      if (live_count > 1) dead[i] = 1;
-      continue;
-    }
-    // Rarest posting for tuple i.
-    const std::vector<size_t>* best = nullptr;
-    for (size_t c = 0; c < tuples[i].values.size(); ++c) {
-      if (tuples[i].values[c].is_null()) continue;
-      const auto& lst = postings[Key{c, tuples[i].values[c].Hash()}];
-      if (best == nullptr || lst.size() < best->size()) best = &lst;
-    }
-    for (size_t j : *best) {
-      if (j == i || dead[j]) continue;
-      if (NonNullCount(tuples[j]) <= nn_i) continue;  // equal ⇒ duplicate, handled
-      if (Subsumes(tuples[j], tuples[i])) {
-        dead[i] = 1;
-        break;
-      }
-    }
-  }
-
-  std::vector<FdResultTuple> out;
-  out.reserve(tuples.size());
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    if (!dead[i]) out.push_back(std::move(tuples[i]));
-  }
-  std::sort(out.begin(), out.end(), FdTupleLess);
-  return out;
 }
 
 namespace {
@@ -323,7 +210,7 @@ Result<std::vector<FdCodeTuple>> EliminateSubsumedCodes(
 
   // Surviving FD tuples never share a TID set (values are a function of the
   // member set, and identical code rows were collapsed in pass 1), so TID
-  // order alone is total — and matches FdTupleLess on the decoded tuples.
+  // order alone is total.
   std::vector<FdCodeTuple> out;
   out.reserve(n);
   for (size_t i = 0; i < n; ++i) {

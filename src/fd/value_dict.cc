@@ -14,93 +14,9 @@ ValueDict::ValueDict() {
   for (auto& sh : shards_) sh.slots.assign(kInitialSlots, kNullCode);
 }
 
-ValueDict::~ValueDict() { FreeBuckets(); }
-
-void ValueDict::FreeBuckets() {
-  for (auto& b : buckets_) {
-    delete[] b.load(std::memory_order_relaxed);
-    b.store(nullptr, std::memory_order_relaxed);
-  }
-  for (auto& b : hash_buckets_) {
-    delete[] b.load(std::memory_order_relaxed);
-    b.store(nullptr, std::memory_order_relaxed);
-  }
-  size_.store(1, std::memory_order_relaxed);
-}
-
-void ValueDict::CopyFrom(const ValueDict& other) {
-  // Copy/assignment are documented as non-concurrent: `other` is quiescent.
-  const uint32_t n = other.size_.load(std::memory_order_relaxed);
-  EnsureBucket(0);
-  for (uint32_t code = 1; code < n; ++code) {
-    const size_t b = BucketOf(code);
-    EnsureBucket(b);
-    const size_t off = code - BucketBase(b);
-    buckets_[b].load(std::memory_order_relaxed)[off] = other.Decode(code);
-    hash_buckets_[b].load(std::memory_order_relaxed)[off] =
-        other.HashOf(code);
-  }
-  size_.store(n, std::memory_order_relaxed);
-  for (size_t s = 0; s < kShards; ++s) {
-    shards_[s].slots = other.shards_[s].slots;
-    shards_[s].used = other.shards_[s].used;
-  }
-}
-
-ValueDict::ValueDict(const ValueDict& other) {
-  for (auto& b : buckets_) b.store(nullptr, std::memory_order_relaxed);
-  for (auto& b : hash_buckets_) b.store(nullptr, std::memory_order_relaxed);
-  CopyFrom(other);
-}
-
-ValueDict& ValueDict::operator=(const ValueDict& other) {
-  if (this == &other) return *this;
-  FreeBuckets();
-  CopyFrom(other);
-  return *this;
-}
-
-ValueDict::ValueDict(ValueDict&& other) noexcept {
-  size_.store(other.size_.load(std::memory_order_relaxed),
-              std::memory_order_relaxed);
-  for (size_t b = 0; b < kMaxBuckets; ++b) {
-    buckets_[b].store(other.buckets_[b].load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-    other.buckets_[b].store(nullptr, std::memory_order_relaxed);
-    hash_buckets_[b].store(
-        other.hash_buckets_[b].load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    other.hash_buckets_[b].store(nullptr, std::memory_order_relaxed);
-  }
-  for (size_t s = 0; s < kShards; ++s) {
-    shards_[s].slots = std::move(other.shards_[s].slots);
-    shards_[s].used = other.shards_[s].used;
-    other.shards_[s].used = 0;
-  }
-  other.size_.store(1, std::memory_order_relaxed);
-}
-
-ValueDict& ValueDict::operator=(ValueDict&& other) noexcept {
-  if (this == &other) return *this;
-  FreeBuckets();
-  size_.store(other.size_.load(std::memory_order_relaxed),
-              std::memory_order_relaxed);
-  for (size_t b = 0; b < kMaxBuckets; ++b) {
-    buckets_[b].store(other.buckets_[b].load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-    other.buckets_[b].store(nullptr, std::memory_order_relaxed);
-    hash_buckets_[b].store(
-        other.hash_buckets_[b].load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    other.hash_buckets_[b].store(nullptr, std::memory_order_relaxed);
-  }
-  for (size_t s = 0; s < kShards; ++s) {
-    shards_[s].slots = std::move(other.shards_[s].slots);
-    shards_[s].used = other.shards_[s].used;
-    other.shards_[s].used = 0;
-  }
-  other.size_.store(1, std::memory_order_relaxed);
-  return *this;
+ValueDict::~ValueDict() {
+  for (auto& b : buckets_) delete[] b.load(std::memory_order_relaxed);
+  for (auto& b : hash_buckets_) delete[] b.load(std::memory_order_relaxed);
 }
 
 void ValueDict::EnsureBucket(size_t b) {
@@ -204,17 +120,6 @@ uint32_t ValueDict::Find(const Value& v) const {
     if (code == kNullCode) return kNullCode;
     if (HashOf(code) == hash && Decode(code) == v) return code;
     s = (s + 1) & mask;
-  }
-}
-
-void ValueDict::Reserve(size_t expected) {
-  // Assume an even hash spread; each shard takes its slice.
-  const size_t per_shard = expected / kShards + 1;
-  size_t want = kInitialSlots;
-  while (want * 7 < per_shard * 10) want <<= 1;
-  for (auto& sh : shards_) {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    if (want > sh.slots.size()) RehashShard(sh, want);
   }
 }
 

@@ -31,8 +31,8 @@ namespace lakefuzz {
 /// shards (selected by value hash), so concurrent cold interning — e.g.
 /// several tables registering into one engine session while discovery
 /// sketches them — contends only within a shard instead of serializing on
-/// one dictionary mutex. Copy/move/Reserve are NOT thread-safe; callers
-/// quiesce the dictionary first.
+/// one dictionary mutex. A dictionary is neither copyable nor movable:
+/// FD problems and concurrent encoders hold its address.
 ///
 /// Decoded values live in append-only geometric buckets (bucket b holds
 /// 1024·2^b slots), so the `const Value&` returned by Decode — and the
@@ -48,10 +48,8 @@ class ValueDict {
   ValueDict();
   ~ValueDict();
 
-  ValueDict(const ValueDict& other);
-  ValueDict& operator=(const ValueDict& other);
-  ValueDict(ValueDict&& other) noexcept;
-  ValueDict& operator=(ValueDict&& other) noexcept;
+  ValueDict(const ValueDict&) = delete;
+  ValueDict& operator=(const ValueDict&) = delete;
 
   /// Interns `v`; nulls map to kNullCode without touching the table. When
   /// `inserted` is non-null it receives whether this call appended a new
@@ -101,9 +99,6 @@ class ValueDict {
     return size_.load(std::memory_order_acquire) - 1;
   }
 
-  /// Pre-sizes the hash shards for `expected` distinct non-null values.
-  void Reserve(size_t expected);
-
  private:
   // Bucket 0 holds 2^kBaseBits slots; bucket b holds 2^(kBaseBits+b). 22
   // buckets cover the full uint32 code space.
@@ -141,8 +136,6 @@ class ValueDict {
   /// Ensures the storage bucket holding `code` exists (double-checked
   /// against alloc_mu_).
   void EnsureBucket(size_t b);
-  void CopyFrom(const ValueDict& other);
-  void FreeBuckets();
 
   void RehashShard(Shard& shard, size_t new_slot_count) const;
 

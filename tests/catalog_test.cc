@@ -582,6 +582,51 @@ TEST(CatalogCorruptionTest, TrailingGarbageAfterCommittedPrefixIsIgnored) {
   EXPECT_EQ(opened->tables_loaded, 3u);
 }
 
+/// A manifest entry and its table block that agree on a huge column count,
+/// with every checksum recomputed: the count passes the integrity checks
+/// and the entry/block match, so only the bound against the block's bytes
+/// stands between it and a multi-gigabyte allocation.
+TEST(CatalogCorruptionTest, HugeColumnCountIsIoError) {
+  const std::string dir = FreshDir("hugecols");
+  ASSERT_TRUE(MakeEngineWithSmallLake(1)->SaveCatalog(dir).ok());
+  std::string manifest = ReadAll(ManifestPath(dir));
+  // Manifest layout: magic, format version and endian check (16 bytes);
+  // generation, base, signature size, bands, rows per band, seed and value
+  // count (7 x 8); (size, checksum) of the values, hashes, tables and
+  // sketches segments (4 x 16); the table count (8); then the entries.
+  constexpr size_t kTablesSegmentOff = 16 + 7 * 8 + 2 * 16;
+  constexpr size_t kFirstEntryOff = 16 + 7 * 8 + 4 * 16 + 8;
+  uint32_t name_len = 0;
+  std::memcpy(&name_len, &manifest[kFirstEntryOff], sizeof(name_len));
+  // Entry: name, fingerprint, rows, cols, table offset, ...
+  const size_t cols_off = kFirstEntryOff + 4 + name_len + 8 + 8;
+  uint64_t table_off = 0;
+  std::memcpy(&table_off, &manifest[cols_off + 4], sizeof(table_off));
+  const uint32_t huge = 0x7fffffff;
+  std::memcpy(&manifest[cols_off], &huge, sizeof(huge));
+
+  // A table block starts with its column count.
+  const std::string tables_path = SegmentPath(dir, kCatalogTablesStem);
+  std::string tables = ReadAll(tables_path);
+  ASSERT_LT(table_off + sizeof(huge), tables.size());
+  std::memcpy(&tables[table_off], &huge, sizeof(huge));
+  WriteAll(tables_path, tables);
+  uint64_t tables_size = 0;
+  std::memcpy(&tables_size, &manifest[kTablesSegmentOff],
+              sizeof(tables_size));
+  ASSERT_EQ(tables_size, tables.size());
+  const uint64_t tables_checksum = Fnv1a64(tables.data(), tables.size());
+  std::memcpy(&manifest[kTablesSegmentOff + 8], &tables_checksum,
+              sizeof(tables_checksum));
+  FixupManifestChecksum(&manifest);
+  WriteAll(ManifestPath(dir), manifest);
+
+  auto reader = MakeEngine(1);
+  auto opened = reader->OpenCatalog(dir);
+  EXPECT_EQ(opened.code(), ErrorCode::kIoError);
+  EXPECT_EQ(reader->NumTables(), 0u);
+}
+
 TEST(CatalogCorruptionTest, DiscoveryParamMismatchIsInvalidArgument) {
   const std::string dir = FreshDir("parammismatch");
   ASSERT_TRUE(MakeEngineWithSmallLake(1)->SaveCatalog(dir).ok());

@@ -16,6 +16,7 @@
 #include "fd/full_disjunction.h"
 #include "fd/problem.h"
 #include "fd/value_dict.h"
+#include "fd_problems.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -78,37 +79,24 @@ struct IndexShape {
   uint64_t seed;
 };
 
-FdProblem RandomProblem(const IndexShape& shape, Rng* rng) {
-  std::vector<std::string> names;
-  for (size_t c = 0; c < shape.num_columns; ++c) {
-    names.push_back("c" + std::to_string(c));
-  }
-  FdProblem problem(shape.num_columns, names);
-  for (size_t l = 0; l < shape.num_tables; ++l) {
-    for (size_t r = 0; r < shape.rows_per_table; ++r) {
-      std::vector<Value> vals(shape.num_columns);
-      for (size_t c = 0; c < shape.num_columns; ++c) {
-        if (rng->Bernoulli(0.35)) continue;  // null
-        vals[c] = Value::String(std::string(
-            1, static_cast<char>('a' + rng->Uniform(shape.value_domain))));
-      }
-      EXPECT_TRUE(
-          problem.AddTuple(static_cast<uint32_t>(l), std::move(vals)).ok());
-    }
-  }
-  return problem;
+std::vector<Table> RandomTables(const IndexShape& shape, Rng* rng) {
+  return UniformTables(shape.num_tables, shape.rows_per_table,
+                       shape.num_columns, shape.value_domain,
+                       /*null_rate=*/0.35, rng);
 }
 
-/// The legacy definition, materialized pairwise: i and j are adjacent iff
-/// they share an equal non-null value on some column.
-std::vector<std::vector<uint32_t>> BruteAdjacency(const FdProblem& problem) {
-  const size_t n = problem.num_tuples();
+/// The legacy definition, materialized pairwise over the padded input rows:
+/// i and j are adjacent iff they share an equal non-null value on some
+/// column.
+std::vector<std::vector<uint32_t>> BruteAdjacency(
+    const std::vector<PaddedRow>& rows) {
+  const size_t n = rows.size();
   std::vector<std::vector<uint32_t>> adj(n);
   for (uint32_t i = 0; i < n; ++i) {
     for (uint32_t j = i + 1; j < n; ++j) {
-      const auto& a = problem.tuples()[i].values;
-      const auto& b = problem.tuples()[j].values;
-      for (size_t c = 0; c < problem.num_columns(); ++c) {
+      const auto& a = rows[i].values;
+      const auto& b = rows[j].values;
+      for (size_t c = 0; c < a.size(); ++c) {
         if (!a[c].is_null() && !b[c].is_null() && a[c] == b[c]) {
           adj[i].push_back(j);
           adj[j].push_back(i);
@@ -154,9 +142,12 @@ class CsrIndexProperty : public ::testing::TestWithParam<IndexShape> {};
 TEST_P(CsrIndexProperty, NeighborsAndComponentsMatchBruteForce) {
   Rng rng(GetParam().seed);
   for (int trial = 0; trial < 10; ++trial) {
-    FdProblem problem = RandomProblem(GetParam(), &rng);
+    const std::vector<Table> tables = RandomTables(GetParam(), &rng);
+    auto aligned = AlignByName(tables);
+    ASSERT_TRUE(aligned.ok());
+    FdProblem problem = EncodedProblemByName(tables);
     problem.BuildIndex();
-    auto brute = BruteAdjacency(problem);
+    auto brute = BruteAdjacency(PaddedRows(tables, *aligned));
     for (uint32_t tid = 0; tid < problem.num_tuples(); ++tid) {
       EXPECT_EQ(problem.Neighbors(tid), brute[tid])
           << "trial " << trial << " tid " << tid;
@@ -168,7 +159,7 @@ TEST_P(CsrIndexProperty, NeighborsAndComponentsMatchBruteForce) {
 TEST_P(CsrIndexProperty, ParallelBuildMatchesSerial) {
   Rng rng(GetParam().seed ^ 0xABCD);
   for (int trial = 0; trial < 5; ++trial) {
-    FdProblem serial = RandomProblem(GetParam(), &rng);
+    FdProblem serial = EncodedProblemByName(RandomTables(GetParam(), &rng));
     FdProblem parallel = serial;
     serial.BuildIndex();
     ThreadPool pool(4);
@@ -176,8 +167,8 @@ TEST_P(CsrIndexProperty, ParallelBuildMatchesSerial) {
     ASSERT_EQ(serial.num_tuples(), parallel.num_tuples());
     for (uint32_t tid = 0; tid < serial.num_tuples(); ++tid) {
       EXPECT_EQ(serial.Neighbors(tid), parallel.Neighbors(tid)) << tid;
-      // Code rows must be identical too: interning order is defined by the
-      // problem, not the shard schedule.
+      // Code rows must be identical too: the index build reads the gathered
+      // rows and never rewrites them, whatever the shard schedule.
       for (size_t c = 0; c < serial.num_columns(); ++c) {
         EXPECT_EQ(serial.CodeRow(tid)[c], parallel.CodeRow(tid)[c]);
       }
@@ -215,7 +206,10 @@ TEST(CsrIndexShardedTest, LargeProblemParallelBuildMatchesSerial) {
   constexpr size_t kCols = 6;
   std::vector<std::string> names;
   for (size_t c = 0; c < kCols; ++c) names.push_back("c" + std::to_string(c));
-  FdProblem serial(kCols, names);
+  std::vector<Table> tables;
+  for (int l = 0; l < 5; ++l) {
+    tables.emplace_back("t" + std::to_string(l), Schema::FromNames(names));
+  }
   Rng rng(777);
   for (uint32_t i = 0; i < kTuples; ++i) {
     std::vector<Value> vals(kCols);
@@ -224,8 +218,9 @@ TEST(CsrIndexShardedTest, LargeProblemParallelBuildMatchesSerial) {
       // ~5k distinct join values → thousands of multi-tuple postings.
       vals[c] = Value::Int(static_cast<int64_t>(rng.Uniform(5000)));
     }
-    ASSERT_TRUE(serial.AddTuple(i % 5, std::move(vals)).ok());
+    ASSERT_TRUE(tables[i % 5].AppendRow(std::move(vals)).ok());
   }
+  FdProblem serial = EncodedProblemByName(tables);
   FdProblem parallel = serial;
   serial.BuildIndex();
   ThreadPool pool(8);
@@ -278,25 +273,6 @@ TEST(CsrIndexShardedTest, LargeSubsumptionShardedMatchesSerial) {
   }
 }
 
-TEST(CsrIndexShardedTest, EliminateSubsumedCodesAllNullTuples) {
-  // Mirrors SubsumptionTest.AllNullTuples on the code path: all-null
-  // duplicates collapse to one survivor; any non-null tuple eliminates it.
-  auto make = [](std::vector<uint32_t> codes, uint32_t tid) {
-    FdCodeTuple t;
-    t.codes = std::move(codes);
-    t.tids = {tid};
-    return t;
-  };
-  auto only_nulls =
-      EliminateSubsumedCodes({make({0, 0}, 0), make({0, 0}, 1)});
-  ASSERT_TRUE(only_nulls.ok());
-  ASSERT_EQ(only_nulls->size(), 1u);
-  auto mixed = EliminateSubsumedCodes({make({0, 0}, 0), make({5, 0}, 1)});
-  ASSERT_TRUE(mixed.ok());
-  ASSERT_EQ(mixed->size(), 1u);
-  EXPECT_EQ((*mixed)[0].codes[0], 5u);
-}
-
 // ------------------------------------------------------ non-quadratic index
 
 TEST(CsrIndexStressTest, SharedValueByManyTuplesStaysLinear) {
@@ -305,13 +281,14 @@ TEST(CsrIndexStressTest, SharedValueByManyTuplesStaysLinear) {
   // entries. Runs under ASan in CI, so an accidental O(k²) regression blows
   // the time/memory budget immediately.
   constexpr uint32_t kTuples = 10000;
-  FdProblem problem(2, {"shared", "unique"});
+  std::vector<Table> tables(
+      2, Table("t", Schema::FromNames({"shared", "unique"})));
   for (uint32_t i = 0; i < kTuples; ++i) {
-    ASSERT_TRUE(problem
-                    .AddTuple(i % 2, {S("hub"),
-                                      Value::Int(static_cast<int64_t>(i))})
+    ASSERT_TRUE(tables[i % 2]
+                    .AppendRow({S("hub"), Value::Int(static_cast<int64_t>(i))})
                     .ok());
   }
+  FdProblem problem = EncodedProblemByName(tables);
   problem.BuildIndex();
   // One multi-tuple posting list ("hub") with kTuples entries; the unique
   // ints contribute none.

@@ -30,45 +30,40 @@ struct Shape {
   uint64_t seed;
 };
 
-FdProblem RandomProblem(const Shape& shape, Rng* rng) {
-  std::vector<std::string> names;
-  for (size_t c = 0; c < shape.num_columns; ++c) {
-    names.push_back("c" + std::to_string(c));
-  }
-  FdProblem problem(shape.num_columns, names);
-  for (size_t l = 0; l < shape.num_tables; ++l) {
-    for (size_t r = 0; r < shape.rows_per_table; ++r) {
-      std::vector<Value> vals(shape.num_columns);
+std::vector<Table> RandomTables(const Shape& shape, Rng* rng) {
+  std::vector<Table> tables =
+      UniformTables(shape.num_tables, shape.rows_per_table, shape.num_columns,
+                    shape.value_domain, /*null_rate=*/0.3, rng);
+  for (Table& t : tables) {
+    for (size_t r = 0; r < t.NumRows(); ++r) {
       bool any = false;
-      for (size_t c = 0; c < shape.num_columns; ++c) {
-        if (rng->Bernoulli(0.3)) continue;
-        vals[c] = Value::String(std::string(
-            1, static_cast<char>('a' + rng->Uniform(shape.value_domain))));
-        any = true;
+      for (size_t c = 0; c < t.NumColumns(); ++c) {
+        any = any || !t.At(r, c).is_null();
       }
-      if (!any) vals[0] = Value::String("x");  // avoid all-null tuples
-      EXPECT_TRUE(
-          problem.AddTuple(static_cast<uint32_t>(l), std::move(vals)).ok());
+      if (!any) t.Set(r, 0, Value::String("x"));  // avoid all-null tuples
     }
   }
-  return problem;
+  return tables;
 }
 
-void CheckInvariants(const FdProblem& problem, const FdResult& result) {
+/// Checks `result` against the padded input rows it was computed from.
+void CheckInvariants(const std::vector<PaddedRow>& rows,
+                     const FdResult& result) {
+  const size_t num_columns = rows.empty() ? 0 : rows[0].values.size();
   // (1) Information preservation.
-  std::vector<char> covered(problem.num_tuples(), 0);
+  std::vector<char> covered(rows.size(), 0);
   for (const auto& t : result.tuples) {
     for (uint32_t tid : t.tids) {
-      ASSERT_LT(tid, problem.num_tuples());
+      ASSERT_LT(tid, rows.size());
       covered[tid] = 1;
     }
   }
-  for (size_t tid = 0; tid < problem.num_tuples(); ++tid) {
+  for (size_t tid = 0; tid < rows.size(); ++tid) {
     // A tuple may be represented through a duplicate with identical values;
     // verify its values are carried by some result instead of its TID.
     if (covered[tid]) continue;
     FdResultTuple as_result;
-    as_result.values = problem.tuples()[tid].values;
+    as_result.values = rows[tid].values;
     bool carried = false;
     for (const auto& t : result.tuples) {
       if (Subsumes(t, as_result)) {
@@ -97,12 +92,12 @@ void CheckInvariants(const FdProblem& problem, const FdResult& result) {
   // are exactly the join, and the set is connected.
   for (const auto& t : result.tuples) {
     std::set<uint32_t> tables;
-    std::vector<Value> merged(problem.num_columns());
+    std::vector<Value> merged(num_columns);
     for (uint32_t tid : t.tids) {
-      const auto& input = problem.tuples()[tid];
+      const auto& input = rows[tid];
       EXPECT_TRUE(tables.insert(input.table_id).second)
           << "two tuples from table " << input.table_id;
-      for (size_t c = 0; c < problem.num_columns(); ++c) {
+      for (size_t c = 0; c < num_columns; ++c) {
         if (input.values[c].is_null()) continue;
         if (merged[c].is_null()) {
           merged[c] = input.values[c];
@@ -125,10 +120,10 @@ void CheckInvariants(const FdProblem& problem, const FdResult& result) {
           if (reached[i]) continue;
           for (size_t j = 0; j < t.tids.size(); ++j) {
             if (!reached[j]) continue;
-            const auto& a = problem.tuples()[t.tids[i]].values;
-            const auto& b = problem.tuples()[t.tids[j]].values;
+            const auto& a = rows[t.tids[i]].values;
+            const auto& b = rows[t.tids[j]].values;
             bool share = false;
-            for (size_t c = 0; c < problem.num_columns(); ++c) {
+            for (size_t c = 0; c < num_columns; ++c) {
               if (!a[c].is_null() && !b[c].is_null() && a[c] == b[c]) {
                 share = true;
                 break;
@@ -154,13 +149,17 @@ TEST_P(FdInvariantProperty, ExecutorUpholdsInvariantsAtEveryPoolSize) {
   static ThreadPool one(1), two(2), eight(8);
   Rng rng(GetParam().seed);
   for (int trial = 0; trial < 10; ++trial) {
-    const FdProblem problem = RandomProblem(GetParam(), &rng);
+    const std::vector<Table> tables = RandomTables(GetParam(), &rng);
+    auto aligned = AlignByName(tables);
+    ASSERT_TRUE(aligned.ok());
+    const std::vector<PaddedRow> rows = PaddedRows(tables, *aligned);
+    const FdProblem problem = EncodedProblemByName(tables);
     for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &two,
                              &eight}) {
       FdProblem copy = problem;
       auto result = FullDisjunction().Run(&copy, pool);
       ASSERT_TRUE(result.ok());
-      CheckInvariants(copy, *result);
+      CheckInvariants(rows, *result);
     }
   }
 }
@@ -202,9 +201,7 @@ TEST(FuzzyFdInvariantTest, PipelineOutputUpholdsFdInvariants) {
                                   /*fuzzy=*/true);
   ASSERT_TRUE(result.ok());
 
-  FdProblem problem = PaddedProblem(*rewritten, *aligned);
-  problem.BuildIndex();
-  CheckInvariants(problem, *result);
+  CheckInvariants(PaddedRows(*rewritten, *aligned), *result);
 }
 
 }  // namespace

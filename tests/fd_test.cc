@@ -3,6 +3,8 @@
 // oracle and against the paper's Fig. 1, inline and on pools of every size.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <set>
 
 #include "fd/aligned_schema.h"
@@ -146,12 +148,6 @@ TEST(FdProblemTest, ComponentsPartitionTuples) {
   EXPECT_EQ(total, problem->num_tuples());
 }
 
-TEST(FdProblemTest, AddTupleChecksArity) {
-  FdProblem p(3, {"a", "b", "c"});
-  EXPECT_FALSE(p.AddTuple(0, {S("x")}).ok());
-  EXPECT_TRUE(p.AddTuple(0, {S("x"), Value::Null(), Value::Null()}).ok());
-}
-
 // ---------------------------------------------------------------- Subsumption
 
 FdResultTuple MakeTuple(std::vector<Value> values, std::vector<uint32_t> tids) {
@@ -159,6 +155,22 @@ FdResultTuple MakeTuple(std::vector<Value> values, std::vector<uint32_t> tids) {
   t.values = std::move(values);
   t.tids = std::move(tids);
   return t;
+}
+
+constexpr uint32_t kNull = FdProblem::kNullCode;
+
+/// A code tuple; codes 1, 2, 3, ... stand for distinct values.
+FdCodeTuple CodeTuple(std::vector<uint32_t> codes, std::vector<uint32_t> tids) {
+  FdCodeTuple t;
+  t.codes = std::move(codes);
+  t.tids = std::move(tids);
+  return t;
+}
+
+std::vector<FdCodeTuple> Eliminate(std::vector<FdCodeTuple> tuples) {
+  auto result = EliminateSubsumedCodes(std::move(tuples));
+  EXPECT_TRUE(result.ok());
+  return std::move(result).value();
 }
 
 TEST(SubsumptionTest, SubsumesSemantics) {
@@ -172,55 +184,51 @@ TEST(SubsumptionTest, SubsumesSemantics) {
 }
 
 TEST(SubsumptionTest, EliminatesStrictlySubsumed) {
-  auto result = EliminateSubsumed(
-      {MakeTuple({S("a"), Value::Null()}, {0}),
-       MakeTuple({S("a"), S("b")}, {0, 1})});
+  auto result = Eliminate(
+      {CodeTuple({1, kNull}, {0}), CodeTuple({1, 2}, {0, 1})});
   ASSERT_EQ(result.size(), 1u);
-  EXPECT_EQ(result[0].values[1], S("b"));
+  EXPECT_EQ(result[0].codes[1], 2u);
 }
 
 TEST(SubsumptionTest, KeepsIncomparableTuples) {
-  auto result = EliminateSubsumed(
-      {MakeTuple({S("a"), Value::Null()}, {0}),
-       MakeTuple({Value::Null(), S("b")}, {1})});
+  auto result = Eliminate(
+      {CodeTuple({1, kNull}, {0}), CodeTuple({kNull, 2}, {1})});
   EXPECT_EQ(result.size(), 2u);
 }
 
 TEST(SubsumptionTest, CollapsesDuplicatesKeepingSmallestProvenance) {
-  auto result = EliminateSubsumed(
-      {MakeTuple({S("a")}, {5}), MakeTuple({S("a")}, {2})});
+  auto result = Eliminate({CodeTuple({1}, {5}), CodeTuple({1}, {2})});
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].tids, (std::vector<uint32_t>{2}));
 }
 
 TEST(SubsumptionTest, EqualValuesDifferentColumnsNotConfused) {
-  // Same value "x" in different columns must not alias.
-  auto a = MakeTuple({S("x"), Value::Null()}, {0});
-  auto b = MakeTuple({Value::Null(), S("x")}, {1});
-  EXPECT_EQ(EliminateSubsumed({a, b}).size(), 2u);
+  // Same value in different columns must not alias.
+  auto a = CodeTuple({5, kNull}, {0});
+  auto b = CodeTuple({kNull, 5}, {1});
+  EXPECT_EQ(Eliminate({a, b}).size(), 2u);
 }
 
 TEST(SubsumptionTest, OutputSortedDeterministically) {
-  auto result = EliminateSubsumed(
-      {MakeTuple({S("z")}, {3}), MakeTuple({S("y")}, {1}),
-       MakeTuple({S("x")}, {2})});
+  auto result = Eliminate(
+      {CodeTuple({26}, {3}), CodeTuple({25}, {1}), CodeTuple({24}, {2})});
   ASSERT_EQ(result.size(), 3u);
-  EXPECT_TRUE(FdTupleLess(result[0], result[1]));
-  EXPECT_TRUE(FdTupleLess(result[1], result[2]));
+  EXPECT_LT(result[0].tids, result[1].tids);
+  EXPECT_LT(result[1].tids, result[2].tids);
 }
 
 TEST(SubsumptionTest, AllNullTuples) {
   // An all-null tuple is (vacuously) subsumed by any other tuple — but a
   // result set of only all-null duplicates must keep one, not vanish.
   auto null2 = [](std::vector<uint32_t> tids) {
-    return MakeTuple({Value::Null(), Value::Null()}, std::move(tids));
+    return CodeTuple({kNull, kNull}, std::move(tids));
   };
-  auto only_nulls = EliminateSubsumed({null2({0}), null2({1})});
+  auto only_nulls = Eliminate({null2({0}), null2({1})});
   ASSERT_EQ(only_nulls.size(), 1u);
-  EXPECT_EQ(NonNullCount(only_nulls[0]), 0u);
-  auto mixed = EliminateSubsumed({null2({0}), MakeTuple({S("a"), Value::Null()}, {1})});
+  EXPECT_EQ(only_nulls[0].codes, (std::vector<uint32_t>{kNull, kNull}));
+  auto mixed = Eliminate({null2({0}), CodeTuple({5, kNull}, {1})});
   ASSERT_EQ(mixed.size(), 1u);
-  EXPECT_EQ(NonNullCount(mixed[0]), 1u);
+  EXPECT_EQ(mixed[0].codes, (std::vector<uint32_t>{5, kNull}));
 }
 
 TEST(SubsumptionTest, NonNullCount) {
@@ -229,12 +237,11 @@ TEST(SubsumptionTest, NonNullCount) {
 }
 
 TEST(SubsumptionTest, ChainOfSubsumption) {
-  auto result = EliminateSubsumed(
-      {MakeTuple({S("a"), Value::Null(), Value::Null()}, {0}),
-       MakeTuple({S("a"), S("b"), Value::Null()}, {0, 1}),
-       MakeTuple({S("a"), S("b"), S("c")}, {0, 1, 2})});
+  auto result = Eliminate({CodeTuple({1, kNull, kNull}, {0}),
+                           CodeTuple({1, 2, kNull}, {0, 1}),
+                           CodeTuple({1, 2, 3}, {0, 1, 2})});
   ASSERT_EQ(result.size(), 1u);
-  EXPECT_EQ(NonNullCount(result[0]), 3u);
+  EXPECT_EQ(result[0].codes, (std::vector<uint32_t>{1, 2, 3}));
 }
 
 // ---------------------------------------------------------------- FD on Fig. 1
@@ -314,7 +321,8 @@ TEST(FullDisjunctionTest, CrossProductWhenMultipleJoinPartners) {
 }
 
 TEST(FullDisjunctionTest, EmptyInputYieldsEmptyResult) {
-  FdProblem problem(2, {"a", "b"});
+  FdProblem problem =
+      EncodedProblemByName({Table("T", Schema::FromNames({"a", "b"}))});
   auto result = FullDisjunction().Run(&problem);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->tuples.empty());
@@ -416,25 +424,9 @@ struct OracleCase {
 
 class FdOracleProperty : public ::testing::TestWithParam<OracleCase> {};
 
-FdProblem RandomProblem(const OracleCase& oc, Rng* rng) {
-  std::vector<std::string> names;
-  for (size_t c = 0; c < oc.num_columns; ++c) {
-    names.push_back("c" + std::to_string(c));
-  }
-  FdProblem problem(oc.num_columns, names);
-  for (size_t l = 0; l < oc.num_tables; ++l) {
-    for (size_t r = 0; r < oc.rows_per_table; ++r) {
-      std::vector<Value> vals(oc.num_columns);
-      for (size_t c = 0; c < oc.num_columns; ++c) {
-        if (rng->Bernoulli(0.35)) continue;  // null
-        vals[c] = Value::String(
-            std::string(1, static_cast<char>('a' + rng->Uniform(oc.value_domain))));
-      }
-      EXPECT_TRUE(
-          problem.AddTuple(static_cast<uint32_t>(l), std::move(vals)).ok());
-    }
-  }
-  return problem;
+std::vector<Table> RandomTables(const OracleCase& oc, Rng* rng) {
+  return UniformTables(oc.num_tables, oc.rows_per_table, oc.num_columns,
+                       oc.value_domain, /*null_rate=*/0.35, rng);
 }
 
 TEST_P(FdOracleProperty, ProductionMatchesOracle) {
@@ -444,9 +436,12 @@ TEST_P(FdOracleProperty, ProductionMatchesOracle) {
   const OracleCase& oc = GetParam();
   Rng rng(oc.seed);
   for (int trial = 0; trial < 15; ++trial) {
-    const FdProblem problem = RandomProblem(oc, &rng);
-    auto oracle = NaiveFdOracle(problem);
+    const std::vector<Table> tables = RandomTables(oc, &rng);
+    auto aligned = AlignByName(tables);
+    ASSERT_TRUE(aligned.ok());
+    auto oracle = NaiveFdOracle(tables, *aligned);
     ASSERT_TRUE(oracle.ok());
+    const FdProblem problem = EncodedProblemByName(tables);
     for (size_t min_size : {FdOptions().intra_component_min_size,
                             size_t{2}}) {
       FdOptions opts;
@@ -527,42 +522,57 @@ TEST(FullDisjunctionTest, TableOrderInvariantUpToProvenance) {
 }
 
 TEST(FullDisjunctionTest, RandomizedOrderInvariance) {
+  // Rotating the table order, or shuffling the rows inside each table,
+  // renumbers TIDs but must leave the multiset of result value rows as it
+  // is. The tables share one header list, so the universal columns keep
+  // their order.
+  auto sorted_value_rows = [](const std::vector<Table>& tables) {
+    FdProblem problem = EncodedProblemByName(tables);
+    auto result = FullDisjunction().Run(&problem);
+    EXPECT_TRUE(result.ok());
+    std::vector<std::vector<Value>> rows;
+    for (const auto& t : result->tuples) rows.push_back(t.values);
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
   Rng rng(505);
+  Rng shuffle_rng(606);
   for (int trial = 0; trial < 10; ++trial) {
-    OracleCase oc{3, 3, 3, 2, 0};
-    FdProblem p = RandomProblem(oc, &rng);
-    // Recreate the same tuples under a permuted table labeling by swapping
-    // table ids — values stay put, so FD output values must be identical.
-    FdProblem q(p.num_columns(), p.column_names());
-    for (const auto& t : p.tuples()) {
-      EXPECT_TRUE(q.AddTuple((t.table_id + 1) % 3, t.values).ok());
+    const std::vector<Table> tables =
+        RandomTables(OracleCase{3, 3, 3, 2, 0}, &rng);
+    const auto base = sorted_value_rows(tables);
+    std::vector<Table> rotated(tables.begin() + 1, tables.end());
+    rotated.push_back(tables[0]);
+    EXPECT_EQ(sorted_value_rows(rotated), base) << "trial " << trial;
+    std::vector<Table> shuffled;
+    for (const Table& t : tables) {
+      std::vector<size_t> order(t.NumRows());
+      std::iota(order.begin(), order.end(), size_t{0});
+      shuffle_rng.Shuffle(&order);
+      shuffled.push_back(t.SelectRows(order));
     }
-    auto rp = FullDisjunction().Run(&p);
-    auto rq = FullDisjunction().Run(&q);
-    ASSERT_TRUE(rp.ok());
-    ASSERT_TRUE(rq.ok());
-    ASSERT_EQ(rp->tuples.size(), rq->tuples.size());
-    for (size_t i = 0; i < rp->tuples.size(); ++i) {
-      EXPECT_EQ(rp->tuples[i].values, rq->tuples[i].values);
-    }
+    EXPECT_EQ(sorted_value_rows(shuffled), base) << "trial " << trial;
   }
 }
 
 // ---------------------------------------------------------------- Oracle
 
 TEST(OracleTest, RefusesLargeInputs) {
-  FdProblem p(1, {"a"});
+  Table t("T", Schema::FromNames({"a"}));
   for (int i = 0; i < 25; ++i) {
-    ASSERT_TRUE(p.AddTuple(0, {S("v")}).ok());
+    ASSERT_TRUE(t.AppendRow({S("v")}).ok());
   }
-  EXPECT_FALSE(NaiveFdOracle(p, /*max_tuples=*/20).ok());
+  std::vector<Table> tables{t};
+  auto aligned = AlignByName(tables);
+  ASSERT_TRUE(aligned.ok());
+  EXPECT_FALSE(NaiveFdOracle(tables, *aligned).ok());
 }
 
 TEST(OracleTest, HandlesFig1) {
   auto tables = Fig1Tables();
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
-  auto oracle = NaiveFdOracle(PaddedProblem(tables, *aligned));
+  auto oracle = NaiveFdOracle(tables, *aligned);
   ASSERT_TRUE(oracle.ok());
   EXPECT_EQ(oracle->size(), 9u);
 }

@@ -8,6 +8,7 @@
 #include "table/csv.h"
 #include "table/print.h"
 #include "fd/full_disjunction.h"
+#include "fd_problems.h"
 
 namespace lakefuzz {
 namespace {
@@ -151,13 +152,14 @@ TEST(FdRobustnessTest, WideNullPaddedProblem) {
   // 40-column universal schema, tuples touching 2 columns each.
   std::vector<std::string> names;
   for (int c = 0; c < 40; ++c) names.push_back("c" + std::to_string(c));
-  FdProblem problem(40, names);
+  std::vector<Table> tables(3, Table("t", Schema::FromNames(names)));
   for (uint32_t t = 0; t < 30; ++t) {
     std::vector<Value> vals(40);
     vals[t % 40] = Value::String("k" + std::to_string(t % 5));
     vals[(t + 7) % 40] = Value::Int(t);
-    ASSERT_TRUE(problem.AddTuple(t % 3, std::move(vals)).ok());
+    ASSERT_TRUE(tables[t % 3].AppendRow(std::move(vals)).ok());
   }
+  FdProblem problem = EncodedProblemByName(tables);
   auto result = FullDisjunction().Run(&problem);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->tuples.size(), 0u);
