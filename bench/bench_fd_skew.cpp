@@ -7,8 +7,9 @@
 // how many threads the engine owned. This benchmark builds exactly that
 // shape (every tuple shares a hub value; a corrupted key column partitions
 // consistency), then sweeps the executor across pool sizes.
-// Intra-component splitting must keep output byte-identical at every
-// setting; the enumeration time column is the one the ROADMAP tracks.
+// Splitting the giant into root-branch ranges must keep output
+// byte-identical at every setting; the enumeration time column is the one
+// the ROADMAP tracks.
 //
 // Flags:
 //   --tables=N --keys=N --rows_per_key=N   instance shape (default 4/500/2
@@ -17,7 +18,8 @@
 //   --reps=N           repetitions, best time kept (default 3)
 //   --threads=a,b,c    sweep list (default "1,2,4,8")
 //   --smoke            tiny instance + 1 rep: CI bit-rot guard, not a
-//                      measurement
+//                      measurement; fails when a multi-thread row ran no
+//                      split ranges
 //   --json_out=PATH    machine-readable artifact (bench-regression gate)
 #include <cstdio>
 
@@ -82,9 +84,6 @@ int main(int argc, char** argv) {
   SessionDict dict;
   FuzzyFdOptions options;
   options.session_dict = &dict;
-  // Smoke instances are far below the production split threshold; lower it
-  // so the CI bit-rot guard still drives the intra-component machinery.
-  if (smoke) options.fd.intra_component_min_size = 2;
 
   auto owned_tables = MakeSkewLake(num_tables, num_keys, rows_per_key,
                                    corrupt, /*seed=*/20260730);
@@ -148,7 +147,6 @@ int main(int argc, char** argv) {
       continue;
     }
     double best_enum = 1e100;
-    uint64_t intra_tasks = 0;
     FdStats best_stats;
     BenchRunStats run;
     ThreadPool pool(ResolveNumThreads(t));
@@ -166,7 +164,6 @@ int main(int argc, char** argv) {
       run.unit_ms.push_back(report.fd_stats.enumeration_seconds * 1e3);
       if (report.fd_stats.enumeration_seconds < best_enum) {
         best_enum = report.fd_stats.enumeration_seconds;
-        intra_tasks = report.fd_stats.intra_tasks;
         best_stats = report.fd_stats;
       }
       // Byte-identity against the serial reference, every rep.
@@ -181,12 +178,9 @@ int main(int argc, char** argv) {
         }
       }
     }
-    // Task-grain evidence from the best rep comes from the shared
+    // Execution evidence from the best rep comes from the shared
     // FdStats→extras mapping (obs/stats_export.h), so this artifact and the
     // engine's /metrics report the same numbers from the same fields.
-    const FdTaskProfile& prof = best_stats.task_profile;
-    const double tasks_d = prof.tasks > 0 ? static_cast<double>(prof.tasks)
-                                          : 1.0;
     std::vector<std::pair<std::string, double>> extras = {
         {"enum_s", best_enum},
         {"speedup_vs_serial", serial_enum / best_enum},
@@ -197,20 +191,25 @@ int main(int argc, char** argv) {
     json.AddFromStats(StrFormat("fd_skew_giant_t%zu", t),
                       ResolveNumThreads(t), run, std::move(extras));
     std::printf(
-        "threads=%zu: enum %.3f s (%.2fx vs serial), %llu subtree tasks "
-        "(mean %.0f nodes), busy %.3f s / wait %.3f s, output identical\n",
+        "threads=%zu: enum %.3f s (%.2fx vs serial), %llu ranges, pool busy "
+        "%.3f s / wait %.3f s, output identical\n",
         t, best_enum, serial_enum / best_enum,
-        static_cast<unsigned long long>(intra_tasks),
-        static_cast<double>(prof.nodes_sum) / tasks_d,
-        static_cast<double>(prof.busy_ns) * 1e-9,
-        static_cast<double>(prof.wait_ns) * 1e-9);
+        static_cast<unsigned long long>(best_stats.intra_tasks),
+        best_stats.pool_busy_seconds, best_stats.pool_wait_seconds);
+    // Nothing forces the split path, so the smoke run checks it ran: the
+    // giant component must split on every multi-worker pool.
+    if (smoke && ResolveNumThreads(t) > 1 && best_stats.intra_tasks == 0) {
+      std::fprintf(stderr, "threads=%zu: the giant component was not split\n",
+                   t);
+      return 1;
+    }
   }
 
   if (!json.WriteFile(json_out)) return 1;
   std::printf(
       "\nExpected shape: enumeration scales with threads on the giant "
-      "component\n(intra-component subtree tasks), with byte-identical "
-      "output at every count.\nOn a single-core runner the sweep rows "
-      "collapse to ~serial time.\n");
+      "component\n(root-branch ranges on the pool's lanes), with "
+      "byte-identical output at every count.\nOn a single-core runner the "
+      "sweep rows collapse to ~serial time.\n");
   return 0;
 }

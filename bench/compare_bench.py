@@ -29,8 +29,9 @@ cost evaluations, cache traffic, catalog bytes, ...) are gated exactly: a
 record present on both sides fails when any of these fields, present in
 both, differs at all. A change in work is a change in behaviour, not noise,
 so a PR that changes work on purpose re-baselines. Counters that depend on
-scheduling (intra_tasks, task_nodes_*, pool_tasks, arena_peak_bytes,
-spans_per_request) are deliberately not in the list.
+scheduling (pool_tasks, arena_peak_bytes, spans_per_request) are
+deliberately not in the list, and neither is intra_tasks: it is
+deterministic, but it counts how the work was split, not the work.
 
 Artifacts come in two shapes: the legacy bare JSON array of records, and
 the current object {"hardware": {...}, "records": [...]} whose hardware

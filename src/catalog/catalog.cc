@@ -1247,6 +1247,13 @@ Status ParseTableBlock(const MappedFile& seg, const ManifestEntry& e,
     return Status::IoError(
         StrFormat("catalog table block for '%s' truncated", e.name.c_str()));
   }
+  // The column spans below bound the row count by the block's bytes; a
+  // table without columns has none, so it may not declare rows.
+  if (cols == 0 && rows != 0) {
+    return Status::IoError(StrFormat(
+        "catalog table block for '%s' declares rows but no columns",
+        e.name.c_str()));
+  }
   std::vector<Field> fields(cols);
   for (Field& f : fields) {
     if (!r.Str(&f.name)) break;

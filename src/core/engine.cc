@@ -116,10 +116,7 @@ LakeEngine::LakeEngine(EngineOptions options,
         "post-subsumption result tuples produced");
     em->fd_intra_tasks = registry->GetCounter(
         "lakefuzz_fd_intra_tasks_total",
-        "intra-component FD subtree tasks spawned");
-    em->fd_task_busy_ns = registry->GetCounter(
-        "lakefuzz_fd_task_busy_ns_total",
-        "FD subtree-task busy time (FdTaskProfile::busy_ns)");
+        "root-branch ranges run for split FD components");
     em->values_rewritten = registry->GetCounter(
         "lakefuzz_values_rewritten_total",
         "cell values rewritten to fuzzy-group representatives");
@@ -140,7 +137,6 @@ LakeEngine::LakeEngine(EngineOptions options,
            em->fd_search_nodes != nullptr &&
            em->fd_result_tuples != nullptr &&
            em->fd_intra_tasks != nullptr &&
-           em->fd_task_busy_ns != nullptr &&
            em->values_rewritten != nullptr &&
            em->discovery_queries != nullptr && em->request_ns != nullptr &&
            stages_ok;
@@ -180,6 +176,13 @@ Status LakeEngine::RegisterTable(std::string name,
   if (table == nullptr) {
     return Status::InvalidArgument(
         StrFormat("cannot register null table '%s'", name.c_str()));
+  }
+  // A catalog stores a table column by column, so rows without columns
+  // could not be written back (an empty CSV is 0 x 0 and stays legal).
+  if (table->NumColumns() == 0 && table->NumRows() != 0) {
+    return Status::InvalidArgument(StrFormat(
+        "cannot register table '%s': it has rows but no columns",
+        name.c_str()));
   }
   // Refuse before encoding, so a rejected registration interns nothing.
   LAKEFUZZ_RETURN_IF_ERROR(registry_.CheckName(name));
@@ -519,7 +522,6 @@ void LakeEngine::RecordRequest(const char* mode, uint64_t request_id,
     em_.fd_search_nodes->Add(report->fd_stats.search_nodes);
     em_.fd_result_tuples->Add(report->fd_stats.results);
     em_.fd_intra_tasks->Add(report->fd_stats.intra_tasks);
-    em_.fd_task_busy_ns->Add(report->fd_stats.task_profile.busy_ns);
     em_.values_rewritten->Add(report->values_rewritten);
   }
   const double total_ms = total_seconds * 1e3;
@@ -568,9 +570,9 @@ void LakeEngine::RefreshGauges() const {
   set("lakefuzz_dict_values_interned_total",
       "distinct values in the session dictionary",
       session_dict_->stats().values_interned);
-  // Pool / task-grain / RSS gauges read the same single sources the bench
-  // artifacts do (PoolStats, FdTaskProfile via the request counters above,
-  // util/rss.h) — /metrics and bench JSON can never drift apart.
+  // Pool / RSS gauges read the same single sources the bench artifacts do
+  // (PoolStats, util/rss.h) — /metrics and bench JSON can never drift
+  // apart.
   if (pool_ != nullptr) {
     const PoolStats ps = pool_->stats();
     set("lakefuzz_pool_tasks_total", "pool tasks executed", ps.tasks);

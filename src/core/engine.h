@@ -64,8 +64,9 @@ struct EngineOptions {
   ModelKind model = ModelKind::kMistral;
   /// Session worker threads: 1 = serial (no pool is created), 0 = hardware
   /// concurrency, N = exactly N. The pool is the engine's one parallelism
-  /// switch: FD components, subtree tasks, subsumption, decode, and matcher
-  /// fills all run on it. Results are identical at every setting.
+  /// switch: FD work items (components and root-branch ranges),
+  /// subsumption, decode, and matcher fills all run on it. Results are
+  /// identical at every setting.
   size_t num_threads = 1;
   /// Sizing of the cross-call embedding cache (max_entries 0 = unbounded).
   EmbeddingCacheOptions embedding_cache;
@@ -500,7 +501,6 @@ class LakeEngine {
     Counter* fd_search_nodes = nullptr;
     Counter* fd_result_tuples = nullptr;
     Counter* fd_intra_tasks = nullptr;
-    Counter* fd_task_busy_ns = nullptr;
     Counter* values_rewritten = nullptr;
     Counter* discovery_queries = nullptr;
     Histogram* request_ns = nullptr;

@@ -47,53 +47,6 @@ struct FdOptions {
   /// request-scoped ResourceBudget::max_fd_nodes tightens this per request
   /// and surfaces kResourceExhausted instead.
   uint64_t max_search_nodes = 200'000'000;
-  /// Intra-component parallelism on a multi-worker pool: a component of at
-  /// least this many tuples that also holds at least 1/(2·workers) of all
-  /// tuples has its branch-and-exclude tree split into independent subtree
-  /// tasks run by every pool worker (depth-bounded re-splitting for skew,
-  /// gated on measured task grain). Smaller components enumerate whole on
-  /// one worker, where task bookkeeping would cost more than it buys.
-  /// Output is byte-identical at every setting; SIZE_MAX disables
-  /// splitting.
-  size_t intra_component_min_size = 256;
-};
-
-/// Aggregated execution profile of the intra-component subtree tasks of one
-/// parallel FD run — the task-grain evidence the bench artifacts record so
-/// "the parallel path doesn't pay" is diagnosable from committed JSON
-/// instead of guessed at. All counters cover split-path tasks only.
-struct FdTaskProfile {
-  uint64_t tasks = 0;         ///< subtree tasks executed
-  uint64_t nodes_min = 0;     ///< fewest enumeration nodes in one task
-  uint64_t nodes_max = 0;     ///< most enumeration nodes in one task
-  uint64_t nodes_sum = 0;     ///< Σ nodes across tasks
-  uint64_t busy_ns = 0;       ///< Σ task execution time (replay + search)
-  uint64_t replay_ns = 0;     ///< Σ include-path replay time (split cost)
-  uint64_t wait_ns = 0;       ///< Σ worker dequeue-wait time
-  uint64_t merge_ns = 0;      ///< deterministic segment-merge time
-
-  void AddTask(uint64_t nodes, uint64_t busy, uint64_t replay) {
-    if (tasks == 0 || nodes < nodes_min) nodes_min = nodes;
-    if (nodes > nodes_max) nodes_max = nodes;
-    nodes_sum += nodes;
-    busy_ns += busy;
-    replay_ns += replay;
-    ++tasks;
-  }
-
-  /// Folds another profile in (per-component profiles → run totals).
-  void Merge(const FdTaskProfile& o) {
-    if (o.tasks > 0) {
-      if (tasks == 0 || o.nodes_min < nodes_min) nodes_min = o.nodes_min;
-      if (o.nodes_max > nodes_max) nodes_max = o.nodes_max;
-    }
-    tasks += o.tasks;
-    nodes_sum += o.nodes_sum;
-    busy_ns += o.busy_ns;
-    replay_ns += o.replay_ns;
-    wait_ns += o.wait_ns;
-    merge_ns += o.merge_ns;
-  }
 };
 
 /// Run diagnostics (reported by benchmarks).
@@ -102,8 +55,9 @@ struct FdStats {
   size_t num_components = 0;
   size_t largest_component = 0;
   uint64_t search_nodes = 0;
-  /// Subtree tasks spawned by intra-component splitting (0 when every
-  /// component ran serially). Scheduling-dependent; results never are.
+  /// Root-branch ranges that split components ran as (0 when no component
+  /// was split). Deterministic: a function of the component sizes and the
+  /// pool's worker count, never of scheduling.
   uint64_t intra_tasks = 0;
   size_t results_before_subsumption = 0;
   size_t results = 0;
@@ -113,12 +67,9 @@ struct FdStats {
   size_t posting_lists = 0;
   size_t posting_entries = 0;
   /// Wall time of the fd_enumerate stage (the StageScope's own samples;
-  /// the other FD stages are timed in the request's StageLedger only).
-  /// Includes the deterministic merge, task_profile.merge_ns.
+  /// the other FD stages are timed in the request's StageLedger only),
+  /// including joining the work items' outputs in order.
   double enumeration_seconds = 0.0;
-  /// Intra-component task-grain profile (see FdTaskProfile; all zero when
-  /// no component took the split path).
-  FdTaskProfile task_profile;
   /// Pool-level execution deltas over this run (zero without a pool). On a
   /// shared session pool these include any concurrent work the pool
   /// ran in the window. busy ≪ workers × wall time with queued work is the
@@ -146,13 +97,16 @@ struct FdResult {
 
 /// The Full Disjunction executor. Join-graph components are independent FD
 /// subproblems (Paganelli et al., Big Data Research 2019, parallelize FD the
-/// same way), so they run largest-first — balancing the skewed component
-/// sizes of real lakes — across the lanes of an optional ThreadPool. Giant
-/// components additionally split their search trees across every worker
-/// (see FdOptions::intra_component_min_size), and subsumption runs on the
-/// pool too. A null pool runs every stage inline on one lane. Output is
-/// identical (same order) at every pool size: merging is deterministic
-/// regardless of completion order.
+/// same way), so enumeration is one loop over work items, largest
+/// component first — balancing the skewed component sizes of real lakes —
+/// across the lanes of an optional ThreadPool. An item is a whole
+/// component or, for a giant component on a multi-worker pool, one range
+/// of its root branches: a component holding at least 1/(2·workers) of all
+/// tuples that the fast path does not emit whole is cut into workers × 8
+/// ranges. Subsumption runs on the pool too. A null pool runs every stage
+/// inline on one lane. Output and search_nodes are identical (same order)
+/// at every pool size: the items, joined in order, reproduce the inline
+/// enumeration regardless of completion order.
 class FullDisjunction {
  public:
   explicit FullDisjunction(FdOptions options = FdOptions())
@@ -165,7 +119,7 @@ class FullDisjunction {
   /// The decode-free core of Run: post-subsumption interned result rows in
   /// final (TID-sorted) order. Fills `stats` (results counts the surviving
   /// code tuples; decode wall time is the caller's). `ctx` is polled before
-  /// every component and inside the enumerator's amortized budget check: a
+  /// every work item and inside the enumerator's amortized budget check: a
   /// fired token returns Status::Cancelled, an expired deadline
   /// Status::DeadlineExceeded, an exhausted ResourceBudget
   /// Status::ResourceExhausted — or, under BudgetPolicy::kTruncate, the

@@ -1,15 +1,15 @@
 // One mapping from FD execution stats to named numbers.
 //
-// The FD executors fill FdStats (task profile, pool counters, arena and RSS
-// peaks); the engine's metrics registry and the benchmark JSON artifacts
+// The FD executor fills FdStats (split ranges, pool counters, arena and
+// RSS peaks); the engine's metrics registry and the benchmark JSON artifacts
 // both report those numbers. Before this helper each bench binary hand-built
 // its own key list and the engine wired fields separately, so the two could
 // silently diverge. Now FdStats is the single source and this is the single
 // field→name mapping: the bench `extra` keys below correspond 1:1 to the
-// engine metrics of the same meaning (task_busy_s ↔
-// lakefuzz_fd_task_busy_ns_total, intra_tasks ↔
-// lakefuzz_fd_intra_tasks_total, peak_rss_mb ↔
-// lakefuzz_process_peak_rss_bytes, ...), differing only in unit.
+// engine metrics of the same meaning (intra_tasks ↔
+// lakefuzz_fd_intra_tasks_total, pool_busy_s ↔ lakefuzz_pool_busy_ns_total,
+// peak_rss_mb ↔ lakefuzz_process_peak_rss_bytes, ...), differing only in
+// unit.
 #ifndef LAKEFUZZ_OBS_STATS_EXPORT_H_
 #define LAKEFUZZ_OBS_STATS_EXPORT_H_
 
@@ -26,9 +26,8 @@ namespace lakefuzz {
 double PeakRssMb();
 
 /// The FD execution profile as ordered (key, value) pairs, ready for
-/// BenchJsonWriter::AddFromStats `extra` (or any other flat export):
-/// task-grain evidence (mean/min/max nodes per subtree task, busy vs.
-/// dequeue-wait vs. replay time), pool-level busy vs. wall, merge cost,
+/// BenchJsonWriter::AddFromStats `extra` (or any other flat export): the
+/// split-range count, pool-level task count and busy vs. queue-wait time,
 /// arena peak, and process peak RSS.
 std::vector<std::pair<std::string, double>> FdExecutionExtras(
     const FdStats& stats);

@@ -35,8 +35,8 @@ void ThreadPool::WorkerLoop() {
       queue_.pop();
     }
     // Two clock reads per task bound the instrumentation cost; tasks here
-    // are coarse (a ParallelFor lane's whole loop, an FD subtree batch), so
-    // the reads are noise next to the work they bracket.
+    // are coarse (a ParallelFor lane's whole loop over its items), so the
+    // reads are noise next to the work they bracket.
     const uint64_t start = NowNs();
     queue_wait_ns_.fetch_add(start - item.enqueue_ns,
                              std::memory_order_relaxed);

@@ -1,4 +1,6 @@
-// Fixed-size thread pool used by the parallel Full Disjunction executor.
+// Fixed-size thread pool: a LakeEngine session's workers, shared by every
+// parallel stage (FD index build, work items and subsumption, value
+// matching, discovery sketches).
 #ifndef LAKEFUZZ_UTIL_THREAD_POOL_H_
 #define LAKEFUZZ_UTIL_THREAD_POOL_H_
 

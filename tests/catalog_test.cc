@@ -627,6 +627,57 @@ TEST(CatalogCorruptionTest, HugeColumnCountIsIoError) {
   EXPECT_EQ(reader->NumTables(), 0u);
 }
 
+/// A zero-column table whose manifest entry and table block agree on a
+/// huge row count, with every checksum recomputed. The column spans are
+/// what bound the row count by the block's bytes, and a table without
+/// columns has none: only the zero-column check stops the open from
+/// appending 2^40 empty rows.
+TEST(CatalogCorruptionTest, ZeroColumnRowCountIsIoError) {
+  const std::string dir = FreshDir("zerocolrows");
+  {
+    auto writer = MakeEngine(1);
+    ASSERT_TRUE(writer->RegisterTable("z", Table("z", Schema())).ok());
+    ASSERT_TRUE(writer->SaveCatalog(dir).ok());
+  }
+  std::string manifest = ReadAll(ManifestPath(dir));
+  // Same layout as HugeColumnCountIsIoError.
+  constexpr size_t kTablesSegmentOff = 16 + 7 * 8 + 2 * 16;
+  constexpr size_t kFirstEntryOff = 16 + 7 * 8 + 4 * 16 + 8;
+  uint32_t name_len = 0;
+  std::memcpy(&name_len, &manifest[kFirstEntryOff], sizeof(name_len));
+  // Entry: name, fingerprint, rows, cols, table offset, ...
+  const size_t rows_off = kFirstEntryOff + 4 + name_len + 8;
+  const size_t cols_off = rows_off + 8;
+  uint32_t cols = 1;
+  std::memcpy(&cols, &manifest[cols_off], sizeof(cols));
+  ASSERT_EQ(cols, 0u);
+  uint64_t table_off = 0;
+  std::memcpy(&table_off, &manifest[cols_off + 4], sizeof(table_off));
+  const uint64_t forged_rows = uint64_t{1} << 40;
+  std::memcpy(&manifest[rows_off], &forged_rows, sizeof(forged_rows));
+
+  // A table block starts with its column count, then its row count.
+  const std::string tables_path = SegmentPath(dir, kCatalogTablesStem);
+  std::string tables = ReadAll(tables_path);
+  ASSERT_LE(table_off + 4 + sizeof(forged_rows), tables.size());
+  std::memcpy(&tables[table_off + 4], &forged_rows, sizeof(forged_rows));
+  WriteAll(tables_path, tables);
+  uint64_t tables_size = 0;
+  std::memcpy(&tables_size, &manifest[kTablesSegmentOff],
+              sizeof(tables_size));
+  ASSERT_EQ(tables_size, tables.size());
+  const uint64_t tables_checksum = Fnv1a64(tables.data(), tables.size());
+  std::memcpy(&manifest[kTablesSegmentOff + 8], &tables_checksum,
+              sizeof(tables_checksum));
+  FixupManifestChecksum(&manifest);
+  WriteAll(ManifestPath(dir), manifest);
+
+  auto reader = MakeEngine(1);
+  auto opened = reader->OpenCatalog(dir);
+  EXPECT_EQ(opened.code(), ErrorCode::kIoError);
+  EXPECT_EQ(reader->NumTables(), 0u);
+}
+
 TEST(CatalogCorruptionTest, DiscoveryParamMismatchIsInvalidArgument) {
   const std::string dir = FreshDir("parammismatch");
   ASSERT_TRUE(MakeEngineWithSmallLake(1)->SaveCatalog(dir).ok());

@@ -3,10 +3,11 @@
 // Runs hundreds of full discover → integrate pipelines against one engine
 // while randomly firing deadlines, cancellations, resource budgets, both
 // budget policies, and — in LAKEFUZZ_FAULT_POINTS builds — injected faults
-// at the fd/build, fd/task, sink/write seams. The engine must stay
-// consistent throughout: every request returns one of the accepted
-// lifecycle codes, the registry never changes shape, and a clean request
-// after any amount of chaos is byte-identical to a fresh engine's answer.
+// at the fd/build, fd/task (once per FD work item), sink/write seams. The
+// engine must stay consistent throughout: every request returns one of the
+// accepted lifecycle codes, the registry never changes shape, and a clean
+// request after any amount of chaos is byte-identical to a fresh engine's
+// answer.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -266,6 +267,53 @@ TEST(ChaosTest, DeterministicFaultPointsFireOnce) {
   auto after = (*engine)->Integrate(LakeNames(), CleanRequest());
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   FaultInjector::Instance().Disarm();
+}
+
+/// A 2-worker engine over one giant join component (every tuple shares the
+/// "hub" value): the FD stage splits it into root-branch ranges, so the
+/// fd/task seam is poked once per range.
+Result<std::unique_ptr<LakeEngine>> MakeGiantComponentEngine() {
+  auto engine = LakeEngine::Create(EngineOptions().SetNumThreads(2));
+  if (!engine.ok()) return engine;
+  for (size_t l = 0; l < 4; ++l) {
+    Table t("g" + std::to_string(l),
+            Schema::FromNames({"key", "hub", "p" + std::to_string(l)}));
+    for (size_t k = 0; k < 24; ++k) {
+      for (size_t r = 0; r < 2; ++r) {
+        LAKEFUZZ_RETURN_IF_ERROR(
+            t.AppendRow({S("k" + std::to_string(k)), S("hub"),
+                         S(StrFormat("v%zu_%zu_%zu", l, k, r))}));
+      }
+    }
+    LAKEFUZZ_RETURN_IF_ERROR((*engine)->RegisterTable(t.name(), t));
+  }
+  return engine;
+}
+
+TEST(ChaosTest, FdTaskFaultFailsTypedThenRecovers) {
+  const std::vector<std::string> names = {"g0", "g1", "g2", "g3"};
+  RequestOptions req;
+  req.holistic_alignment = false;
+  req.fuzzy = false;
+  auto engine = MakeGiantComponentEngine();
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+  // The fourth poke fires: a range in the middle of the giant's run.
+  FaultInjector::Instance().ArmPoint("fd/task", 3);
+  auto faulted = (*engine)->Integrate(names, req);
+  FaultInjector::Instance().Disarm();
+  ASSERT_FALSE(faulted.ok());
+  EXPECT_EQ(faulted.code(), ErrorCode::kInternal);
+  EXPECT_NE(faulted.status().message().find("fd/task"), std::string::npos);
+
+  auto reference_engine = MakeGiantComponentEngine();
+  ASSERT_TRUE(reference_engine.ok());
+  auto reference = (*reference_engine)->Integrate(names, req);
+  auto clean = (*engine)->Integrate(names, req);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  EXPECT_GT(clean->report.fd_stats.intra_tasks, 3u);
+  ExpectTablesIdentical(clean->integrated, reference->integrated);
 }
 
 TEST(ChaosTest, CatalogWriteFsyncRenameFaultsLeaveOldCatalogIntact) {

@@ -125,6 +125,19 @@ TEST(TableRegistryTest, EmptyNameRejected) {
             ErrorCode::kInvalidArgument);
 }
 
+TEST(TableRegistryTest, RowsWithoutColumnsRejected) {
+  // A catalog stores tables column by column, so rows without columns
+  // could never be saved and reopened; a 0 x 0 table (an empty CSV) is
+  // fine.
+  auto engine = MakeEngineWithSmallSet();
+  Table rows_only("rows_only", Schema());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(rows_only.AppendRow({}).ok());
+  EXPECT_EQ(engine->RegisterTable("rows_only", rows_only).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(engine->RegisterTable("empty", Table("empty", Schema())).ok());
+  EXPECT_EQ(engine->NumTables(), 3u);
+}
+
 TEST(TableRegistryTest, UnknownNameIsNotFound) {
   auto engine = MakeEngineWithSmallSet();
   auto result = engine->Integrate({"a", "missing"});

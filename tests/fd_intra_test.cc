@@ -1,13 +1,16 @@
 // Tests for the FD hot path: intra-component parallel enumeration
-// (thread-count invariance on a single giant component, cancellation and
-// budget exhaustion mid-subtree) and the code build (FdProblem::
+// (thread-count invariance on a single giant component cut into root-branch
+// ranges, the split plan, cancellation and budget exhaustion mid-range)
+// and the code build (FdProblem::
 // BuildInterned's gather checked cell by cell against the tables and its
 // result against the oracle, concurrent decode-while-encode safety).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <thread>
+#include <utility>
 
 #include "core/fuzzy_fd.h"
 #include "fd/full_disjunction.h"
@@ -30,7 +33,7 @@ Value S(const std::string& s) { return Value::String(s); }
 /// consistency. Maximal sets = one tuple per table, all agreeing on key —
 /// (rows_per_key)^num_tables combinations per key, so the branch-and-
 /// exclude tree is wide at the top and bushy below: exactly the skew the
-/// intra-component executor is for.
+/// root-branch split is for.
 std::vector<Table> GiantComponentTables(size_t num_tables, size_t num_keys,
                                         size_t rows_per_key) {
   std::vector<Table> tables;
@@ -74,39 +77,47 @@ TEST(IntraComponentTest, SingleGiantComponentByteIdenticalAcrossThreads) {
             serial_problem.num_tuples());
   EXPECT_GT(serial_stats.arena_peak_bytes, 0u);
 
-  for (size_t threads : {1u, 2u, 8u}) {
-    FdProblem p = *problem;
+  // The split plan is pinned: one worker never splits; on more, the
+  // 192-tuple giant becomes workers × 8 ranges of its root branches.
+  const std::vector<std::pair<size_t, uint64_t>> plans = {
+      {1, 0}, {2, 16}, {8, 64}};
+  for (const auto& [threads, ranges] : plans) {
     ThreadPool pool(threads);
-    FdOptions opts;
-    // Force the intra path for any component on multi-thread runs.
-    opts.intra_component_min_size = 2;
     FdStats stats;
-    auto parallel = FullDisjunction(opts).RunCodes(&p, &pool, &stats);
+    FdProblem p = *problem;
+    auto parallel = FullDisjunction().RunCodes(&p, &pool, &stats);
     ASSERT_TRUE(parallel.ok()) << threads;
+    EXPECT_EQ(stats.intra_tasks, ranges) << threads;
+    // Repeated runs make the same plan and the same output.
+    FdStats again_stats;
+    FdProblem again = *problem;
+    auto repeat = FullDisjunction().RunCodes(&again, &pool, &again_stats);
+    ASSERT_TRUE(repeat.ok()) << threads;
+    EXPECT_EQ(again_stats.intra_tasks, stats.intra_tasks) << threads;
+    EXPECT_EQ(again_stats.search_nodes, stats.search_nodes) << threads;
     ASSERT_EQ(parallel->size(), serial->size()) << threads;
+    ASSERT_EQ(repeat->size(), serial->size()) << threads;
     for (size_t i = 0; i < serial->size(); ++i) {
       ASSERT_EQ((*parallel)[i].codes, (*serial)[i].codes)
           << "threads " << threads << " tuple " << i;
       ASSERT_EQ((*parallel)[i].tids, (*serial)[i].tids)
           << "threads " << threads << " tuple " << i;
+      ASSERT_EQ((*repeat)[i].tids, (*serial)[i].tids)
+          << "threads " << threads << " tuple " << i;
     }
     EXPECT_EQ(stats.search_nodes, serial_stats.search_nodes) << threads;
     if (threads > 1) {
-      // The giant component must actually have been split into subtree
-      // tasks, not fall back to serial enumeration.
+      // The giant component must actually have been split into ranges,
+      // not fall back to serial enumeration.
       EXPECT_GT(stats.intra_tasks, 0u) << threads;
-      // Every executed task is profiled: the spawned subtree tasks plus
-      // the component's root task.
-      EXPECT_EQ(stats.task_profile.tasks, stats.intra_tasks + 1) << threads;
-      EXPECT_GT(stats.task_profile.busy_ns, 0u) << threads;
     }
   }
 }
 
 TEST(IntraComponentTest, ManyComponentsWithIntraStillMatchSerial) {
   // Mixed shape: one giant component (hub) plus many small per-key
-  // components — the giant runs through the intra path, the tail through
-  // the classic component-per-worker path, and the merged output must stay
+  // components — the giant runs as root-branch ranges, the tail as whole
+  // components on the same lanes, and the merged output must stay
   // identical to fully sequential.
   auto tables = GiantComponentTables(3, 12, 2);
   Table extra("x", Schema::FromNames({"solo"}));
@@ -126,11 +137,14 @@ TEST(IntraComponentTest, ManyComponentsWithIntraStillMatchSerial) {
   for (size_t threads : {2u, 8u}) {
     ThreadPool pool(threads);
     FuzzyFdOptions opts = serial_opts;
-    opts.fd.intra_component_min_size = 4;
     opts.pool = &pool;
+    FuzzyFdReport report;
     auto parallel = FuzzyFullDisjunction(opts).RunToTuples(
-        encoded, *aligned, /*fuzzy=*/false);
+        encoded, *aligned, /*fuzzy=*/false, &report);
     ASSERT_TRUE(parallel.ok());
+    // Only the 72-tuple giant meets the share rule.
+    EXPECT_EQ(report.fd_stats.intra_tasks, std::min<size_t>(72, threads * 8))
+        << threads;
     ASSERT_EQ(parallel->tuples.size(), serial->tuples.size());
     for (size_t i = 0; i < serial->tuples.size(); ++i) {
       ASSERT_EQ(parallel->tuples[i].values, serial->tuples[i].values) << i;
@@ -139,18 +153,63 @@ TEST(IntraComponentTest, ManyComponentsWithIntraStillMatchSerial) {
   }
 }
 
-TEST(IntraComponentTest, DisableSplittingViaMinSize) {
-  auto tables = GiantComponentTables(3, 10, 2);
+TEST(IntraComponentTest, FastPathComponentIsNeverSplit) {
+  // Four one-row tables that agree on a key: one component holding every
+  // tuple (it meets the share rule at any worker count), but the fast path
+  // emits it whole, so it is never split and no search node is counted.
+  std::vector<Table> tables;
+  for (size_t l = 0; l < 4; ++l) {
+    Table t("t" + std::to_string(l),
+            Schema::FromNames({"key", "p" + std::to_string(l)}));
+    ASSERT_TRUE(t.AppendRow({S("k"), S("v" + std::to_string(l))}).ok());
+    tables.push_back(std::move(t));
+  }
   auto problem = BuildGiant(tables);
   ASSERT_TRUE(problem.ok());
+  for (size_t threads : {0u, 2u, 8u}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+    FdProblem p = *problem;
+    FdStats stats;
+    auto result = FullDisjunction().RunCodes(&p, pool.get(), &stats);
+    ASSERT_TRUE(result.ok()) << threads;
+    ASSERT_EQ(stats.num_components, 1u);
+    ASSERT_EQ(result->size(), 1u) << threads;
+    EXPECT_EQ((*result)[0].tids.size(), 4u) << threads;
+    EXPECT_EQ(stats.intra_tasks, 0u) << threads;
+    EXPECT_EQ(stats.search_nodes, 0u) << threads;
+  }
+}
+
+TEST(IntraComponentTest, ScratchBudgetAdmitsASplitGiantOnce) {
+  // The scratch budget is checked at a component's first item only: a
+  // giant admitted on a fresh lane runs all of its ranges, even though
+  // every lane's arena outgrows a one-byte budget along the way.
+  auto tables = GiantComponentTables(4, 40, 2);
+  auto problem = BuildGiant(tables);
+  ASSERT_TRUE(problem.ok());
+  FdProblem serial_problem = *problem;
+  FdStats serial_stats;
+  auto serial =
+      FullDisjunction().RunCodes(&serial_problem, nullptr, &serial_stats);
+  ASSERT_TRUE(serial.ok());
+
   ThreadPool pool(4);
-  FdOptions opts;
-  opts.intra_component_min_size = SIZE_MAX;  // no component is giant
-  FdStats stats;
-  FdProblem p = *problem;
-  auto result = FullDisjunction(opts).RunCodes(&p, &pool, &stats);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(stats.intra_tasks, 0u);
+  for (BudgetPolicy policy : {BudgetPolicy::kFail, BudgetPolicy::kTruncate}) {
+    RequestContext ctx;
+    ctx.budget.max_scratch_bytes = 1;
+    ctx.policy = policy;
+    FdProblem p = *problem;
+    FdStats stats;
+    auto result = FullDisjunction().RunCodes(&p, &pool, &stats, ctx);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(stats.intra_tasks, 32u);
+    EXPECT_FALSE(stats.truncation.truncated);
+    ASSERT_EQ(result->size(), serial->size());
+    for (size_t i = 0; i < serial->size(); ++i) {
+      ASSERT_EQ((*result)[i].tids, (*serial)[i].tids) << i;
+    }
+  }
 }
 
 TEST(IntraComponentTest, CancelAtEnumerationEntryReturnsCancelled) {
@@ -164,18 +223,16 @@ TEST(IntraComponentTest, CancelAtEnumerationEntryReturnsCancelled) {
     }
   };
   ThreadPool pool(4);
-  FdOptions opts;
-  opts.intra_component_min_size = 2;
   FdStats stats;
   RequestContext ctx(cancel);
   ctx.progress = &progress;
-  auto result = FullDisjunction(opts).RunCodes(&*problem, &pool, &stats, ctx);
+  auto result = FullDisjunction().RunCodes(&*problem, &pool, &stats, ctx);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), ErrorCode::kCancelled);
 }
 
 TEST(IntraComponentTest, AsyncCancelMidSubtreeIsCleanUnderAsan) {
-  // Fire the token from another thread while subtree tasks are running.
+  // Fire the token from another thread while root-branch ranges run.
   // Which checkpoint catches it is timing-dependent, so the contract is:
   // either a clean kCancelled or a complete, correct result — never a
   // crash, leak, or partial state (ASan job verifies the "clean" part).
@@ -188,11 +245,8 @@ TEST(IntraComponentTest, AsyncCancelMidSubtreeIsCleanUnderAsan) {
     cancel.Cancel();
   });
   ThreadPool pool(4);
-  FdOptions opts;
-  opts.intra_component_min_size = 2;
   FdStats stats;
-  auto result =
-      FullDisjunction(opts).RunCodes(&*problem, &pool, &stats, cancel);
+  auto result = FullDisjunction().RunCodes(&*problem, &pool, &stats, cancel);
   firing.join();
   if (!result.ok()) {
     EXPECT_EQ(result.status().code(), ErrorCode::kCancelled);
@@ -205,7 +259,6 @@ TEST(IntraComponentTest, BudgetExhaustionPropagatesFromSubtrees) {
   ASSERT_TRUE(problem.ok());
   ThreadPool pool(4);
   FdOptions opts;
-  opts.intra_component_min_size = 2;
   opts.max_search_nodes = 1;  // first amortized draw already overdraws
   FdStats stats;
   auto result = FullDisjunction(opts).RunCodes(&*problem, &pool, &stats);

@@ -431,10 +431,12 @@ std::vector<Table> RandomTables(const OracleCase& oc, Rng* rng) {
 
 TEST_P(FdOracleProperty, ProductionMatchesOracle) {
   // One executor, every parallelism level: inline, then pools of 1, 2 and 8
-  // workers — each with the default split gate and with every non-trivial
-  // component forced through intra-component splitting.
+  // workers. On the multi-worker pools the split rule cuts some components
+  // into root-branch ranges, so the oracle covers ranges as well as whole
+  // components.
   const OracleCase& oc = GetParam();
   Rng rng(oc.seed);
+  std::vector<uint64_t> ranges(ExecutorPools().size(), 0);
   for (int trial = 0; trial < 15; ++trial) {
     const std::vector<Table> tables = RandomTables(oc, &rng);
     auto aligned = AlignByName(tables);
@@ -442,23 +444,27 @@ TEST_P(FdOracleProperty, ProductionMatchesOracle) {
     auto oracle = NaiveFdOracle(tables, *aligned);
     ASSERT_TRUE(oracle.ok());
     const FdProblem problem = EncodedProblemByName(tables);
-    for (size_t min_size : {FdOptions().intra_component_min_size,
-                            size_t{2}}) {
-      FdOptions opts;
-      opts.intra_component_min_size = min_size;
-      for (ThreadPool* pool : ExecutorPools()) {
-        FdProblem copy = problem;
-        auto fast = FullDisjunction(opts).Run(&copy, pool);
-        ASSERT_TRUE(fast.ok());
-        ASSERT_EQ(fast->tuples.size(), oracle->size())
-            << "trial " << trial << " workers " << Workers(pool);
-        for (size_t i = 0; i < fast->tuples.size(); ++i) {
-          EXPECT_EQ(fast->tuples[i].values, (*oracle)[i].values)
-              << "trial " << trial << " tuple " << i << " workers "
-              << Workers(pool) << " min_size " << min_size;
-          EXPECT_EQ(fast->tuples[i].tids, (*oracle)[i].tids);
-        }
+    for (size_t p = 0; p < ExecutorPools().size(); ++p) {
+      ThreadPool* pool = ExecutorPools()[p];
+      FdProblem copy = problem;
+      auto fast = FullDisjunction().Run(&copy, pool);
+      ASSERT_TRUE(fast.ok());
+      ranges[p] += fast->stats.intra_tasks;
+      ASSERT_EQ(fast->tuples.size(), oracle->size())
+          << "trial " << trial << " workers " << Workers(pool);
+      for (size_t i = 0; i < fast->tuples.size(); ++i) {
+        EXPECT_EQ(fast->tuples[i].values, (*oracle)[i].values)
+            << "trial " << trial << " tuple " << i << " workers "
+            << Workers(pool);
+        EXPECT_EQ(fast->tuples[i].tids, (*oracle)[i].tids);
       }
+    }
+  }
+  for (size_t p = 0; p < ExecutorPools().size(); ++p) {
+    if (Workers(ExecutorPools()[p]) > 1) {
+      EXPECT_GT(ranges[p], 0u) << "workers " << Workers(ExecutorPools()[p]);
+    } else {
+      EXPECT_EQ(ranges[p], 0u) << "workers " << Workers(ExecutorPools()[p]);
     }
   }
 }

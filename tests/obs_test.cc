@@ -575,8 +575,6 @@ TEST(TracedEngineTest, SlowLogFiresAboveThreshold) {
 TEST(StatsExportTest, FdExtrasMatchTheStatsFields) {
   FdStats stats;
   stats.intra_tasks = 3;
-  stats.task_profile.AddTask(/*nodes=*/10, /*busy=*/2000000, /*replay=*/0);
-  stats.task_profile.AddTask(/*nodes=*/30, /*busy=*/4000000, /*replay=*/0);
   stats.pool_tasks = 5;
   stats.pool_busy_seconds = 0.25;
   auto extras = FdExecutionExtras(stats);
@@ -588,10 +586,6 @@ TEST(StatsExportTest, FdExtrasMatchTheStatsFields) {
     return -1.0;
   };
   EXPECT_DOUBLE_EQ(find("intra_tasks"), 3.0);
-  EXPECT_DOUBLE_EQ(find("task_nodes_mean"), 20.0);
-  EXPECT_DOUBLE_EQ(find("task_nodes_min"), 10.0);
-  EXPECT_DOUBLE_EQ(find("task_nodes_max"), 30.0);
-  EXPECT_DOUBLE_EQ(find("task_busy_s"), 0.006);
   EXPECT_DOUBLE_EQ(find("pool_tasks"), 5.0);
   EXPECT_DOUBLE_EQ(find("pool_busy_s"), 0.25);
   EXPECT_GT(find("peak_rss_mb"), 0.0);
