@@ -34,10 +34,10 @@ int main(int argc, char** argv) {
     ImdbOptions gen;
     gen.target_tuples = imdb_tuples;
     ImdbBenchmark bench = GenerateImdb(gen);
-    auto aligned = AlignByName(bench.tables);
-    if (!aligned.ok()) return 1;
     SessionDict dict;
     const EncodedTables tables = EncodeTables(bench.tables, &dict);
+    auto aligned = AlignByName(tables);
+    if (!aligned.ok()) return 1;
 
     ReportTable table({"configuration", "match (s)", "FD (s)", "total (s)",
                        "assignment matches"});
@@ -74,10 +74,10 @@ int main(int argc, char** argv) {
     ImdbOptions gen;
     gen.target_tuples = imdb_tuples * 2;
     ImdbBenchmark bench = GenerateImdb(gen);
-    auto aligned = AlignByName(bench.tables);
-    if (!aligned.ok()) return 1;
     SessionDict dict;
     const EncodedTables tables = EncodeTables(bench.tables, &dict);
+    auto aligned = AlignByName(tables);
+    if (!aligned.ok()) return 1;
 
     ReportTable table({"executor", "FD (s)", "output tuples"});
     ThreadPool pool(ResolveNumThreads(0));

@@ -45,18 +45,18 @@ int main(int argc, char** argv) {
     gen.num_entities = num_entities;
     gen.seed = 1000 + trial;
     EmBenchmark bench = GenerateEmBenchmark(gen);
-    auto aligned = AlignByName(bench.tables);
+    SessionDict dict;
+    const EncodedTables tables = EncodeTables(bench.tables, &dict);
+    auto aligned = AlignByName(tables);
     if (!aligned.ok()) {
       std::fprintf(stderr, "%s\n", aligned.status().ToString().c_str());
       return 1;
     }
 
-    SessionDict dict;
     FuzzyFdOptions opts;
     opts.matcher.model = model;
     opts.session_dict = &dict;
     FuzzyFullDisjunction pipeline(opts);
-    const EncodedTables tables = EncodeTables(bench.tables, &dict);
     auto fuzzy = pipeline.RunToTuples(tables, *aligned, /*fuzzy=*/true);
     auto regular = pipeline.RunToTuples(tables, *aligned, /*fuzzy=*/false);
     if (!fuzzy.ok() || !regular.ok()) {

@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
   auto owned_tables = MakeSkewLake(num_tables, num_keys, rows_per_key,
                                    corrupt, /*seed=*/20260730);
   const EncodedTables tables = EncodeTables(owned_tables, &dict);
-  auto aligned = AlignByName(owned_tables);
+  auto aligned = AlignByName(tables);
   if (!aligned.ok()) {
     std::fprintf(stderr, "%s\n", aligned.status().ToString().c_str());
     return 1;

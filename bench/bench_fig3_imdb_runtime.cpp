@@ -73,15 +73,15 @@ int main(int argc, char** argv) {
     ImdbOptions gen;
     gen.target_tuples = s;
     ImdbBenchmark bench = GenerateImdb(gen);
-    auto aligned = AlignByName(bench.tables);
-    if (!aligned.ok()) {
-      std::fprintf(stderr, "%s\n", aligned.status().ToString().c_str());
-      return 1;
-    }
     // Encoded once, as LakeEngine registration does: interning stays out
     // of the timed pipeline runs.
     SessionDict dict;
     const EncodedTables tables = EncodeTables(bench.tables, &dict);
+    auto aligned = AlignByName(tables);
+    if (!aligned.ok()) {
+      std::fprintf(stderr, "%s\n", aligned.status().ToString().c_str());
+      return 1;
+    }
     FuzzyFdOptions regular_opts;
     regular_opts.session_dict = &dict;
 

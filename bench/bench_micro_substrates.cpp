@@ -36,9 +36,9 @@ void BM_FullDisjunctionImdb(benchmark::State& state) {
   ImdbOptions gen;
   gen.target_tuples = static_cast<size_t>(state.range(0));
   ImdbBenchmark bench = GenerateImdb(gen);
-  auto aligned = AlignByName(bench.tables);
   SessionDict dict;
   const EncodedTables tables = EncodeTables(bench.tables, &dict);
+  auto aligned = AlignByName(tables);
   for (auto _ : state) {
     auto problem = FdProblem::BuildInterned(tables, *aligned, dict.dict());
     auto result = FullDisjunction().Run(&problem.value());

@@ -35,20 +35,19 @@ int main(int argc, char** argv) {
                 t.NumRows(), t.NumColumns());
   }
 
-  auto aligned = AlignByName(bench.tables);
-  if (!aligned.ok()) {
-    std::fprintf(stderr, "%s\n", aligned.status().ToString().c_str());
-    return 1;
-  }
-
   // --parallel runs every stage on one pool of --threads workers (0 =
   // hardware concurrency); without it everything runs inline.
   std::unique_ptr<ThreadPool> pool;
   if (parallel) pool = std::make_unique<ThreadPool>(ResolveNumThreads(threads));
-  // Encode once (what LakeEngine registration does); the pipeline reads
-  // the code columns and decodes results through the same dictionary.
+  // Encode once (what LakeEngine registration does); alignment and the
+  // pipeline read the code columns and decode through the same dictionary.
   SessionDict dict;
   const EncodedTables tables = EncodeTables(bench.tables, &dict, pool.get());
+  auto aligned = AlignByName(tables);
+  if (!aligned.ok()) {
+    std::fprintf(stderr, "%s\n", aligned.status().ToString().c_str());
+    return 1;
+  }
   FuzzyFdOptions opts;
   opts.matcher.model = MakeModel(ModelKind::kMistral);
   opts.pool = pool.get();

@@ -612,16 +612,14 @@ struct TablePayload {
   uint64_t fingerprint = 0;
 };
 
-void SerializeTableBlock(ByteWriter* w, const TablePayload& p) {
-  const Table& t = *p.table->table;
+void SerializeTableBlock(ByteWriter* w, const EncodedTable& t) {
   w->U32(static_cast<uint32_t>(t.NumColumns()));
   w->U64(t.NumRows());
-  for (size_t c = 0; c < t.NumColumns(); ++c) {
-    const Field& f = t.schema().field(c);
+  for (const Field& f : t.schema.fields()) {
     w->Str(f.name);
     w->U8(static_cast<uint8_t>(f.type));
   }
-  for (const auto& col : p.table->codes) {
+  for (const auto& col : t.codes) {
     w->Raw(col.data(), col.size() * sizeof(uint32_t));
   }
 }
@@ -951,12 +949,10 @@ std::string CatalogPinFileName(uint64_t generation, int64_t pid,
 
 uint64_t CatalogTableFingerprint(const EncodedTable& table,
                                  const ValueDict& dict) {
-  const Table& t = *table.table;
   uint64_t fp = Fnv1a64("lakefuzz.catalog.table.v1");
-  fp = HashCombine(fp, t.NumRows());
-  fp = HashCombine(fp, t.NumColumns());
-  for (size_t c = 0; c < t.NumColumns(); ++c) {
-    const Field& f = t.schema().field(c);
+  fp = HashCombine(fp, table.NumRows());
+  fp = HashCombine(fp, table.NumColumns());
+  for (const Field& f : table.schema.fields()) {
     fp = HashCombine(fp, Fnv1a64(f.name));
     fp = HashCombine(fp, static_cast<uint64_t>(f.type));
   }
@@ -1046,6 +1042,13 @@ Result<CatalogSaveReport> SaveCatalogFrom(
                                                       state->base))) ==
           static_cast<int64_t>(state->sketches.size);
   const uint64_t base = incremental ? state->base : gen;
+  // A full rewrite is an append to empty segments under the fresh base, so
+  // both modes run one loop: serialize the dict entries past `prior`'s
+  // prefix and every table whose fingerprint `prior` does not hold (the
+  // rest reuse their extents), then extend `prior`'s segments.
+  const CatalogState empty;
+  const CatalogState& prior = incremental ? *state : empty;
+  report.incremental = incremental;
 
   // Band keys are recomputed once per signature at save time (cheap FNV
   // folds); persisting them makes the warm open's LSH rebuild a pure copy.
@@ -1061,119 +1064,61 @@ Result<CatalogSaveReport> SaveCatalogFrom(
   m.seed = discovery_options.seed;
   m.value_count = value_count;
 
+  ByteWriter vbuf, hbuf, tbuf, sbuf;
+  for (uint64_t code = prior.values_persisted + 1; code <= value_count;
+       ++code) {
+    WriteValue(&vbuf, dict->dict().Decode(static_cast<uint32_t>(code)));
+    hbuf.U64(dict->dict().HashOf(static_cast<uint32_t>(code)));
+  }
   std::map<std::string, CatalogState::TableState> table_states;
-
-  const std::string values_file = CatalogSegmentFileName(kCatalogValuesStem, base);
-  const std::string hashes_file = CatalogSegmentFileName(kCatalogHashesStem, base);
-  const std::string tables_file = CatalogSegmentFileName(kCatalogTablesStem, base);
-  const std::string sketches_file =
-      CatalogSegmentFileName(kCatalogSketchesStem, base);
-
-  if (incremental) {
-    report.incremental = true;
-    // Dict delta: entries [values_persisted+1, value_count] append; the
-    // prefix checksum streams forward (FNV seeded with the old checksum).
-    ByteWriter vbuf, hbuf;
-    for (uint64_t code = state->values_persisted + 1; code <= value_count;
-         ++code) {
-      WriteValue(&vbuf, dict->dict().Decode(static_cast<uint32_t>(code)));
-      hbuf.U64(dict->dict().HashOf(static_cast<uint32_t>(code)));
+  for (const TablePayload& p : payloads) {
+    auto it = prior.tables_by_name.find(p.name);
+    if (it != prior.tables_by_name.end() &&
+        it->second.fingerprint == p.fingerprint) {
+      table_states[p.name] = it->second;
+      ++report.tables_reused;
+      continue;
     }
-    m.values.size = state->values.size + vbuf.size();
-    m.values.checksum =
-        vbuf.size() == 0
-            ? state->values.checksum
-            : Fnv1a64(vbuf.bytes().data(), vbuf.size(), state->values.checksum);
-    m.hashes.size = state->hashes.size + hbuf.size();
-    m.hashes.checksum =
-        hbuf.size() == 0
-            ? state->hashes.checksum
-            : Fnv1a64(hbuf.bytes().data(), hbuf.size(), state->hashes.checksum);
+    CatalogState::TableState ts;
+    ts.fingerprint = p.fingerprint;
+    ts.rows = p.table->NumRows();
+    ts.cols = static_cast<uint32_t>(p.table->NumColumns());
+    ts.table_off = prior.tables.size + tbuf.size();
+    SerializeTableBlock(&tbuf, *p.table);
+    ts.table_size = prior.tables.size + tbuf.size() - ts.table_off;
+    ts.sketch_off = prior.sketches.size + sbuf.size();
+    SerializeSketchBlock(&sbuf, *p.sketches, keyer);
+    ts.sketch_size = prior.sketches.size + sbuf.size() - ts.sketch_off;
+    table_states[p.name] = ts;
+    ++report.tables_written;
+  }
+  report.values_appended = value_count - prior.values_persisted;
 
-    ByteWriter tbuf, sbuf;
-    for (const TablePayload& p : payloads) {
-      auto it = state->tables_by_name.find(p.name);
-      if (it != state->tables_by_name.end() &&
-          it->second.fingerprint == p.fingerprint) {
-        table_states[p.name] = it->second;
-        ++report.tables_reused;
-        continue;
-      }
-      CatalogState::TableState ts;
-      ts.fingerprint = p.fingerprint;
-      ts.rows = p.table->table->NumRows();
-      ts.cols = static_cast<uint32_t>(p.table->table->NumColumns());
-      ts.table_off = state->tables.size + tbuf.size();
-      SerializeTableBlock(&tbuf, p);
-      ts.table_size = state->tables.size + tbuf.size() - ts.table_off;
-      ts.sketch_off = state->sketches.size + sbuf.size();
-      SerializeSketchBlock(&sbuf, *p.sketches, keyer);
-      ts.sketch_size = state->sketches.size + sbuf.size() - ts.sketch_off;
-      table_states[p.name] = ts;
-      ++report.tables_written;
-    }
-    m.tables.size = state->tables.size + tbuf.size();
-    m.tables.checksum =
-        tbuf.size() == 0
-            ? state->tables.checksum
-            : Fnv1a64(tbuf.bytes().data(), tbuf.size(), state->tables.checksum);
-    m.sketches.size = state->sketches.size + sbuf.size();
-    m.sketches.checksum =
-        sbuf.size() == 0 ? state->sketches.checksum
-                         : Fnv1a64(sbuf.bytes().data(), sbuf.size(),
-                                   state->sketches.checksum);
-
-    LAKEFUZZ_RETURN_IF_ERROR(
-        AppendToFile(JoinPath(dir, values_file), vbuf.bytes()));
-    LAKEFUZZ_RETURN_IF_ERROR(
-        AppendToFile(JoinPath(dir, hashes_file), hbuf.bytes()));
-    LAKEFUZZ_RETURN_IF_ERROR(
-        AppendToFile(JoinPath(dir, tables_file), tbuf.bytes()));
-    LAKEFUZZ_RETURN_IF_ERROR(
-        AppendToFile(JoinPath(dir, sketches_file), sbuf.bytes()));
-    report.values_appended = value_count - state->values_persisted;
-    report.bytes_written +=
-        vbuf.size() + hbuf.size() + tbuf.size() + sbuf.size();
-  } else {
-    // Full rewrite under a fresh base: everything is serialized into new
-    // segment files via the temp-file commit. Segments of prior generations
-    // are left untouched (retention GC retires them later), so a crash at
-    // any point leaves every committed generation fully intact.
-    ByteWriter vbuf, hbuf;
-    for (uint64_t code = 1; code <= value_count; ++code) {
-      WriteValue(&vbuf, dict->dict().Decode(static_cast<uint32_t>(code)));
-      hbuf.U64(dict->dict().HashOf(static_cast<uint32_t>(code)));
-    }
-    ByteWriter tbuf, sbuf;
-    for (const TablePayload& p : payloads) {
-      CatalogState::TableState ts;
-      ts.fingerprint = p.fingerprint;
-      ts.rows = p.table->table->NumRows();
-      ts.cols = static_cast<uint32_t>(p.table->table->NumColumns());
-      ts.table_off = tbuf.size();
-      SerializeTableBlock(&tbuf, p);
-      ts.table_size = tbuf.size() - ts.table_off;
-      ts.sketch_off = sbuf.size();
-      SerializeSketchBlock(&sbuf, *p.sketches, keyer);
-      ts.sketch_size = sbuf.size() - ts.sketch_off;
-      table_states[p.name] = ts;
-      ++report.tables_written;
-    }
-    m.values = {vbuf.size(), Fnv1a64(vbuf.bytes().data(), vbuf.size())};
-    m.hashes = {hbuf.size(), Fnv1a64(hbuf.bytes().data(), hbuf.size())};
-    m.tables = {tbuf.size(), Fnv1a64(tbuf.bytes().data(), tbuf.size())};
-    m.sketches = {sbuf.size(), Fnv1a64(sbuf.bytes().data(), sbuf.size())};
-    LAKEFUZZ_RETURN_IF_ERROR(
-        WriteFileAtomic(dir, values_file, vbuf.bytes()));
-    LAKEFUZZ_RETURN_IF_ERROR(
-        WriteFileAtomic(dir, hashes_file, hbuf.bytes()));
-    LAKEFUZZ_RETURN_IF_ERROR(
-        WriteFileAtomic(dir, tables_file, tbuf.bytes()));
-    LAKEFUZZ_RETURN_IF_ERROR(
-        WriteFileAtomic(dir, sketches_file, sbuf.bytes()));
-    report.values_appended = value_count;
-    report.bytes_written +=
-        vbuf.size() + hbuf.size() + tbuf.size() + sbuf.size();
+  // Each segment's checksum streams forward from the prior prefix's (FNV
+  // seeded with it). Incremental saves append past the committed sizes;
+  // a full rewrite writes fresh files through the temp-file commit and
+  // leaves every prior generation's segments untouched, so a crash at any
+  // point leaves each committed generation fully intact.
+  struct SegmentWrite {
+    const char* stem;
+    const CatalogState::Segment* prior;
+    const ByteWriter* buf;
+    CatalogState::Segment* extended;
+  };
+  for (const SegmentWrite& w :
+       {SegmentWrite{kCatalogValuesStem, &prior.values, &vbuf, &m.values},
+        SegmentWrite{kCatalogHashesStem, &prior.hashes, &hbuf, &m.hashes},
+        SegmentWrite{kCatalogTablesStem, &prior.tables, &tbuf, &m.tables},
+        SegmentWrite{kCatalogSketchesStem, &prior.sketches, &sbuf,
+                     &m.sketches}}) {
+    const std::string& bytes = w.buf->bytes();
+    *w.extended = {w.prior->size + bytes.size(),
+                   Fnv1a64(bytes.data(), bytes.size(), w.prior->checksum)};
+    const std::string file = CatalogSegmentFileName(w.stem, base);
+    LAKEFUZZ_RETURN_IF_ERROR(incremental
+                                 ? AppendToFile(JoinPath(dir, file), bytes)
+                                 : WriteFileAtomic(dir, file, bytes));
+    report.bytes_written += bytes.size();
   }
 
   m.entries.reserve(table_states.size());
@@ -1215,7 +1160,6 @@ namespace {
 
 /// One fully parsed, not-yet-registered catalog table.
 struct StagedTable {
-  std::string name;
   std::shared_ptr<const EncodedTable> table;
   std::vector<ColumnSketch> sketches;
   std::vector<std::vector<uint64_t>> band_keys;
@@ -1225,7 +1169,7 @@ struct StagedTable {
 Status ParseTableBlock(const MappedFile& seg, const ManifestEntry& e,
                        uint64_t value_count,
                        const std::vector<uint32_t>& remap,
-                       const ValueDict& dict, StagedTable* out) {
+                       StagedTable* out) {
   if (e.state.table_off > seg.size() ||
       e.state.table_size > seg.size() - e.state.table_off) {
     return Status::IoError(StrFormat(
@@ -1257,13 +1201,23 @@ Status ParseTableBlock(const MappedFile& seg, const ManifestEntry& e,
   std::vector<Field> fields(cols);
   for (Field& f : fields) {
     if (!r.Str(&f.name)) break;
-    f.type = static_cast<ValueType>(r.U8());
+    const uint8_t type = r.U8();
+    if (type > static_cast<uint8_t>(ValueType::kBool)) {
+      return Status::IoError(StrFormat(
+          "catalog table block for '%s' holds unknown field type tag %u",
+          e.name.c_str(), unsigned{type}));
+    }
+    f.type = static_cast<ValueType>(type);
   }
   if (r.failed()) {
     return Status::IoError(
         StrFormat("catalog table block for '%s' truncated", e.name.c_str()));
   }
+  // The record is the block's fields and remapped codes: no cell is
+  // decoded, since every consumer reads values through the dictionary.
   auto record = std::make_shared<EncodedTable>();
+  record->name = e.name;
+  record->schema = Schema(std::move(fields));
   record->codes.resize(cols);
   std::vector<uint32_t> file_codes;
   for (uint32_t c = 0; c < cols; ++c) {
@@ -1284,19 +1238,6 @@ Status ParseTableBlock(const MappedFile& seg, const ManifestEntry& e,
       session_codes.push_back(remap[code]);
     }
   }
-  // Materialize the Table row-wise from the remapped codes: cells decode to
-  // exactly the writer's values, so results downstream are byte-identical.
-  Table table(e.name, Schema(std::move(fields)));
-  std::vector<Value> row(cols);
-  for (uint64_t rr = 0; rr < rows; ++rr) {
-    for (uint32_t c = 0; c < cols; ++c) {
-      row[c] = dict.Decode(record->codes[c][static_cast<size_t>(rr)]);
-    }
-    Status appended = table.AppendRow(row);
-    if (!appended.ok()) return appended;
-  }
-  out->name = e.name;
-  record->table = std::make_shared<const Table>(std::move(table));
   out->table = std::move(record);
   return Status::OK();
 }
@@ -1522,8 +1463,8 @@ Result<CatalogOpenReport> OpenCatalogInto(
     LAKEFUZZ_FAULT_POINT("catalog/read");
     StagedTable st;
     st.replaces_live = live;
-    LAKEFUZZ_RETURN_IF_ERROR(ParseTableBlock(tables_seg, e, m.value_count,
-                                             remap, dict->dict(), &st));
+    LAKEFUZZ_RETURN_IF_ERROR(
+        ParseTableBlock(tables_seg, e, m.value_count, remap, &st));
     LAKEFUZZ_RETURN_IF_ERROR(
         ParseSketchBlock(sketches_seg, e, discovery_options, &st));
     staged.push_back(std::move(st));
@@ -1543,16 +1484,17 @@ Result<CatalogOpenReport> OpenCatalogInto(
   // sketches + band keys — zero columns re-sketched for an unchanged lake.
   for (StagedTable& st : staged) {
     if (st.replaces_live) {
-      DropLiveTable(st.name, registry, discovery);
+      DropLiveTable(st.table->name, registry, discovery);
       ++report.tables_replaced;
     }
     uint64_t version = 0;
-    Status registered = registry->Register(st.name, st.table, &version);
+    Status registered =
+        registry->Register(st.table->name, st.table, &version);
     if (!registered.ok()) {
       ++report.tables_kept;  // raced by a concurrent registration
       continue;
     }
-    discovery->LoadTable(st.name, st.table, std::move(st.sketches),
+    discovery->LoadTable(st.table->name, st.table, std::move(st.sketches),
                          st.band_keys, version);
     ++report.tables_loaded;
   }

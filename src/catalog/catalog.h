@@ -38,7 +38,8 @@
 //
 // A reopened engine replays the dict with the persisted hashes (no value
 // re-hashing), rebuilds each table's record (fd/session_dict.h
-// EncodedTable) from its persisted codes, and inserts pre-built sketches —
+// EncodedTable) from its block's fields and remapped codes — no cell is
+// decoded and no row is materialized — and inserts pre-built sketches,
 // re-sketching 0 columns for an unchanged lake. Corruption never
 // crashes: a truncated, bit-flipped, or version-skewed file fails
 // OpenCatalogInto with a typed kIoError / kInvalidArgument before any
@@ -57,6 +58,7 @@
 #include "core/engine_registry.h"
 #include "discovery/discovery.h"
 #include "fd/session_dict.h"
+#include "util/hash.h"
 #include "util/result.h"
 
 namespace lakefuzz {
@@ -104,8 +106,10 @@ inline constexpr size_t kCatalogDefaultRetainGenerations = 2;
 /// diverged from the file's.
 struct CatalogState {
   struct Segment {
-    uint64_t size = 0;      ///< committed logical size (files may be longer)
-    uint64_t checksum = 0;  ///< streaming FNV-1a over the logical prefix
+    uint64_t size = 0;  ///< committed logical size (files may be longer)
+    /// Streaming FNV-1a over the logical prefix; an empty prefix holds the
+    /// FNV basis, so a full rewrite extends an empty Segment like an append.
+    uint64_t checksum = Fnv1a64(nullptr, 0);
   };
   struct TableState {
     uint64_t fingerprint = 0;  ///< content hash (schema + cell hashes)

@@ -165,31 +165,31 @@ Result<std::unique_ptr<LakeEngine>> LakeEngine::Create(
                      std::move(pool)));
 }
 
-Status LakeEngine::RegisterTable(std::string name, Table table) {
-  return RegisterTable(std::move(name),
-                       std::make_shared<const Table>(std::move(table)));
-}
-
 Status LakeEngine::RegisterTable(std::string name,
                                  std::shared_ptr<const Table> table) {
-  if (replica_) return ReplicaForbidden("RegisterTable");
   if (table == nullptr) {
     return Status::InvalidArgument(
         StrFormat("cannot register null table '%s'", name.c_str()));
   }
+  return RegisterTable(std::move(name), *table);
+}
+
+Status LakeEngine::RegisterTable(std::string name, const Table& table) {
+  if (replica_) return ReplicaForbidden("RegisterTable");
   // A catalog stores a table column by column, so rows without columns
   // could not be written back (an empty CSV is 0 x 0 and stays legal).
-  if (table->NumColumns() == 0 && table->NumRows() != 0) {
+  if (table.NumColumns() == 0 && table.NumRows() != 0) {
     return Status::InvalidArgument(StrFormat(
         "cannot register table '%s': it has rows but no columns",
         name.c_str()));
   }
   // Refuse before encoding, so a rejected registration interns nothing.
   LAKEFUZZ_RETURN_IF_ERROR(registry_.CheckName(name));
-  // The table's one record: encoded once, column-parallel on the session
-  // pool; every later consumer reads its codes.
+  // The table's one record, named by the registry: encoded once,
+  // column-parallel on the session pool; every later consumer reads its
+  // codes, and nothing keeps the table.
   std::shared_ptr<const EncodedTable> record =
-      session_dict_->Encode(std::move(table), pool_.get());
+      session_dict_->Encode(table, name, pool_.get());
   uint64_t version = 0;
   LAKEFUZZ_RETURN_IF_ERROR(registry_.Register(name, record, &version));
   // Incremental discovery build: sketch the new record (column-parallel on
@@ -209,8 +209,7 @@ Status LakeEngine::RegisterCsv(std::string name, const std::string& path,
   if (replica_) return ReplicaForbidden("RegisterCsv");
   Result<Table> table = ReadCsvFile(path, csv);
   if (!table.ok()) return table.status();
-  table->set_name(name);
-  return RegisterTable(std::move(name), std::move(table).value());
+  return RegisterTable(std::move(name), *table);
 }
 
 Status LakeEngine::Unregister(const std::string& name) {
@@ -676,12 +675,12 @@ Result<LakeEngine::PreparedRequest> LakeEngine::Prepare(
     }
   }
   if (!cached) {
-    const TableList tables = TablesOf(prep.tables);
     Result<AlignedSchema> aligned = Status::Internal("unreachable");
     if (request.holistic_alignment) {
-      aligned = HolisticSchemaMatcher(model_).Align(tables);
+      aligned = HolisticSchemaMatcher(model_).Align(prep.tables,
+                                                    session_dict_->dict());
     } else {
-      aligned = AlignByName(tables);
+      aligned = AlignByName(prep.tables);
     }
     if (!aligned.ok()) return aligned.status();
     prep.aligned = std::move(aligned).value();

@@ -6,8 +6,9 @@
 // EngineOptions and owns the process-wide resources every call used to
 // rebuild: the embedding model, a cross-call EmbeddingCache (values
 // embedded by one request are hits for every later one), and one session
-// ThreadPool. Tables register once into a TableRegistry and are borrowed —
-// never copied — per request.
+// ThreadPool. Tables register once: each is encoded into the session
+// dictionary as a code record (fd/session_dict.h EncodedTable) held by a
+// TableRegistry, and requests pin those records — nothing keeps the Table.
 //
 //   auto engine = LakeEngine::Create(
 //       EngineOptions().SetModel(ModelKind::kMistral).SetNumThreads(8));
@@ -267,13 +268,15 @@ class LakeEngine {
   /// Registers an in-memory table under `name`: encodes it once into the
   /// session dictionary (column-parallel on the session pool) into the
   /// record every later request, discovery sketch and catalog save reads.
+  /// The record is named `name` (whatever table.name() says) and keeps no
+  /// reference to `table`: its values live only in the dictionary.
   /// ErrorCode::kAlreadyExists on duplicates and kInvalidArgument on an
   /// empty name, both checked before anything is encoded.
-  Status RegisterTable(std::string name, Table table);
-  /// Shared-ownership form (no copy); the snapshot must stay immutable.
+  Status RegisterTable(std::string name, const Table& table);
+  /// Shared-ownership form: encodes `*table` like the form above and drops
+  /// the pointer when it returns (kInvalidArgument when null).
   Status RegisterTable(std::string name, std::shared_ptr<const Table> table);
-  /// Reads `path` as CSV and registers it under `name` (the table is
-  /// renamed to `name` so diagnostics match the registry).
+  /// Reads `path` as CSV and registers it under `name`.
   Status RegisterCsv(std::string name, const std::string& path,
                      const CsvOptions& csv = CsvOptions());
   /// Typed removal: ErrorCode::kNotFound when absent. Drops the name from

@@ -3,7 +3,7 @@
 // A long-lived engine serves many Integrate calls over one lake, so tables
 // are registered once under a unique name and borrowed per request instead
 // of being re-read / re-copied per call. Entries are the tables' one record,
-// immutable shared_ptr<const EncodedTable> (the Table plus its session code
+// immutable shared_ptr<const EncodedTable> (name, schema and session code
 // columns, fd/session_dict.h): a request pins the snapshot it resolved even
 // if another thread replaces or removes the name mid-flight, so there is no
 // torn read and no lifetime coupling between requests.

@@ -174,7 +174,7 @@ Result<CodeRemaps> RewriteCore(const FuzzyFdOptions& options,
                                const EncodedTables& tables,
                                const AlignedSchema& aligned,
                                FuzzyFdReport* report) {
-  LAKEFUZZ_RETURN_IF_ERROR(ValidateAlignedSchema(aligned, TablesOf(tables)));
+  LAKEFUZZ_RETURN_IF_ERROR(ValidateAlignedSchema(aligned, tables));
   const ValueDict& dict = options.session_dict->dict();
   StageScope match(ctx, Stage::kMatch);
   ValueMatcherOptions matcher_options = options.matcher;
@@ -319,9 +319,9 @@ Result<std::vector<Table>> FuzzyFullDisjunction::RewriteTables(
   out.reserve(tables.size());
   for (size_t l = 0; l < tables.size(); ++l) {
     const EncodedTable& t = *tables[l];
-    Table decoded(t.table->name(), t.table->schema());
+    Table decoded(t.name, t.schema);
     std::vector<Value> row(t.codes.size());
-    for (size_t r = 0; r < t.table->NumRows(); ++r) {
+    for (size_t r = 0; r < t.NumRows(); ++r) {
       for (size_t c = 0; c < t.codes.size(); ++c) {
         auto it = remaps[l][c].find(t.codes[c][r]);
         row[c] = dict.Decode(it == remaps[l][c].end() ? t.codes[c][r]

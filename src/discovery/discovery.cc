@@ -55,7 +55,7 @@ std::vector<ColumnSketch> DiscoveryIndex::SketchTable(
   // dedup arena across the columns a worker sketches.
   std::vector<SketchScratch> scratches(MaxLanes(pool_, cols));
   MaybeParallelForWithLane(pool_, cols, [&](size_t lane, size_t c) {
-    sketches[c] = BuildColumnSketch(table.table->schema().field(c).name,
+    sketches[c] = BuildColumnSketch(table.schema.field(c).name,
                                     table.codes[c], *dict_, sketch_options_,
                                     &scratches[lane]);
   });
@@ -238,7 +238,7 @@ Status DiscoveryIndex::Resync(
     }
     const auto [t, c] = tasks[i];
     const EncodedTable& table = *to_add[t].second;
-    built[t][c] = BuildColumnSketch(table.table->schema().field(c).name,
+    built[t][c] = BuildColumnSketch(table.schema.field(c).name,
                                     table.codes[c], *dict_, sketch_options_,
                                     &scratches[lane]);
   });

@@ -6,16 +6,15 @@ ColumnEmbedder::ColumnEmbedder(std::shared_ptr<const EmbeddingModel> model,
                                ColumnEmbedderOptions options)
     : model_(std::move(model)), options_(options) {}
 
-Vec ColumnEmbedder::EmbedColumn(const Table& table, size_t col) const {
+Vec ColumnEmbedder::EmbedColumn(const std::vector<std::string>& values,
+                                const std::string& header) const {
   Vec acc(model_->dim(), 0.0f);
-  auto distinct = table.DistinctNonNull(col);
-  size_t n = std::min(distinct.size(), options_.sample_size);
-  for (size_t i = 0; i < n; ++i) {
-    Vec v = model_->Embed(distinct[i].ToString());
-    AddScaled(&acc, v, 1.0 / static_cast<double>(n));
+  for (const std::string& value : values) {
+    Vec v = model_->Embed(value);
+    AddScaled(&acc, v, 1.0 / static_cast<double>(values.size()));
   }
   if (options_.header_weight > 0.0) {
-    Vec h = model_->Embed(table.schema().field(col).name);
+    Vec h = model_->Embed(header);
     Vec out(model_->dim(), 0.0f);
     AddScaled(&out, acc, 1.0 - options_.header_weight);
     AddScaled(&out, h, options_.header_weight);

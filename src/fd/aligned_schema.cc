@@ -18,18 +18,18 @@ std::vector<std::pair<size_t, size_t>> AlignedSchema::SourcesOf(
   return out;
 }
 
-Result<AlignedSchema> AlignByName(const TableList& tables) {
+Result<AlignedSchema> AlignByName(const EncodedTables& tables) {
   AlignedSchema out;
   std::unordered_map<std::string, size_t> name_to_universal;
   out.column_map.resize(tables.size());
   for (size_t l = 0; l < tables.size(); ++l) {
     std::unordered_set<std::string> seen_in_table;
     for (size_t c = 0; c < tables[l]->NumColumns(); ++c) {
-      const std::string& name = tables[l]->schema().field(c).name;
+      const std::string& name = tables[l]->schema.field(c).name;
       if (!seen_in_table.insert(name).second) {
         return Status::InvalidArgument(
             StrFormat("table '%s' repeats column name '%s'",
-                      tables[l]->name().c_str(), name.c_str()));
+                      tables[l]->name.c_str(), name.c_str()));
       }
       auto [it, inserted] =
           name_to_universal.emplace(name, out.universal_names.size());
@@ -40,12 +40,8 @@ Result<AlignedSchema> AlignByName(const TableList& tables) {
   return out;
 }
 
-Result<AlignedSchema> AlignByName(const std::vector<Table>& tables) {
-  return AlignByName(BorrowTables(tables));
-}
-
 Status ValidateAlignedSchema(const AlignedSchema& aligned,
-                             const TableList& tables) {
+                             const EncodedTables& tables) {
   if (aligned.column_map.size() != tables.size()) {
     return Status::InvalidArgument(
         StrFormat("column_map covers %zu tables, input has %zu",
@@ -72,11 +68,6 @@ Status ValidateAlignedSchema(const AlignedSchema& aligned,
     }
   }
   return Status::OK();
-}
-
-Status ValidateAlignedSchema(const AlignedSchema& aligned,
-                             const std::vector<Table>& tables) {
-  return ValidateAlignedSchema(aligned, BorrowTables(tables));
 }
 
 }  // namespace lakefuzz

@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "table/table.h"
+#include "fd/session_dict.h"
 #include "util/result.h"
 
 namespace lakefuzz {
@@ -34,16 +34,13 @@ struct AlignedSchema {
 /// Aligns columns by exact header-name equality; every distinct name becomes
 /// one universal column (first-appearance order). Fails if a table repeats a
 /// column name (the mapping would be ambiguous).
-Result<AlignedSchema> AlignByName(const TableList& tables);
-Result<AlignedSchema> AlignByName(const std::vector<Table>& tables);
+Result<AlignedSchema> AlignByName(const EncodedTables& tables);
 
 /// Checks `aligned` against `tables`: map sizes match table widths, universal
 /// indices in range, and no two columns of one table share a universal
 /// column.
 Status ValidateAlignedSchema(const AlignedSchema& aligned,
-                             const TableList& tables);
-Status ValidateAlignedSchema(const AlignedSchema& aligned,
-                             const std::vector<Table>& tables);
+                             const EncodedTables& tables);
 
 }  // namespace lakefuzz
 

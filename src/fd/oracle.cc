@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 
 #include "util/str.h"
 
@@ -89,7 +90,16 @@ bool PreferredProvenance(const FdResultTuple& a, const FdResultTuple& b) {
 
 Result<std::vector<FdResultTuple>> NaiveFdOracle(
     const std::vector<Table>& tables, const AlignedSchema& aligned) {
-  LAKEFUZZ_RETURN_IF_ERROR(ValidateAlignedSchema(aligned, tables));
+  // The alignment's shape: one map per table, each table column on its own
+  // in-range universal column.
+  bool fits = aligned.column_map.size() == tables.size();
+  for (size_t l = 0; fits && l < tables.size(); ++l) {
+    const std::vector<size_t>& map = aligned.column_map[l];
+    const std::set<size_t> used(map.begin(), map.end());
+    fits = map.size() == tables[l].NumColumns() && used.size() == map.size() &&
+           (used.empty() || *used.rbegin() < aligned.NumUniversal());
+  }
+  if (!fits) return Status::InvalidArgument("alignment does not fit tables");
   std::vector<PaddedRow> rows;
   for (size_t l = 0; l < tables.size(); ++l) {
     for (size_t r = 0; r < tables[l].NumRows(); ++r) {

@@ -12,11 +12,11 @@ Result<FdProblem> FdProblem::BuildInterned(const EncodedTables& tables,
                                            const AlignedSchema& aligned,
                                            const ValueDict& dict,
                                            const CodeRemaps& remaps) {
-  LAKEFUZZ_RETURN_IF_ERROR(ValidateAlignedSchema(aligned, TablesOf(tables)));
+  LAKEFUZZ_RETURN_IF_ERROR(ValidateAlignedSchema(aligned, tables));
   FdProblem problem(aligned.NumUniversal(), aligned.universal_names, &dict);
   const size_t cols = aligned.NumUniversal();
   size_t total_rows = 0;
-  for (const auto& t : tables) total_rows += t->table->NumRows();
+  for (const auto& t : tables) total_rows += t->NumRows();
   problem.codes_.assign(total_rows * cols, kNullCode);
   problem.table_ids_.reserve(total_rows);
   problem.num_tables_ = static_cast<uint32_t>(tables.size());
@@ -24,7 +24,7 @@ Result<FdProblem> FdProblem::BuildInterned(const EncodedTables& tables,
   size_t base = 0;
   for (size_t l = 0; l < tables.size(); ++l) {
     const EncodedTable& t = *tables[l];
-    const size_t rows = t.table->NumRows();
+    const size_t rows = t.NumRows();
     for (size_t c = 0; c < t.codes.size(); ++c) {
       const uint32_t* src = t.codes[c].data();
       uint32_t* dst = problem.codes_.data() + base * cols +

@@ -3,14 +3,15 @@
 //
 // A LakeEngine owns one SessionDict, so codes are stable for the session.
 // Every table is encoded into it exactly once — at registration, or rebuilt
-// from persisted codes at catalog open — into an EncodedTable: the Table
-// plus one code column per table column. Every consumer reads the codes
-// from that record instead of interning cells again: discovery sketches
-// them (dict().HashOf supplies the content hash MinHash signatures are
-// built over), the catalog persists and fingerprints them, and
-// FdProblem::BuildInterned gathers them into flat code rows. The fuzzy
-// rewrite stage is a code→code remap applied during that gather, so no
-// request interns anything.
+// from persisted codes at catalog open — into an EncodedTable: the table's
+// name and schema plus one code column per field. The cells themselves live
+// only in the dictionary; no consumer reads a Value from the record.
+// Alignment pools a column's distinct codes decoded through the dictionary,
+// discovery sketches the codes (dict().HashOf supplies the content hash
+// MinHash signatures are built over), the catalog persists and fingerprints
+// them, and FdProblem::BuildInterned gathers them into flat code rows. The
+// fuzzy rewrite stage is a code→code remap applied during that gather, so
+// no request interns anything.
 //
 // Thread safety: the underlying ValueDict is internally sharded
 // (fd/value_dict.h), so concurrent encodes — several tables registering at
@@ -24,6 +25,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "fd/value_dict.h"
@@ -33,15 +35,19 @@ namespace lakefuzz {
 
 class ThreadPool;
 
-/// One registered table: the Table plus its session-dictionary code
-/// columns. codes[c][r] is the code of table->At(r, c) (ValueDict::kNullCode
-/// for nulls), so codes.size() == NumColumns() and every column has
-/// NumRows() codes. Built by SessionDict::Encode or from a catalog's
-/// persisted codes; immutable and shared by the registry, the discovery
-/// index and in-flight requests.
+/// One registered table: its registry name, its schema and one
+/// session-dictionary code column per field. codes[c][r] is the code of row
+/// r's cell in column c (ValueDict::kNullCode for null); every column has
+/// NumRows() codes, and a record without columns has no rows (registration
+/// and catalog open refuse rows without columns). Built by
+/// SessionDict::Encode or from a catalog's persisted codes; immutable and
+/// shared by the registry, the discovery index and in-flight requests.
 struct EncodedTable {
-  std::shared_ptr<const Table> table;
+  std::string name;
+  Schema schema;
   std::vector<std::vector<uint32_t>> codes;
+  size_t NumColumns() const { return codes.size(); }
+  size_t NumRows() const { return codes.empty() ? 0 : codes[0].size(); }
 };
 
 /// An integration set of records, in TID order (table order, then rows).
@@ -58,10 +64,12 @@ class SessionDict {
   /// safe concurrently with encoding (see file comment).
   const ValueDict& dict() const { return dict_; }
 
-  /// Encodes `table` (non-null) into a record: one code column per table
-  /// column, interned column-parallel on `pool` (null = inline).
-  std::shared_ptr<const EncodedTable> Encode(
-      std::shared_ptr<const Table> table, ThreadPool* pool = nullptr);
+  /// Encodes `table` into a record named `name`: its schema plus one code
+  /// column per table column, interned column-parallel on `pool` (null =
+  /// inline). The record keeps no reference to `table`.
+  std::shared_ptr<const EncodedTable> Encode(const Table& table,
+                                             std::string name,
+                                             ThreadPool* pool = nullptr);
 
   /// Catalog-load form: interns `v` under its persisted content `hash`
   /// (must equal v.Hash(); the catalog's golden hash test locks the
@@ -79,14 +87,17 @@ class SessionDict {
   ValueDict dict_;
 };
 
-/// Encodes copies of `tables`, in order, with SessionDict::Encode — the
-/// form for callers that hold a plain table vector (tests, benches,
-/// examples running the pipeline without an engine).
+/// Encodes `tables`, in order and under their own names — the form for
+/// callers that hold a plain table vector (tests, benches, examples
+/// running the pipeline without an engine).
 EncodedTables EncodeTables(const std::vector<Table>& tables,
                            SessionDict* dict, ThreadPool* pool = nullptr);
 
-/// The Table of each record, in order (what alignment reads).
-TableList TablesOf(const EncodedTables& tables);
+/// The distinct non-null codes of `column` in first-appearance order, at
+/// most `limit` of them. The dictionary interns by Value equality, so these
+/// are the column's distinct values (what alignment samples).
+std::vector<uint32_t> DistinctCodes(const std::vector<uint32_t>& column,
+                                    size_t limit = SIZE_MAX);
 
 }  // namespace lakefuzz
 

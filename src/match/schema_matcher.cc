@@ -15,7 +15,7 @@ HolisticSchemaMatcher::HolisticSchemaMatcher(
     : model_(std::move(model)), options_(options) {}
 
 Result<AlignedSchema> HolisticSchemaMatcher::Align(
-    const TableList& tables) const {
+    const EncodedTables& tables, const ValueDict& dict) const {
   struct ColRef {
     size_t table;
     size_t col;
@@ -29,8 +29,15 @@ Result<AlignedSchema> HolisticSchemaMatcher::Align(
 
   ColumnEmbedder embedder(model_, options_.embedder);
   std::vector<Vec> sigs(cols.size());
+  std::vector<std::string> values;
   for (size_t i = 0; i < cols.size(); ++i) {
-    sigs[i] = embedder.EmbedColumn(*tables[cols[i].table], cols[i].col);
+    const EncodedTable& t = *tables[cols[i].table];
+    values.clear();
+    for (uint32_t code : DistinctCodes(t.codes[cols[i].col],
+                                       options_.embedder.sample_size)) {
+      values.push_back(dict.Decode(code).ToString());
+    }
+    sigs[i] = embedder.EmbedColumn(values, t.schema.field(cols[i].col).name);
   }
 
   // Candidate edges between columns of different tables, best-first.
@@ -48,9 +55,9 @@ Result<AlignedSchema> HolisticSchemaMatcher::Align(
       // norm recomputations of the general CosineSimilarity.
       double sim = DotPrenormalized(sigs[i], sigs[j]);
       const std::string& ni =
-          tables[cols[i].table]->schema().field(cols[i].col).name;
+          tables[cols[i].table]->schema.field(cols[i].col).name;
       const std::string& nj =
-          tables[cols[j].table]->schema().field(cols[j].col).name;
+          tables[cols[j].table]->schema.field(cols[j].col).name;
       if (!ni.empty() && ni == nj) sim += options_.header_bonus;
       if (sim >= options_.similarity_threshold) {
         edges.push_back(Edge{sim, i, j});
@@ -117,13 +124,13 @@ Result<AlignedSchema> HolisticSchemaMatcher::Align(
     // Universal name: most frequent header, ties → earliest member.
     std::map<std::string, size_t> counts;
     for (size_t i : *mem) {
-      ++counts[tables[cols[i].table]->schema().field(cols[i].col).name];
+      ++counts[tables[cols[i].table]->schema.field(cols[i].col).name];
     }
     std::string best;
     size_t best_count = 0;
     for (size_t i : *mem) {
       const std::string& name =
-          tables[cols[i].table]->schema().field(cols[i].col).name;
+          tables[cols[i].table]->schema.field(cols[i].col).name;
       if (counts[name] > best_count) {
         best_count = counts[name];
         best = name;
@@ -140,11 +147,6 @@ Result<AlignedSchema> HolisticSchemaMatcher::Align(
   }
   LAKEFUZZ_RETURN_IF_ERROR(ValidateAlignedSchema(out, tables));
   return out;
-}
-
-Result<AlignedSchema> HolisticSchemaMatcher::Align(
-    const std::vector<Table>& tables) const {
-  return Align(BorrowTables(tables));
 }
 
 }  // namespace lakefuzz

@@ -6,6 +6,13 @@
 // set (Su et al., EDBT 2006 style), under the constraint that a cluster
 // holds at most one column per table. Clusters become the universal columns
 // of the AlignedSchema that Full Disjunction consumes.
+//
+// Alignment reads the records the pipeline reads: a column's signature
+// pools its first `sample_size` distinct codes decoded through the session
+// dictionary, i.e. its first distinct values by Value equality. Each renders
+// as the session's interned copy, as in matching and the FD output, which
+// differs from the table's own cell only for a Double zero of the other
+// sign ("-0" vs "0").
 #ifndef LAKEFUZZ_MATCH_SCHEMA_MATCHER_H_
 #define LAKEFUZZ_MATCH_SCHEMA_MATCHER_H_
 
@@ -13,7 +20,8 @@
 
 #include "embedding/column_embedder.h"
 #include "fd/aligned_schema.h"
-#include "table/table.h"
+#include "fd/session_dict.h"
+#include "fd/value_dict.h"
 #include "util/result.h"
 
 namespace lakefuzz {
@@ -37,13 +45,12 @@ class HolisticSchemaMatcher {
   HolisticSchemaMatcher(std::shared_ptr<const EmbeddingModel> model,
                         SchemaMatcherOptions options = SchemaMatcherOptions());
 
-  /// Aligns the integration set into an AlignedSchema. Universal column
-  /// names are the most frequent header among each cluster's members
-  /// (ties → first by table order), uniquified with numeric suffixes.
-  /// The TableList form is the engine's non-copying request path; the
-  /// vector<Table> overload borrows and forwards.
-  Result<AlignedSchema> Align(const TableList& tables) const;
-  Result<AlignedSchema> Align(const std::vector<Table>& tables) const;
+  /// Aligns the integration set, encoded into `dict`, into an
+  /// AlignedSchema. Universal column names are the most frequent header
+  /// among each cluster's members (ties → first by table order),
+  /// uniquified with numeric suffixes.
+  Result<AlignedSchema> Align(const EncodedTables& tables,
+                              const ValueDict& dict) const;
 
  private:
   std::shared_ptr<const EmbeddingModel> model_;

@@ -47,17 +47,6 @@ std::vector<Value> Table::Row(size_t row) const {
   return out;
 }
 
-std::vector<Value> Table::DistinctNonNull(size_t col) const {
-  assert(col < columns_.size());
-  std::vector<Value> out;
-  std::unordered_set<Value, ValueHasher> seen;
-  for (const auto& v : columns_[col]) {
-    if (v.is_null()) continue;
-    if (seen.insert(v).second) out.push_back(v);
-  }
-  return out;
-}
-
 size_t Table::NullCount(size_t col) const {
   assert(col < columns_.size());
   size_t n = 0;

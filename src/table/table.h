@@ -1,13 +1,13 @@
-// Table: the in-memory relational unit that everything in lakefuzz consumes.
+// Table: the in-memory relational unit lakefuzz reads and writes.
 //
-// Storage is columnar (vector<Value> per column) — the fuzzy-matching stages
-// are column-oriented (distinct values per column, per-column rewrites), and
-// Full Disjunction scans columns to build posting lists.
+// Storage is columnar (vector<Value> per column). CSV I/O, integrated
+// results, tests and examples hold Tables; registration encodes each one
+// once into a column-wise code record (fd/session_dict.h EncodedTable),
+// which is what alignment, matching and Full Disjunction read.
 #ifndef LAKEFUZZ_TABLE_TABLE_H_
 #define LAKEFUZZ_TABLE_TABLE_H_
 
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "table/schema.h"
@@ -42,10 +42,6 @@ class Table {
   /// Materializes one row.
   std::vector<Value> Row(size_t row) const;
 
-  /// Distinct non-null values of a column, in first-appearance order —
-  /// the clean-clean value universe the fuzzy matcher operates on.
-  std::vector<Value> DistinctNonNull(size_t col) const;
-
   /// Number of nulls in a column.
   size_t NullCount(size_t col) const;
 
@@ -63,21 +59,6 @@ class Table {
   std::vector<std::vector<Value>> columns_;
   size_t num_rows_ = 0;
 };
-
-/// Non-owning view of an integration set — the currency of the pipeline
-/// internals, so a LakeEngine can serve requests over registry-owned tables
-/// without copying them per call. Callers guarantee the pointed-to tables
-/// outlive the operation.
-using TableList = std::vector<const Table*>;
-
-/// Borrows every table of an owning vector (adapter for the value-based
-/// convenience overloads).
-inline TableList BorrowTables(const std::vector<Table>& tables) {
-  TableList out;
-  out.reserve(tables.size());
-  for (const Table& t : tables) out.push_back(&t);
-  return out;
-}
 
 }  // namespace lakefuzz
 

@@ -248,6 +248,33 @@ TEST(CatalogRoundTripTest, LiveTablesWinOverCatalog) {
   ExpectTablesIdentical(live->integrated, reloaded->integrated);
 }
 
+/// A record is named by its registry name, not by Table::name(): a
+/// by-name alignment error names the same table before and after a
+/// catalog round trip.
+TEST(CatalogRoundTripTest, RecordIsNamedByItsRegistryName) {
+  const std::string dir = FreshDir("registryname");
+  Table repeats("x", Schema::FromNames({"k", "k"}));
+  ASSERT_TRUE(repeats.AppendRow({S("v"), S("w")}).ok());
+  RequestOptions by_name;
+  by_name.holistic_alignment = false;
+  const std::string expected = "table 'a' repeats column name 'k'";
+
+  auto writer = MakeEngine(1);
+  ASSERT_TRUE(writer->RegisterTable("a", repeats).ok());
+  auto live = writer->Integrate({"a"}, by_name);
+  EXPECT_EQ(live.code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(live.status().message().find(expected), std::string::npos)
+      << live.status().ToString();
+  ASSERT_TRUE(writer->SaveCatalog(dir).ok());
+
+  auto reader = MakeEngine(1);
+  ASSERT_TRUE(reader->OpenCatalog(dir).ok());
+  auto restarted = reader->Integrate({"a"}, by_name);
+  EXPECT_EQ(restarted.code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(restarted.status().message().find(expected), std::string::npos)
+      << restarted.status().ToString();
+}
+
 // ------------------------------------------------------- incremental saves
 
 TEST(CatalogIncrementalTest, SecondSaveAppendsOnly) {
@@ -627,11 +654,52 @@ TEST(CatalogCorruptionTest, HugeColumnCountIsIoError) {
   EXPECT_EQ(reader->NumTables(), 0u);
 }
 
+/// A table block whose first field's type tag is past ValueType::kBool,
+/// with every checksum recomputed: the open refuses it instead of storing
+/// a type no reader knows (the next save would write it back).
+TEST(CatalogCorruptionTest, UnknownFieldTypeIsIoError) {
+  const std::string dir = FreshDir("fieldtype");
+  ASSERT_TRUE(MakeEngineWithSmallLake(1)->SaveCatalog(dir).ok());
+  std::string manifest = ReadAll(ManifestPath(dir));
+  // Same layout as HugeColumnCountIsIoError.
+  constexpr size_t kTablesSegmentOff = 16 + 7 * 8 + 2 * 16;
+  constexpr size_t kFirstEntryOff = 16 + 7 * 8 + 4 * 16 + 8;
+  uint32_t entry_name_len = 0;
+  std::memcpy(&entry_name_len, &manifest[kFirstEntryOff],
+              sizeof(entry_name_len));
+  // Entry: name, fingerprint, rows, cols, table offset, ...
+  const size_t cols_off = kFirstEntryOff + 4 + entry_name_len + 8 + 8;
+  uint64_t table_off = 0;
+  std::memcpy(&table_off, &manifest[cols_off + 4], sizeof(table_off));
+
+  // A table block: column count, row count, then each field's name and
+  // type byte.
+  const std::string tables_path = SegmentPath(dir, kCatalogTablesStem);
+  std::string tables = ReadAll(tables_path);
+  uint32_t name_len = 0;
+  ASSERT_LE(table_off + 4 + 8 + sizeof(name_len), tables.size());
+  std::memcpy(&name_len, &tables[table_off + 4 + 8], sizeof(name_len));
+  const size_t type_off = table_off + 4 + 8 + 4 + name_len;
+  ASSERT_LT(type_off, tables.size());
+  tables[type_off] = static_cast<char>(200);
+  WriteAll(tables_path, tables);
+  const uint64_t tables_checksum = Fnv1a64(tables.data(), tables.size());
+  std::memcpy(&manifest[kTablesSegmentOff + 8], &tables_checksum,
+              sizeof(tables_checksum));
+  FixupManifestChecksum(&manifest);
+  WriteAll(ManifestPath(dir), manifest);
+
+  auto reader = MakeEngine(1);
+  auto opened = reader->OpenCatalog(dir);
+  EXPECT_EQ(opened.code(), ErrorCode::kIoError);
+  EXPECT_EQ(reader->NumTables(), 0u);
+}
+
 /// A zero-column table whose manifest entry and table block agree on a
 /// huge row count, with every checksum recomputed. The column spans are
 /// what bound the row count by the block's bytes, and a table without
-/// columns has none: only the zero-column check stops the open from
-/// appending 2^40 empty rows.
+/// columns has none: only the zero-column check rejects the count (a
+/// record without columns has no rows).
 TEST(CatalogCorruptionTest, ZeroColumnRowCountIsIoError) {
   const std::string dir = FreshDir("zerocolrows");
   {
@@ -764,10 +832,10 @@ TEST(CatalogFingerprintTest, ContentKeyedNotCodeKeyed) {
                               {{S("Quito")}, {S("Berlin")}, {S("Xi'an")}});
   ASSERT_TRUE(warm.ok());
   // Skew backward's code numbering.
-  backward.Encode(std::make_shared<const Table>(*warm));
+  backward.Encode(*warm, warm->name());
   auto fingerprint = [](const Table& table, SessionDict* dict) {
-    return CatalogTableFingerprint(
-        *dict->Encode(std::make_shared<const Table>(table)), dict->dict());
+    return CatalogTableFingerprint(*dict->Encode(table, table.name()),
+                                   dict->dict());
   };
   const uint64_t fp_fwd = fingerprint(lake[0], &forward);
   const uint64_t fp_bwd = fingerprint(lake[0], &backward);

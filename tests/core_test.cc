@@ -306,7 +306,7 @@ FuzzyFdOptions PaperFuzzyFdOptions() {
 
 TEST(FuzzyFdTest, Fig1FuzzyIntegrationProducesFiveTuples) {
   auto tables = Fig1Tables();
-  auto aligned = AlignByName(tables);
+  auto aligned = AlignByName(TestEncoded(tables));
   ASSERT_TRUE(aligned.ok());
   FuzzyFullDisjunction fuzzy(PaperFuzzyFdOptions());
   FuzzyFdReport report;
@@ -329,7 +329,7 @@ TEST(FuzzyFdTest, Fig1FuzzyIntegrationProducesFiveTuples) {
 
 TEST(FuzzyFdTest, Fig1RepresentativeValuesFollowPaperRule) {
   auto tables = Fig1Tables();
-  auto aligned = AlignByName(tables);
+  auto aligned = AlignByName(TestEncoded(tables));
   ASSERT_TRUE(aligned.ok());
   FuzzyFullDisjunction fuzzy(PaperFuzzyFdOptions());
   auto result =
@@ -353,7 +353,7 @@ TEST(FuzzyFdTest, Fig1RepresentativeValuesFollowPaperRule) {
 
 TEST(FuzzyFdTest, RewriteTablesMakesValuesConsistent) {
   auto tables = Fig1Tables();
-  auto aligned = AlignByName(tables);
+  auto aligned = AlignByName(TestEncoded(tables));
   ASSERT_TRUE(aligned.ok());
   FuzzyFullDisjunction fuzzy(PaperFuzzyFdOptions());
   FuzzyFdReport report;
@@ -372,7 +372,7 @@ TEST(FuzzyFdTest, RewriteTablesMakesValuesConsistent) {
 
 TEST(FuzzyFdTest, DegeneratesToRegularFdWithImpossibleThreshold) {
   auto tables = Fig1Tables();
-  auto aligned = AlignByName(tables);
+  auto aligned = AlignByName(TestEncoded(tables));
   ASSERT_TRUE(aligned.ok());
   FuzzyFdOptions opts = PaperFuzzyFdOptions();
   // θ = 0 with the strict `dist < θ` rule admits nothing — even distance-0
@@ -394,7 +394,7 @@ TEST(FuzzyFdTest, DegeneratesToRegularFdWithImpossibleThreshold) {
 
 TEST(FuzzyFdTest, PooledPipelineMatchesInline) {
   auto tables = Fig1Tables();
-  auto aligned = AlignByName(tables);
+  auto aligned = AlignByName(TestEncoded(tables));
   ASSERT_TRUE(aligned.ok());
   ThreadPool pool(3);
   FuzzyFdOptions seq_opts = PaperFuzzyFdOptions();
@@ -414,7 +414,7 @@ TEST(FuzzyFdTest, PooledPipelineMatchesInline) {
 
 TEST(FuzzyFdTest, BatchesCoverTheResultInOrder) {
   auto tables = Fig1Tables();
-  auto aligned = AlignByName(tables);
+  auto aligned = AlignByName(TestEncoded(tables));
   ASSERT_TRUE(aligned.ok());
   FuzzyFullDisjunction fuzzy(PaperFuzzyFdOptions());
   auto whole =
@@ -437,7 +437,7 @@ TEST(FuzzyFdTest, BatchesCoverTheResultInOrder) {
 
 TEST(FuzzyFdTest, ReportTimingsPopulated) {
   auto tables = Fig1Tables();
-  auto aligned = AlignByName(tables);
+  auto aligned = AlignByName(TestEncoded(tables));
   ASSERT_TRUE(aligned.ok());
   FuzzyFdReport report;
   auto result = FuzzyFullDisjunction(PaperFuzzyFdOptions())
@@ -458,7 +458,7 @@ TEST(FuzzyFdTest, ReportTimingsPopulated) {
 
 TEST(FuzzyFdTest, PipelineRequiresSessionDict) {
   auto tables = Fig1Tables();
-  auto aligned = AlignByName(tables);
+  auto aligned = AlignByName(TestEncoded(tables));
   ASSERT_TRUE(aligned.ok());
   FuzzyFdOptions opts = PaperFuzzyFdOptions();
   opts.session_dict = nullptr;
@@ -488,7 +488,7 @@ TEST(FuzzyFdTest, InternedRewriteMatchesStringKeyedSemantics) {
                             {S("other")}});
   ASSERT_TRUE(a.ok() && b.ok());
   std::vector<Table> tables{*a, *b};
-  auto aligned = AlignByName(tables);
+  auto aligned = AlignByName(TestEncoded(tables));
   ASSERT_TRUE(aligned.ok());
 
   FuzzyFdOptions opts;
@@ -524,7 +524,7 @@ TEST(FuzzyFdTest, TypedValuesSurviveRewrite) {
                             {{Value::Int(1), S("p")}, {Value::Int(3), S("q")}});
   ASSERT_TRUE(t1.ok() && t2.ok());
   std::vector<Table> tables{*t1, *t2};
-  auto aligned = AlignByName(tables);
+  auto aligned = AlignByName(TestEncoded(tables));
   ASSERT_TRUE(aligned.ok());
   FuzzyFullDisjunction fuzzy(PaperFuzzyFdOptions());
   auto rewritten = fuzzy.RewriteTables(TestEncoded(tables), *aligned, nullptr);

@@ -445,8 +445,7 @@ TEST(DiscoveryTest, CancelAbortsBulkResyncAndLeavesIndexStale) {
   std::vector<std::pair<std::string, std::shared_ptr<const EncodedTable>>>
       snapshot;
   for (auto& t : lake.tables) {
-    snapshot.emplace_back(t.name(),
-                          dict.Encode(std::make_shared<const Table>(t)));
+    snapshot.emplace_back(t.name(), dict.Encode(t, t.name()));
   }
   CancelToken fired = CancelToken::Create();
   fired.Cancel();
@@ -506,15 +505,15 @@ TEST(DiscoveryTest, ConcurrentColdInterningStaysConsistent) {
     workers.emplace_back([&, t] {
       // Each thread's column interleaves shared values (contended) with
       // private ones (cold inserts in parallel).
-      auto column = std::make_shared<Table>("t", Schema::FromNames({"v"}));
+      Table column("t", Schema::FromNames({"v"}));
       for (size_t i = 0; i < kValues; ++i) {
         const bool shared = i % 2 == 0;
         const std::string s = shared
                                   ? "shared_" + std::to_string(i)
                                   : StrFormat("t%zu_%zu", t, i);
-        EXPECT_TRUE(column->AppendRow({Value::String(s)}).ok());
+        EXPECT_TRUE(column.AppendRow({Value::String(s)}).ok());
       }
-      codes[t] = dict.Encode(std::move(column))->codes[0];
+      codes[t] = dict.Encode(column, "t")->codes[0];
     });
   }
   for (auto& w : workers) w.join();

@@ -318,42 +318,29 @@ TEST(ModelZooTest, ModelsAreDeterministicAcrossInstances) {
 
 TEST(ColumnEmbedderTest, SimilarContentColumnsCloserThanDifferent) {
   auto model = MakeModel(ModelKind::kMistral, 128);
-  auto t1 = Table::FromRows("t1", {"city"},
-                            {{Value::String("Berlin")},
-                             {Value::String("Toronto")},
-                             {Value::String("Barcelona")}});
-  auto t2 = Table::FromRows("t2", {"place"},
-                            {{Value::String("Berlin")},
-                             {Value::String("Boston")},
-                             {Value::String("Toronto")}});
-  auto t3 = Table::FromRows("t3", {"rating"},
-                            {{Value::Double(8.1)},
-                             {Value::Double(3.3)},
-                             {Value::Double(5.5)}});
-  ASSERT_TRUE(t1.ok() && t2.ok() && t3.ok());
   ColumnEmbedder embedder(model);
-  Vec c1 = embedder.EmbedColumn(*t1, 0);
-  Vec c2 = embedder.EmbedColumn(*t2, 0);
-  Vec c3 = embedder.EmbedColumn(*t3, 0);
+  Vec c1 = embedder.EmbedColumn({"Berlin", "Toronto", "Barcelona"}, "city");
+  Vec c2 = embedder.EmbedColumn({"Berlin", "Boston", "Toronto"}, "place");
+  Vec c3 = embedder.EmbedColumn({Value::Double(8.1).ToString(),
+                                 Value::Double(3.3).ToString(),
+                                 Value::Double(5.5).ToString()},
+                                "rating");
   EXPECT_GT(CosineSimilarity(c1, c2), CosineSimilarity(c1, c3) + 0.2);
 }
 
 TEST(ColumnEmbedderTest, AllNullColumnIsZeroVector) {
   auto model = MakeModel(ModelKind::kFastText, 64);
-  auto t = Table::FromRows("t", {"x"}, {{Value::Null()}, {Value::Null()}});
-  ASSERT_TRUE(t.ok());
   ColumnEmbedder embedder(model);
-  EXPECT_DOUBLE_EQ(Norm(embedder.EmbedColumn(*t, 0)), 0.0);
+  // An all-null column has no distinct values to pool.
+  EXPECT_DOUBLE_EQ(Norm(embedder.EmbedColumn({}, "x")), 0.0);
 }
 
 TEST(ColumnEmbedderTest, HeaderBlendMovesSignature) {
   auto model = MakeModel(ModelKind::kMistral, 128);
-  auto t = Table::FromRows("t", {"city"}, {{Value::String("Berlin")}});
-  ASSERT_TRUE(t.ok());
   ColumnEmbedderOptions with;
   with.header_weight = 0.5;
-  Vec no_header = ColumnEmbedder(model).EmbedColumn(*t, 0);
-  Vec blended = ColumnEmbedder(model, with).EmbedColumn(*t, 0);
+  Vec no_header = ColumnEmbedder(model).EmbedColumn({"Berlin"}, "city");
+  Vec blended = ColumnEmbedder(model, with).EmbedColumn({"Berlin"}, "city");
   EXPECT_GT(CosineDistance(no_header, blended), 0.01);
 }
 

@@ -159,10 +159,7 @@ TEST(TableRegistryTest, UnregisterIsTypedAndBumpsVersion) {
   TableRegistry registry;
   SessionDict dict;
   auto tables = SmallIntegrationSet();
-  ASSERT_TRUE(registry
-                  .Register("a", dict.Encode(std::make_shared<const Table>(
-                                     std::move(tables[0]))))
-                  .ok());
+  ASSERT_TRUE(registry.Register("a", dict.Encode(tables[0], "a")).ok());
   const uint64_t before = registry.version();
   EXPECT_EQ(registry.Take("missing"), nullptr);
   EXPECT_EQ(registry.version(), before);  // a miss mutates nothing
@@ -308,6 +305,19 @@ TEST(RegisterCsvTest, RegisteredTableIsRenamedToRegistryName) {
   ASSERT_TRUE(engine.ok());
   ASSERT_TRUE((*engine)->RegisterCsv("renamed", path).ok());
   EXPECT_EQ((*engine)->TableNames(), (std::vector<std::string>{"renamed"}));
+}
+
+TEST(LakeEngineTest, RegisterTableKeepsNoReferenceToTheTable) {
+  // The record is name + schema + codes: the engine encodes the table and
+  // drops it, so the caller's pointer is the only owner left.
+  auto engine = LakeEngine::Create();
+  ASSERT_TRUE(engine.ok());
+  auto table = std::make_shared<const Table>(SmallIntegrationSet()[0]);
+  ASSERT_TRUE((*engine)->RegisterTable("a", table).ok());
+  EXPECT_EQ(table.use_count(), 1);
+  auto result = (*engine)->Integrate({"a"});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->integrated.NumRows(), table->NumRows());
 }
 
 // ----------------------------------------------------------- requests

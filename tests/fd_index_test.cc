@@ -143,7 +143,7 @@ TEST_P(CsrIndexProperty, NeighborsAndComponentsMatchBruteForce) {
   Rng rng(GetParam().seed);
   for (int trial = 0; trial < 10; ++trial) {
     const std::vector<Table> tables = RandomTables(GetParam(), &rng);
-    auto aligned = AlignByName(tables);
+    auto aligned = AlignByName(TestEncoded(tables));
     ASSERT_TRUE(aligned.ok());
     FdProblem problem = EncodedProblemByName(tables);
     problem.BuildIndex();
@@ -328,7 +328,7 @@ std::vector<Table> CorruptedImdbTables() {
 
 TEST(ThreadInvarianceTest, CorruptedImdbIdenticalAcrossThreadCounts) {
   auto tables = CorruptedImdbTables();
-  auto aligned = AlignByName(tables);
+  auto aligned = AlignByName(TestEncoded(tables));
   ASSERT_TRUE(aligned.ok());
 
   SessionDict dict;
@@ -360,7 +360,7 @@ TEST(ThreadInvarianceTest, CorruptedImdbIdenticalAcrossThreadCounts) {
 
 TEST(ThreadInvarianceTest, RegularFdOnCorruptedImdbMatchesSerial) {
   auto tables = CorruptedImdbTables();
-  auto aligned = AlignByName(tables);
+  auto aligned = AlignByName(TestEncoded(tables));
   ASSERT_TRUE(aligned.ok());
   SessionDict dict;
   const EncodedTables encoded = EncodeTables(tables, &dict);

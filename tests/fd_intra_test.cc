@@ -53,7 +53,7 @@ std::vector<Table> GiantComponentTables(size_t num_tables, size_t num_keys,
 }
 
 Result<FdProblem> BuildGiant(const std::vector<Table>& tables) {
-  auto aligned = AlignByName(tables);
+  auto aligned = AlignByName(TestEncoded(tables));
   EXPECT_TRUE(aligned.ok());
   return EncodedProblem(tables, *aligned);
 }
@@ -125,10 +125,10 @@ TEST(IntraComponentTest, ManyComponentsWithIntraStillMatchSerial) {
     ASSERT_TRUE(extra.AppendRow({S("s" + std::to_string(i % 20))}).ok());
   }
   tables.push_back(std::move(extra));
-  auto aligned = AlignByName(tables);
+  const EncodedTables encoded = TestEncoded(tables);
+  auto aligned = AlignByName(encoded);
   ASSERT_TRUE(aligned.ok());
 
-  const EncodedTables encoded = TestEncoded(tables);
   FuzzyFdOptions serial_opts;
   serial_opts.session_dict = TestSessionDict();
   auto serial = FuzzyFullDisjunction(serial_opts)
@@ -302,11 +302,11 @@ TEST(BuildInternedTest, GatherMatchesTablesAndOracleOnRandomTypedTables) {
   size_t oracle_trials = 0;
   for (int trial = 0; trial < 25; ++trial) {
     auto tables = RandomTypedTables(&rng, 2 + rng.Uniform(3));
-    auto aligned = AlignByName(tables);
-    ASSERT_TRUE(aligned.ok());
-
     SessionDict dict;
     const EncodedTables encoded = EncodeTables(tables, &dict);
+    auto aligned = AlignByName(encoded);
+    ASSERT_TRUE(aligned.ok());
+
     const size_t distinct_encoded = dict.NumDistinct();
     auto problem = FdProblem::BuildInterned(encoded, *aligned, dict.dict());
     ASSERT_TRUE(problem.ok());
@@ -363,19 +363,19 @@ TEST(BuildInternedTest, DecodeStaysValidWhileAnotherThreadInterns) {
   // while another thread is still encoding new values. ASan flags any
   // use-after-free if dictionary growth ever moved decoded storage.
   auto column_table = [](const std::string& prefix, int from, int to) {
-    auto t = std::make_shared<Table>("t", Schema::FromNames({"v"}));
+    Table t("t", Schema::FromNames({"v"}));
     for (int i = from; i < to; ++i) {
-      EXPECT_TRUE(t->AppendRow({S(prefix + std::to_string(i))}).ok());
+      EXPECT_TRUE(t.AppendRow({S(prefix + std::to_string(i))}).ok());
     }
-    return std::shared_ptr<const Table>(std::move(t));
+    return t;
   };
   SessionDict dict;
-  auto warm = dict.Encode(column_table("warm_", 0, 2000));
+  auto warm = dict.Encode(column_table("warm_", 0, 2000), "warm");
   const std::vector<uint32_t>& codes = warm->codes[0];
   std::atomic<bool> stop{false};
   std::thread interner([&] {
     for (int i = 0; i < 60000 && !stop.load(); i += 1000) {
-      dict.Encode(column_table("grow_", i, i + 1000));
+      dict.Encode(column_table("grow_", i, i + 1000), "grow");
     }
   });
   size_t mismatches = 0;

@@ -68,9 +68,11 @@ inline Result<FdProblem> EncodedProblem(const std::vector<Table>& tables,
 
 /// EncodedProblem of `tables` aligned by header name (AlignByName).
 inline FdProblem EncodedProblemByName(const std::vector<Table>& tables) {
-  auto aligned = AlignByName(tables);
+  const EncodedTables encoded = TestEncoded(tables);
+  auto aligned = AlignByName(encoded);
   EXPECT_TRUE(aligned.ok());
-  auto problem = EncodedProblem(tables, *aligned);
+  auto problem = FdProblem::BuildInterned(encoded, *aligned,
+                                          TestSessionDict()->dict());
   EXPECT_TRUE(problem.ok());
   return std::move(problem).value();
 }

@@ -150,7 +150,7 @@ TEST_P(FdInvariantProperty, ExecutorUpholdsInvariantsAtEveryPoolSize) {
   Rng rng(GetParam().seed);
   for (int trial = 0; trial < 10; ++trial) {
     const std::vector<Table> tables = RandomTables(GetParam(), &rng);
-    auto aligned = AlignByName(tables);
+    auto aligned = AlignByName(TestEncoded(tables));
     ASSERT_TRUE(aligned.ok());
     const std::vector<PaddedRow> rows = PaddedRows(tables, *aligned);
     const FdProblem problem = EncodedProblemByName(tables);
@@ -188,7 +188,7 @@ TEST(FuzzyFdInvariantTest, PipelineOutputUpholdsFdInvariants) {
                              {Value::String("Madrid"), Value::String("q")}});
   ASSERT_TRUE(t1.ok() && t2.ok());
   std::vector<Table> tables{*t1, *t2};
-  auto aligned = AlignByName(tables);
+  auto aligned = AlignByName(TestEncoded(tables));
   ASSERT_TRUE(aligned.ok());
 
   FuzzyFdOptions opts;

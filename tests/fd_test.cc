@@ -60,7 +60,7 @@ std::vector<Table> Fig1Tables() {
 
 TEST(AlignedSchemaTest, AlignByNameMergesEqualHeaders) {
   auto tables = Fig1Tables();
-  auto aligned = AlignByName(tables);
+  auto aligned = AlignByName(TestEncoded(tables));
   ASSERT_TRUE(aligned.ok());
   // Universal columns: City, Country, VacRate, TotalCases, DeathRate.
   EXPECT_EQ(aligned->NumUniversal(), 5u);
@@ -71,13 +71,13 @@ TEST(AlignedSchemaTest, AlignByNameMergesEqualHeaders) {
 
 TEST(AlignedSchemaTest, AlignByNameRejectsDuplicateHeaders) {
   Table bad("bad", Schema::FromNames({"x", "x"}));
-  auto aligned = AlignByName({bad});
+  auto aligned = AlignByName(TestEncoded({bad}));
   EXPECT_FALSE(aligned.ok());
 }
 
 TEST(AlignedSchemaTest, SourcesOfListsTableOrder) {
   auto tables = Fig1Tables();
-  auto aligned = AlignByName(tables);
+  auto aligned = AlignByName(TestEncoded(tables));
   ASSERT_TRUE(aligned.ok());
   auto sources = aligned->SourcesOf(0);  // City
   ASSERT_EQ(sources.size(), 3u);
@@ -87,7 +87,7 @@ TEST(AlignedSchemaTest, SourcesOfListsTableOrder) {
 }
 
 TEST(AlignedSchemaTest, ValidateCatchesBadMappings) {
-  auto tables = Fig1Tables();
+  const EncodedTables tables = TestEncoded(Fig1Tables());
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
   AlignedSchema broken = *aligned;
@@ -105,7 +105,7 @@ TEST(AlignedSchemaTest, ValidateCatchesBadMappings) {
 
 TEST(FdProblemTest, BuildPadsWithNulls) {
   auto tables = Fig1Tables();
-  auto aligned = AlignByName(tables);
+  auto aligned = AlignByName(TestEncoded(tables));
   ASSERT_TRUE(aligned.ok());
   auto problem = EncodedProblem(tables, *aligned);
   ASSERT_TRUE(problem.ok());
@@ -120,7 +120,7 @@ TEST(FdProblemTest, BuildPadsWithNulls) {
 
 TEST(FdProblemTest, NeighborsViaSharedValues) {
   auto tables = Fig1Tables();
-  auto aligned = AlignByName(tables);
+  auto aligned = AlignByName(TestEncoded(tables));
   ASSERT_TRUE(aligned.ok());
   auto problem = EncodedProblem(tables, *aligned);
   ASSERT_TRUE(problem.ok());
@@ -134,7 +134,7 @@ TEST(FdProblemTest, NeighborsViaSharedValues) {
 
 TEST(FdProblemTest, ComponentsPartitionTuples) {
   auto tables = Fig1Tables();
-  auto aligned = AlignByName(tables);
+  auto aligned = AlignByName(TestEncoded(tables));
   ASSERT_TRUE(aligned.ok());
   auto problem = EncodedProblem(tables, *aligned);
   ASSERT_TRUE(problem.ok());
@@ -248,7 +248,7 @@ TEST(SubsumptionTest, ChainOfSubsumption) {
 
 TEST(FullDisjunctionTest, Fig1EquiJoinProducesNineTuples) {
   auto tables = Fig1Tables();
-  auto aligned = AlignByName(tables);
+  auto aligned = AlignByName(TestEncoded(tables));
   ASSERT_TRUE(aligned.ok());
   auto problem = EncodedProblem(tables, *aligned);
   ASSERT_TRUE(problem.ok());
@@ -290,7 +290,7 @@ TEST(FullDisjunctionTest, TwoTableCaseEqualsFullOuterJoin) {
                                {{S("1"), S("p")}, {S("3"), S("q")}});
   ASSERT_TRUE(left.ok() && right.ok());
   std::vector<Table> tables{*left, *right};
-  auto aligned = AlignByName(tables);
+  auto aligned = AlignByName(TestEncoded(tables));
   ASSERT_TRUE(aligned.ok());
   auto problem = EncodedProblem(tables, *aligned);
   ASSERT_TRUE(problem.ok());
@@ -308,7 +308,7 @@ TEST(FullDisjunctionTest, CrossProductWhenMultipleJoinPartners) {
                                {{S("1"), S("p")}, {S("1"), S("q")}});
   ASSERT_TRUE(left.ok() && right.ok());
   std::vector<Table> tables{*left, *right};
-  auto aligned = AlignByName(tables);
+  auto aligned = AlignByName(TestEncoded(tables));
   ASSERT_TRUE(aligned.ok());
   auto problem = EncodedProblem(tables, *aligned);
   ASSERT_TRUE(problem.ok());
@@ -334,7 +334,7 @@ TEST(FullDisjunctionTest, SingleTableIsIdentityModuloSubsumption) {
                            {{S("1"), S("x")}, {S("2"), Value::Null()}});
   ASSERT_TRUE(t.ok());
   std::vector<Table> tables{*t};
-  auto aligned = AlignByName(tables);
+  auto aligned = AlignByName(TestEncoded(tables));
   ASSERT_TRUE(aligned.ok());
   auto problem = EncodedProblem(tables, *aligned);
   ASSERT_TRUE(problem.ok());
@@ -347,7 +347,7 @@ TEST(FullDisjunctionTest, DuplicateTuplesCollapse) {
   auto t = Table::FromRows("T", {"a"}, {{S("dup")}, {S("dup")}});
   ASSERT_TRUE(t.ok());
   std::vector<Table> tables{*t};
-  auto aligned = AlignByName(tables);
+  auto aligned = AlignByName(TestEncoded(tables));
   ASSERT_TRUE(aligned.ok());
   auto problem = EncodedProblem(tables, *aligned);
   ASSERT_TRUE(problem.ok());
@@ -358,7 +358,7 @@ TEST(FullDisjunctionTest, DuplicateTuplesCollapse) {
 
 TEST(FullDisjunctionTest, BudgetExhaustionSurfacesError) {
   auto tables = Fig1Tables();
-  auto aligned = AlignByName(tables);
+  auto aligned = AlignByName(TestEncoded(tables));
   ASSERT_TRUE(aligned.ok());
   FdOptions opts;
   opts.max_search_nodes = 1;  // absurdly small
@@ -373,7 +373,7 @@ TEST(FullDisjunctionTest, BudgetExhaustionSurfacesError) {
 
 TEST(FullDisjunctionTest, Fig1IdenticalAtEveryPoolSize) {
   auto tables = Fig1Tables();
-  auto aligned = AlignByName(tables);
+  auto aligned = AlignByName(TestEncoded(tables));
   ASSERT_TRUE(aligned.ok());
   auto p0 = EncodedProblem(tables, *aligned);
   ASSERT_TRUE(p0.ok());
@@ -394,7 +394,7 @@ TEST(FullDisjunctionTest, Fig1IdenticalAtEveryPoolSize) {
 
 TEST(FullDisjunctionTest, ResultsToTableWithProvenance) {
   auto tables = Fig1Tables();
-  auto aligned = AlignByName(tables);
+  auto aligned = AlignByName(TestEncoded(tables));
   ASSERT_TRUE(aligned.ok());
   auto problem = EncodedProblem(tables, *aligned);
   ASSERT_TRUE(problem.ok());
@@ -439,7 +439,7 @@ TEST_P(FdOracleProperty, ProductionMatchesOracle) {
   std::vector<uint64_t> ranges(ExecutorPools().size(), 0);
   for (int trial = 0; trial < 15; ++trial) {
     const std::vector<Table> tables = RandomTables(oc, &rng);
-    auto aligned = AlignByName(tables);
+    auto aligned = AlignByName(TestEncoded(tables));
     ASSERT_TRUE(aligned.ok());
     auto oracle = NaiveFdOracle(tables, *aligned);
     ASSERT_TRUE(oracle.ok());
@@ -489,7 +489,7 @@ TEST(FullDisjunctionTest, TableOrderInvariantUpToProvenance) {
   // FD is associative/commutative: permuting the input tables must yield
   // the same set of value tuples (TIDs renumber, values must not change).
   auto tables = Fig1Tables();
-  auto aligned = AlignByName(tables);
+  auto aligned = AlignByName(TestEncoded(tables));
   ASSERT_TRUE(aligned.ok());
   auto problem = EncodedProblem(tables, *aligned);
   ASSERT_TRUE(problem.ok());
@@ -499,7 +499,7 @@ TEST(FullDisjunctionTest, TableOrderInvariantUpToProvenance) {
   std::vector<size_t> perm{2, 0, 1};
   std::vector<Table> shuffled;
   for (size_t i : perm) shuffled.push_back(tables[i]);
-  auto aligned2 = AlignByName(shuffled);
+  auto aligned2 = AlignByName(TestEncoded(shuffled));
   ASSERT_TRUE(aligned2.ok());
   auto problem2 = EncodedProblem(shuffled, *aligned2);
   ASSERT_TRUE(problem2.ok());
@@ -569,14 +569,14 @@ TEST(OracleTest, RefusesLargeInputs) {
     ASSERT_TRUE(t.AppendRow({S("v")}).ok());
   }
   std::vector<Table> tables{t};
-  auto aligned = AlignByName(tables);
+  auto aligned = AlignByName(TestEncoded(tables));
   ASSERT_TRUE(aligned.ok());
   EXPECT_FALSE(NaiveFdOracle(tables, *aligned).ok());
 }
 
 TEST(OracleTest, HandlesFig1) {
   auto tables = Fig1Tables();
-  auto aligned = AlignByName(tables);
+  auto aligned = AlignByName(TestEncoded(tables));
   ASSERT_TRUE(aligned.ok());
   auto oracle = NaiveFdOracle(tables, *aligned);
   ASSERT_TRUE(oracle.ok());

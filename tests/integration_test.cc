@@ -57,15 +57,15 @@ TEST(IntegrationTest, EmDownstreamFuzzyBeatsRegular) {
   gen.num_entities = 120;
   gen.seed = 7;
   auto bench = GenerateEmBenchmark(gen);
-  auto aligned = AlignByName(bench.tables);
+  SessionDict dict;
+  const EncodedTables tables = EncodeTables(bench.tables, &dict);
+  auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
 
-  SessionDict dict;
   FuzzyFdOptions opts;
   opts.matcher.model = MakeModel(ModelKind::kMistral);
   opts.session_dict = &dict;
   FuzzyFullDisjunction pipeline(opts);
-  const EncodedTables tables = EncodeTables(bench.tables, &dict);
   auto fuzzy = pipeline.RunToTuples(tables, *aligned, /*fuzzy=*/true);
   ASSERT_TRUE(fuzzy.ok());
   auto regular = pipeline.RunToTuples(tables, *aligned, /*fuzzy=*/false);
@@ -92,15 +92,15 @@ TEST(IntegrationTest, ImdbEquiWorkloadFuzzyAddsResultsIdenticalToRegular) {
   ImdbOptions gen;
   gen.target_tuples = 1500;
   auto bench = GenerateImdb(gen);
-  auto aligned = AlignByName(bench.tables);
+  SessionDict dict;
+  const EncodedTables tables = EncodeTables(bench.tables, &dict);
+  auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
 
-  SessionDict dict;
   FuzzyFdOptions opts;
   opts.matcher.model = MakeModel(ModelKind::kMistral);
   opts.session_dict = &dict;
   FuzzyFullDisjunction pipeline(opts);
-  const EncodedTables tables = EncodeTables(bench.tables, &dict);
   FuzzyFdReport fuzzy_report;
   auto fuzzy =
       pipeline.RunToTuples(tables, *aligned, /*fuzzy=*/true, &fuzzy_report);
@@ -128,20 +128,20 @@ TEST(IntegrationTest, SchemaMatcherFeedsFuzzyFdWithoutHeaders) {
                              {Value::String("Toronto"), Value::String("CA")},
                              {Value::String("Madrid"), Value::String("ES")}});
   ASSERT_TRUE(t1.ok() && t2.ok());
-  std::vector<Table> tables{*t1, *t2};
+  SessionDict dict;
+  const EncodedTables tables = EncodeTables({*t1, *t2}, &dict);
 
   auto model = MakeModel(ModelKind::kMistral);
   HolisticSchemaMatcher matcher(model);
-  auto aligned = matcher.Align(tables);
+  auto aligned = matcher.Align(tables, dict.dict());
   ASSERT_TRUE(aligned.ok());
   ASSERT_EQ(aligned->NumUniversal(), 2u);
 
-  SessionDict dict;
   FuzzyFdOptions opts;
   opts.matcher.model = model;
   opts.session_dict = &dict;
-  auto result = FuzzyFullDisjunction(opts).RunToTuples(
-      EncodeTables(tables, &dict), *aligned, /*fuzzy=*/true);
+  auto result = FuzzyFullDisjunction(opts).RunToTuples(tables, *aligned,
+                                                       /*fuzzy=*/true);
   ASSERT_TRUE(result.ok());
   // Berlinn/Berlin and Toronto/Toronto integrate; Barcelona and Madrid
   // stay separate → 4 tuples.
@@ -161,15 +161,15 @@ TEST(IntegrationTest, CsvRoundTripThroughPipeline) {
   auto r1 = ReadCsv(WriteCsv(*t1), "left");
   auto r2 = ReadCsv(WriteCsv(*t2), "right");
   ASSERT_TRUE(r1.ok() && r2.ok());
-  std::vector<Table> tables{*r1, *r2};
+  SessionDict dict;
+  const EncodedTables tables = EncodeTables({*r1, *r2}, &dict);
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
-  SessionDict dict;
   FuzzyFdOptions opts;
   opts.matcher.model = MakeModel(ModelKind::kMistral);
   opts.session_dict = &dict;
-  auto result = FuzzyFullDisjunction(opts).RunToTuples(
-      EncodeTables(tables, &dict), *aligned, /*fuzzy=*/true);
+  auto result = FuzzyFullDisjunction(opts).RunToTuples(tables, *aligned,
+                                                       /*fuzzy=*/true);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->tuples.size(), 3u);  // Berlin merged, Oslo, Lima
 }

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "embedding/model_zoo.h"
+#include "fd_problems.h"
 #include "match/schema_matcher.h"
 
 namespace lakefuzz {
@@ -29,7 +30,8 @@ std::vector<Table> CityTablesWithBadHeaders() {
 TEST(SchemaMatcherTest, AlignsByContentDespiteHeaders) {
   HolisticSchemaMatcher matcher(MakeModel(ModelKind::kMistral, 128));
   auto tables = CityTablesWithBadHeaders();
-  auto aligned = matcher.Align(tables);
+  auto aligned = matcher.Align(TestEncoded(tables),
+                               TestSessionDict()->dict());
   ASSERT_TRUE(aligned.ok());
   // City-like columns aligned; country-like columns aligned.
   EXPECT_EQ(aligned->column_map[0][0], aligned->column_map[1][0]);
@@ -45,7 +47,8 @@ TEST(SchemaMatcherTest, NeverMergesColumnsOfOneTable) {
                            {{S("Berlin"), S("Berlin")},
                             {S("Toronto"), S("Toronto")}});
   ASSERT_TRUE(t.ok());
-  auto aligned = matcher.Align({*t});
+  auto aligned = matcher.Align(TestEncoded({*t}),
+                               TestSessionDict()->dict());
   ASSERT_TRUE(aligned.ok());
   EXPECT_NE(aligned->column_map[0][0], aligned->column_map[0][1]);
 }
@@ -57,7 +60,8 @@ TEST(SchemaMatcherTest, UnrelatedColumnsStaySeparate) {
   auto t2 = Table::FromRows("T2", {"rating"},
                             {{Value::Double(8.5)}, {Value::Double(3.2)}});
   ASSERT_TRUE(t1.ok() && t2.ok());
-  auto aligned = matcher.Align({*t1, *t2});
+  auto aligned = matcher.Align(TestEncoded({*t1, *t2}),
+                               TestSessionDict()->dict());
   ASSERT_TRUE(aligned.ok());
   EXPECT_EQ(aligned->NumUniversal(), 2u);
 }
@@ -73,7 +77,8 @@ TEST(SchemaMatcherTest, ThreeTablesTransitiveAlignment) {
   auto t3 = Table::FromRows("T3", {"c3"}, {{S("Paris")}, {S("Toronto")},
                                            {S("Boston")}});
   ASSERT_TRUE(t1.ok() && t2.ok() && t3.ok());
-  auto aligned = matcher.Align({*t1, *t2, *t3});
+  auto aligned = matcher.Align(TestEncoded({*t1, *t2, *t3}),
+                               TestSessionDict()->dict());
   ASSERT_TRUE(aligned.ok());
   EXPECT_EQ(aligned->NumUniversal(), 1u);
   EXPECT_EQ(aligned->column_map[0][0], aligned->column_map[2][0]);
@@ -86,7 +91,8 @@ TEST(SchemaMatcherTest, UniversalNamesPreferMajorityHeader) {
   auto t3 = Table::FromRows("T3", {"location"},
                             {{S("Berlin")}, {S("Boston")}});
   ASSERT_TRUE(t1.ok() && t2.ok() && t3.ok());
-  auto aligned = matcher.Align({*t1, *t2, *t3});
+  auto aligned = matcher.Align(TestEncoded({*t1, *t2, *t3}),
+                               TestSessionDict()->dict());
   ASSERT_TRUE(aligned.ok());
   ASSERT_EQ(aligned->NumUniversal(), 1u);
   EXPECT_EQ(aligned->universal_names[0], "City");
@@ -94,8 +100,8 @@ TEST(SchemaMatcherTest, UniversalNamesPreferMajorityHeader) {
 
 TEST(SchemaMatcherTest, ResultValidates) {
   HolisticSchemaMatcher matcher(MakeModel(ModelKind::kMistral, 128));
-  auto tables = CityTablesWithBadHeaders();
-  auto aligned = matcher.Align(tables);
+  const EncodedTables tables = TestEncoded(CityTablesWithBadHeaders());
+  auto aligned = matcher.Align(tables, TestSessionDict()->dict());
   ASSERT_TRUE(aligned.ok());
   EXPECT_TRUE(ValidateAlignedSchema(*aligned, tables).ok());
 }
@@ -105,7 +111,8 @@ TEST(SchemaMatcherTest, HigherThresholdSplitsClusters) {
   strict.similarity_threshold = 1.01;  // nothing can merge
   HolisticSchemaMatcher matcher(MakeModel(ModelKind::kMistral, 128), strict);
   auto tables = CityTablesWithBadHeaders();
-  auto aligned = matcher.Align(tables);
+  auto aligned = matcher.Align(TestEncoded(tables),
+                               TestSessionDict()->dict());
   ASSERT_TRUE(aligned.ok());
   EXPECT_EQ(aligned->NumUniversal(), 4u);  // every column its own cluster
 }

@@ -17,6 +17,7 @@
 #include "embedding/embedding_cache.h"
 #include "embedding/hashed_model.h"
 #include "embedding/model_zoo.h"
+#include "fd/session_dict.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -35,10 +36,11 @@ std::vector<std::vector<std::string>> CorruptedImdbColumns(size_t max_values) {
     if (t.name() == "title_basics") title_basics = &t;
   }
   EXPECT_NE(title_basics, nullptr);
+  SessionDict dict;
+  const auto record = dict.Encode(*title_basics, "title_basics");
   std::vector<std::string> titles;
-  for (const auto& v : title_basics->DistinctNonNull(1)) {
-    titles.push_back(v.ToString());
-    if (titles.size() >= max_values) break;
+  for (uint32_t code : DistinctCodes(record->codes[1], max_values)) {
+    titles.push_back(dict.dict().Decode(code).ToString());
   }
   EXPECT_GE(titles.size(), 50u);
 

@@ -106,7 +106,7 @@ std::vector<std::string> RegisterAll(LakeEngine* engine,
 }
 
 Result<FdProblem> BuildByName(const std::vector<Table>& tables) {
-  auto aligned = AlignByName(tables);
+  auto aligned = AlignByName(TestEncoded(tables));
   EXPECT_TRUE(aligned.ok());
   return EncodedProblem(tables, *aligned);
 }

@@ -1,6 +1,8 @@
-// Tests for src/table: Value, Schema, Table, CSV, printer.
+// Tests for src/table: Value, Schema, Table, CSV, printer; and the distinct
+// codes of a table's encoded record (fd/session_dict.h).
 #include <gtest/gtest.h>
 
+#include "fd/session_dict.h"
 #include "table/csv.h"
 #include "table/print.h"
 #include "table/schema.h"
@@ -150,13 +152,15 @@ TEST(TableTest, RowMaterializes) {
   EXPECT_EQ(row[1], Value::String("DE"));
 }
 
-TEST(TableTest, DistinctNonNullFirstAppearanceOrder) {
-  Table t = MakeCityTable();
-  auto d0 = t.DistinctNonNull(0);
+TEST(EncodedTableTest, DistinctCodesFirstAppearanceOrder) {
+  SessionDict dict;
+  const auto record = dict.Encode(MakeCityTable(), "cities");
+  auto d0 = DistinctCodes(record->codes[0]);
   ASSERT_EQ(d0.size(), 2u);
-  EXPECT_EQ(d0[0], Value::String("Berlin"));
-  EXPECT_EQ(d0[1], Value::String("Paris"));
-  EXPECT_EQ(t.DistinctNonNull(1).size(), 1u);  // null excluded
+  EXPECT_EQ(dict.dict().Decode(d0[0]), Value::String("Berlin"));
+  EXPECT_EQ(dict.dict().Decode(d0[1]), Value::String("Paris"));
+  EXPECT_EQ(DistinctCodes(record->codes[1]).size(), 1u);  // null excluded
+  EXPECT_EQ(DistinctCodes(record->codes[0], /*limit=*/1).size(), 1u);
 }
 
 TEST(TableTest, NullCount) {
