@@ -36,7 +36,8 @@ int main(int argc, char** argv) {
   auto model = MakeModel(ModelKind::kMistral);
   EntityMatcherOptions em_opts;
   em_opts.similarity_threshold = flags.GetDouble("em-threshold", 0.80);
-  em_opts.model = model;  // embedding-based cell similarity
+  // Embedding-based cell similarity, one memo for every trial.
+  em_opts.embeddings = std::make_shared<EmbeddingCache>(model);
   EntityMatcher em(em_opts);
 
   std::vector<Prf> fuzzy_parts, regular_parts;

@@ -57,7 +57,8 @@ void BM_EmbedValue(benchmark::State& state) {
   for (int i = 0; i < 512; ++i) values.push_back(rng.AlphaString(12));
   size_t i = 0;
   for (auto _ : state) {
-    // Rotate through distinct values to defeat the embedding cache.
+    // One model call per iteration: MakeModel does not memoize (only an
+    // EmbeddingCache does), so this times the embedding itself.
     Vec v = model->Embed(values[i++ & 511]);
     benchmark::DoNotOptimize(v);
   }

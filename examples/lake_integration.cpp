@@ -8,8 +8,8 @@
 // This is the scenario the paper's introduction motivates: discovered
 // tables about the same entities, scattered attributes, inconsistent
 // values. The engine session runs both the regular-FD baseline and the
-// fuzzy pipeline over the same registered tables, sharing the embedding
-// cache between the two requests.
+// fuzzy pipeline over the same registered tables; alignment, value matching
+// and entity matching all read the session's one embedding memo.
 //
 //   ./lake_integration [--entities=150] [--seed=11] [--dir=/tmp/lakefuzz_demo]
 #include <cstdio>
@@ -102,8 +102,10 @@ int main(int argc, char** argv) {
   }
 
   // 3+4. Integrate both ways through the streaming sink (columns align
-  //      holistically — by content, not headers). The second request hits
-  //      the session embedding cache warmed by the first.
+  //      holistically — by content, not headers). The first request aligns,
+  //      embedding each column's sampled values into the session memo; the
+  //      second reuses that alignment, and its value matching finds those
+  //      strings already embedded.
   auto integrate = [&](bool fuzzy, CollectingSink* sink,
                        FuzzyFdReport* report) -> bool {
     RequestOptions req;
@@ -136,8 +138,8 @@ int main(int argc, char** argv) {
   std::printf(
       "\nIntegration: regular FD → %zu rows in %.1f ms; fuzzy FD → %zu "
       "rows in %zu batches\n(%zu values rewritten, %.1f ms align + %.1f ms "
-      "matching + %.1f ms FD = %.1f ms total;\ncache after both requests: "
-      "%zu hits / %zu misses)\n",
+      "matching + %.1f ms FD = %.1f ms total;\nsession embedding memo, "
+      "alignment + matching lookups: %zu hits / %zu misses)\n",
       regular_sink.tuples().size(), regular_report.total_seconds() * 1e3,
       fuzzy_sink.tuples().size(), fuzzy_sink.batches(),
       fuzzy_report.values_rewritten,
@@ -145,13 +147,14 @@ int main(int argc, char** argv) {
       fuzzy_report.stages.seconds(Stage::kMatch) * 1e3,
       fuzzy_report.stages.seconds(Stage::kFd) * 1e3,
       fuzzy_report.total_seconds() * 1e3,
-      (*engine)->embedding_cache().hits(),
-      (*engine)->embedding_cache().misses());
+      (*engine)->embedding_cache()->hits(),
+      (*engine)->embedding_cache()->misses());
 
   // 5. Downstream entity matching, evaluated on input-tuple pairs.
   EntityMatcherOptions em_opts;
   em_opts.similarity_threshold = 0.8;
-  em_opts.model = (*engine)->model();  // embedding-based cell similarity
+  // Embedding-based cell similarity through the session memo.
+  em_opts.embeddings = (*engine)->embedding_cache();
   EntityMatcher em(em_opts);
   auto evaluate = [&](const CollectingSink& sink, const char* label) {
     Table integrated =

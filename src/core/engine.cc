@@ -16,8 +16,6 @@ namespace {
 
 /// Ceiling on SetNumThreads — a typo must not try to spawn 2^62 workers.
 constexpr size_t kMaxEngineThreads = 4096;
-/// Ceiling on cache shard counts (each shard is a mutex + map).
-constexpr size_t kMaxCacheShards = size_t{1} << 20;
 
 /// Seconds → histogram nanoseconds (clamped at zero).
 uint64_t SecondsToNs(double seconds) {
@@ -62,15 +60,6 @@ Status EngineOptions::Validate() const {
         StrFormat("num_threads=%zu exceeds the engine ceiling of %zu",
                   num_threads, kMaxEngineThreads));
   }
-  if (embedding_cache.shards == 0) {
-    return Status::InvalidArgument(
-        "embedding_cache.shards must be at least 1");
-  }
-  if (embedding_cache.shards > kMaxCacheShards) {
-    return Status::InvalidArgument(
-        StrFormat("embedding_cache.shards=%zu exceeds the ceiling of %zu",
-                  embedding_cache.shards, kMaxCacheShards));
-  }
   if (catalog_retain_generations == 0) {
     return Status::InvalidArgument(
         "catalog_retain_generations must be at least 1 (the current "
@@ -87,11 +76,9 @@ LakeEngine::~LakeEngine() {
 }
 
 LakeEngine::LakeEngine(EngineOptions options,
-                       std::shared_ptr<const EmbeddingModel> model,
-                       std::shared_ptr<EmbeddingCache> cache,
+                       std::shared_ptr<const EmbeddingCache> cache,
                        std::unique_ptr<ThreadPool> pool)
     : options_(std::move(options)),
-      model_(std::move(model)),
       cache_(std::move(cache)),
       pool_(std::move(pool)),
       session_dict_(std::make_unique<SessionDict>()),
@@ -152,17 +139,14 @@ LakeEngine::LakeEngine(EngineOptions options,
 Result<std::unique_ptr<LakeEngine>> LakeEngine::Create(
     EngineOptions options) {
   LAKEFUZZ_RETURN_IF_ERROR(options.Validate());
-  std::shared_ptr<const EmbeddingModel> model = MakeModel(options.model);
-  auto cache =
-      std::make_shared<EmbeddingCache>(model, options.embedding_cache);
+  auto cache = std::make_shared<const EmbeddingCache>(MakeModel(options.model));
   // num_threads == 1 keeps the engine poolless: requests run serially and a
   // one-shot throwaway engine costs no thread spawns.
   std::unique_ptr<ThreadPool> pool;
   const size_t threads = ResolveNumThreads(options.num_threads);
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
   return std::unique_ptr<LakeEngine>(
-      new LakeEngine(std::move(options), std::move(model), std::move(cache),
-                     std::move(pool)));
+      new LakeEngine(std::move(options), std::move(cache), std::move(pool)));
 }
 
 Status LakeEngine::RegisterTable(std::string name,
@@ -677,7 +661,7 @@ Result<LakeEngine::PreparedRequest> LakeEngine::Prepare(
   if (!cached) {
     Result<AlignedSchema> aligned = Status::Internal("unreachable");
     if (request.holistic_alignment) {
-      aligned = HolisticSchemaMatcher(model_).Align(prep.tables,
+      aligned = HolisticSchemaMatcher(cache_).Align(prep.tables,
                                                     session_dict_->dict());
     } else {
       aligned = AlignByName(prep.tables);
@@ -706,7 +690,6 @@ Result<LakeEngine::PreparedRequest> LakeEngine::Prepare(
   // Session resources override the per-request knobs they replace; the
   // remaining matcher/FD knobs pass through untouched.
   FuzzyFdOptions eff = request.fuzzy_fd;
-  eff.matcher.model = model_;
   eff.matcher.shared_cache = cache_;
   eff.session_dict = session_dict_.get();
   eff.context = ctx;

@@ -4,8 +4,9 @@
 // reclamation, query-time integration) issue *many* integrate calls over
 // the same lake. A LakeEngine is constructed once from validated
 // EngineOptions and owns the process-wide resources every call used to
-// rebuild: the embedding model, a cross-call EmbeddingCache (values
-// embedded by one request are hits for every later one), and one session
+// rebuild: one session EmbeddingCache over the embedding model (holistic
+// alignment and value matching both read it, so each string is embedded
+// once per session and is a hit for every later lookup), and one session
 // ThreadPool. Tables register once: each is encoded into the session
 // dictionary as a code record (fd/session_dict.h EncodedTable) held by a
 // TableRegistry, and requests pin those records — nothing keeps the Table.
@@ -60,8 +61,8 @@ class ThreadPool;
 /// Validate() is called by LakeEngine::Create; invalid options surface as
 /// ErrorCode::kInvalidArgument before any resource is allocated.
 struct EngineOptions {
-  /// Embedding model backing alignment, value matching, and the shared
-  /// cache. Built once per engine.
+  /// Embedding model behind the session embedding memo that alignment and
+  /// value matching read. Built once per engine.
   ModelKind model = ModelKind::kMistral;
   /// Session worker threads: 1 = serial (no pool is created), 0 = hardware
   /// concurrency, N = exactly N. The pool is the engine's one parallelism
@@ -69,8 +70,6 @@ struct EngineOptions {
   /// subsumption, decode, and matcher fills all run on it. Results are
   /// identical at every setting.
   size_t num_threads = 1;
-  /// Sizing of the cross-call embedding cache (max_entries 0 = unbounded).
-  EmbeddingCacheOptions embedding_cache;
   /// Discovery-index knobs (signature size, LSH banding, score weights,
   /// eager vs bulk build — see discovery/discovery.h).
   DiscoveryOptions discovery;
@@ -112,10 +111,6 @@ struct EngineOptions {
     num_threads = n;
     return *this;
   }
-  EngineOptions& SetEmbeddingCache(EmbeddingCacheOptions options) {
-    embedding_cache = options;
-    return *this;
-  }
   EngineOptions& SetDiscovery(DiscoveryOptions options) {
     discovery = std::move(options);
     return *this;
@@ -150,7 +145,7 @@ struct EngineOptions {
 };
 
 /// Per-request knobs. The engine fills in everything session-owned
-/// (model, shared cache, pool) on top of these.
+/// (embedding memo, pool) on top of these.
 struct RequestOptions {
   /// Align columns by content (holistic schema matching); when false,
   /// columns align by equal header names.
@@ -161,9 +156,10 @@ struct RequestOptions {
   /// Add the "TIDs" provenance column to the output table.
   bool include_provenance = false;
   /// Matcher/FD knobs. The engine overwrites the session-owned fields:
-  /// matcher.model, matcher.shared_cache, session_dict, context, and — on a
-  /// pooled engine — pool and matcher.pool (both the session pool). The
-  /// remaining knobs pass through untouched.
+  /// matcher.shared_cache (the session embedding memo, which puts the
+  /// matcher in embedding mode, so matcher.model is ignored), session_dict,
+  /// context, and — on a pooled engine — pool and matcher.pool (both the
+  /// session pool). The remaining knobs pass through untouched.
   FuzzyFdOptions fuzzy_fd;
   /// Cooperative cancellation (CancelToken::Create(); fire from any
   /// thread). A cancelled request returns ErrorCode::kCancelled.
@@ -244,8 +240,8 @@ struct PipelineResult {
 /// many requests; safe for concurrent use.
 class LakeEngine {
  public:
-  /// Validates `options`, then builds the session resources (model, shared
-  /// embedding cache, worker pool when num_threads != 1).
+  /// Validates `options`, then builds the session resources (the embedding
+  /// memo over the model, worker pool when num_threads != 1).
   static Result<std::unique_ptr<LakeEngine>> Create(
       EngineOptions options = EngineOptions());
 
@@ -389,10 +385,12 @@ class LakeEngine {
 
   // ------------------------------------------------------------ session
   const EngineOptions& options() const { return options_; }
-  /// The cross-call cache (inspect hits()/misses() to observe reuse).
-  const EmbeddingCache& embedding_cache() const { return *cache_; }
-  const std::shared_ptr<const EmbeddingModel>& model() const {
-    return model_;
+  /// The session embedding memo over the model of EngineOptions::model.
+  /// Its hits()/misses() count alignment lookups as well as matching ones
+  /// (misses = distinct strings embedded this session). Callers may embed
+  /// through it too, e.g. EntityMatcherOptions::embeddings.
+  const std::shared_ptr<const EmbeddingCache>& embedding_cache() const {
+    return cache_;
   }
   /// The session interning dictionary every registered table is encoded
   /// into (NumDistinct() grows only at registration and catalog open).
@@ -435,8 +433,7 @@ class LakeEngine {
   };
 
   LakeEngine(EngineOptions options,
-             std::shared_ptr<const EmbeddingModel> model,
-             std::shared_ptr<EmbeddingCache> cache,
+             std::shared_ptr<const EmbeddingCache> cache,
              std::unique_ptr<ThreadPool> pool);
 
   /// RAII admission slot: releases the concurrency gate (and wakes one
@@ -534,8 +531,7 @@ class LakeEngine {
   void RefreshGauges() const;
 
   EngineOptions options_;
-  std::shared_ptr<const EmbeddingModel> model_;
-  std::shared_ptr<EmbeddingCache> cache_;
+  std::shared_ptr<const EmbeddingCache> cache_;
   std::unique_ptr<ThreadPool> pool_;
   /// Metrics: the external registry from EngineOptions::metrics, or the
   /// engine-private owned_metrics_. em_ caches the metric pointers.

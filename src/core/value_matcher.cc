@@ -57,14 +57,15 @@ CrossColumnPairs(const ValueMatchResult& result) {
 Result<ValueMatchResult> ValueMatcher::MatchColumns(
     const std::vector<std::vector<std::string>>& columns,
     const RequestContext& ctx) const {
-  const bool use_embeddings = options_.model != nullptr;
+  const bool use_embeddings =
+      options_.shared_cache != nullptr || options_.model != nullptr;
   const bool use_bounded_distance =
       !use_embeddings && options_.bounded_string_distance != nullptr;
   if (!use_embeddings && options_.string_distance == nullptr &&
       !use_bounded_distance) {
     return Status::InvalidArgument(
-        "ValueMatcherOptions: one of model, string_distance, or "
-        "bounded_string_distance must be set");
+        "ValueMatcherOptions: one of shared_cache, model, string_distance, "
+        "or bounded_string_distance must be set");
   }
   for (size_t c = 0; c < columns.size(); ++c) {
     std::unordered_set<std::string> distinct(columns[c].begin(),
@@ -86,15 +87,10 @@ Result<ValueMatchResult> ValueMatcher::MatchColumns(
   // identical with or without a pool and at any cache state because each
   // cost cell is a pure function of its (group, value) pair.
   std::unique_ptr<EmbeddingCache> local_cache;
-  EmbeddingCache* cache = nullptr;
-  if (use_embeddings) {
-    if (options_.shared_cache != nullptr) {
-      cache = options_.shared_cache.get();
-    } else {
-      local_cache = std::make_unique<EmbeddingCache>(
-          options_.model, options_.embedding_cache);
-      cache = local_cache.get();
-    }
+  const EmbeddingCache* cache = options_.shared_cache.get();
+  if (use_embeddings && cache == nullptr) {
+    local_cache = std::make_unique<EmbeddingCache>(options_.model);
+    cache = local_cache.get();
   }
   const EmbeddingCache::Counters counters_before =
       cache != nullptr ? cache->counters() : EmbeddingCache::Counters{};

@@ -62,8 +62,11 @@ struct ValueMatcherOptions {
   /// sparse per-component assignment.
   size_t max_dense_cells = size_t{1} << 22;
   BlockingOptions blocking;
-  /// Distance source: embedding cosine when `model` is set (paper), else
-  /// `string_distance` (must be set; ablation A3).
+  /// Distance source: embedding cosine when `shared_cache` or `model` is
+  /// set (paper), else `string_distance` (must be set; ablation A3).
+  /// `model` serves standalone callers: each MatchColumns call memoizes it
+  /// into a fresh EmbeddingCache, so the stats count that call alone.
+  /// Ignored when `shared_cache` is set.
   std::shared_ptr<const EmbeddingModel> model;
   StringDistanceFn string_distance;
   /// Optional threshold-aware replacement for `string_distance` (takes
@@ -77,17 +80,14 @@ struct ValueMatcherOptions {
   /// under `auto_threshold` the budget is lifted to 1.0 — every value
   /// exact, zero prunes; the banded DP still applies.
   BoundedStringDistanceFn bounded_string_distance;
-  /// Sizing of the per-MatchColumns embedding cache (embedding mode only;
-  /// ignored when `shared_cache` is set).
-  EmbeddingCacheOptions embedding_cache;
-  /// Cross-call embedding cache owned by a long-lived session (LakeEngine).
-  /// When set, MatchColumns memoizes into it instead of a fresh per-call
-  /// cache, so values and representatives embedded by one call are hits for
-  /// every later call over the same lake. Must wrap the same model as
-  /// `model`. stats.embedding_cache_{hits,misses} then report this call's
-  /// delta of the cache's counters. Match results are unaffected — the
-  /// cache memoizes a pure function.
-  std::shared_ptr<EmbeddingCache> shared_cache;
+  /// Cross-call embedding memo owned by a long-lived session (a LakeEngine
+  /// passes the one its alignment also reads). When set, the matcher runs
+  /// in embedding mode on the memo's model and memoizes into it instead of
+  /// a fresh per-call cache, so strings embedded by alignment or by an
+  /// earlier call are hits. stats.embedding_cache_{hits,misses} then report
+  /// this call's delta of the memo's counters. Match results are unaffected
+  /// — the memo holds a pure function's values.
+  std::shared_ptr<const EmbeddingCache> shared_cache;
   /// Worker pool for cost-matrix fill, sparse-edge scoring, and value
   /// embedding (a LakeEngine's session pool, or the caller's); null runs
   /// them serially. Not owned. Work below the parallelization thresholds
@@ -116,10 +116,9 @@ struct ValueMatchStats {
   /// (subset of cost_evaluations).
   size_t pruned_evaluations = 0;
   /// Embedding-cache traffic (embedding mode only): hits are value→vector
-  /// lookups answered from the cache. Deterministic with an unbounded cache
-  /// (misses = distinct strings embedded); with `embedding_cache.max_entries`
-  /// set AND a pool, which keys stay cached depends on arrival order, so
-  /// these two counters may vary run-to-run. Match results never do.
+  /// lookups answered from the cache, misses the distinct strings this call
+  /// embedded. Deterministic at any thread count; with concurrent requests
+  /// on one shared memo the split between them is approximate.
   size_t embedding_cache_hits = 0;
   size_t embedding_cache_misses = 0;
   /// θ actually used per assignment round (one entry per solve; equals the

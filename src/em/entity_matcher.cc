@@ -31,10 +31,10 @@ double EntityMatcher::RowSimilarity(const Table& table, size_t row_a,
     std::string sb = Normalize(vb.ToString());
     if (sa == sb) {
       acc += 1.0;
-    } else if (options_.model != nullptr) {
+    } else if (options_.embeddings != nullptr) {
       acc += std::max(
-          0.0, CosineSimilarity(options_.model->Embed(sa),
-                                options_.model->Embed(sb)));
+          0.0, CosineSimilarity(*options_.embeddings->GetNormalized(sa),
+                                *options_.embeddings->GetNormalized(sb)));
     } else {
       acc += JaroWinklerSimilarity(sa, sb);
     }

@@ -12,7 +12,7 @@
 
 #include <memory>
 
-#include "embedding/model.h"
+#include "embedding/embedding_cache.h"
 #include "fd/fd_tuple.h"
 #include "table/table.h"
 
@@ -24,9 +24,11 @@ struct EntityMatcherOptions {
   /// Minimum number of columns where both rows are non-null; pairs with
   /// less shared evidence never match.
   size_t min_overlap_columns = 1;
-  /// Embedding model for cell similarity; when null, Jaro-Winkler on
-  /// normalized strings is used.
-  std::shared_ptr<const EmbeddingModel> model;
+  /// Embedding memo for cell similarity (cosine of the two normalized
+  /// cells' vectors); when null, Jaro-Winkler on normalized strings is used.
+  /// Callers build one per matcher (`std::make_shared<EmbeddingCache>(
+  /// MakeModel(kind))`) or pass a LakeEngine's `embedding_cache()`.
+  std::shared_ptr<const EmbeddingCache> embeddings;
   /// Token-blocking: candidate pairs must share one token key. Blocks
   /// larger than this are skipped (stop-token suppression).
   size_t max_block_size = 256;

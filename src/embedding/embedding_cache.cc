@@ -3,34 +3,14 @@
 #include <functional>
 
 namespace lakefuzz {
-namespace {
 
-size_t RoundUpPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
-EmbeddingCache::EmbeddingCache(std::shared_ptr<const EmbeddingModel> model,
-                               EmbeddingCacheOptions options)
+EmbeddingCache::EmbeddingCache(std::shared_ptr<const EmbeddingModel> model)
     : model_(std::move(model)),
-      options_(options),
-      shards_(RoundUpPow2(options.shards == 0 ? 1 : options.shards)) {
-  // Unwrap a CachingModel: this cache fully memoizes every lookup itself,
-  // so an outer memo layer would only double-store each vector and funnel
-  // parallel warm-up misses through its single global mutex.
-  while (auto caching =
-             std::dynamic_pointer_cast<const CachingModel>(model_)) {
-    model_ = caching->inner();
-  }
-  model_prenormalized_ = model_->prenormalized();
-}
+      model_prenormalized_(model_->prenormalized()) {}
 
 EmbeddingCache::Shard& EmbeddingCache::ShardFor(std::string_view value) const {
   size_t h = std::hash<std::string_view>{}(value);
-  return shards_[h & (shards_.size() - 1)];
+  return shards_[h % kNumShards];
 }
 
 std::shared_ptr<const Vec> EmbeddingCache::GetNormalized(
@@ -49,33 +29,12 @@ std::shared_ptr<const Vec> EmbeddingCache::GetNormalized(
   if (!model_prenormalized_) NormalizeInPlace(vec.get());
 
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(value);
-  if (it != shard.map.end()) {
-    // Raced with another thread that inserted first. Counted as a hit so
-    // the hit/miss totals stay deterministic across thread counts (one
-    // miss per inserted key), even though this call did embed.
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.max_entries != 0) {
-    size_t claimed = total_entries_.fetch_add(1, std::memory_order_relaxed);
-    if (claimed >= options_.max_entries) {
-      total_entries_.fetch_sub(1, std::memory_order_relaxed);
-      return vec;  // over budget: hand back uncached
-    }
-  }
-  shard.map.emplace(value, vec);
-  return vec;
-}
-
-size_t EmbeddingCache::size() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.map.size();
-  }
-  return total;
+  auto [it, inserted] = shard.map.emplace(value, std::move(vec));
+  // A lost race (another thread inserted first) counts as a hit so the
+  // hit/miss totals stay deterministic across thread counts (one miss per
+  // inserted key), even though this call did embed.
+  (inserted ? misses_ : hits_).fetch_add(1, std::memory_order_relaxed);
+  return it->second;
 }
 
 }  // namespace lakefuzz

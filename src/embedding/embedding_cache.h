@@ -1,48 +1,41 @@
-// EmbeddingCache: the value-matching hot path's embedding memo.
+// EmbeddingCache: the one memo of EmbeddingModel::Embed.
 //
-// The sequential merge re-embeds the same strings over and over: every round
+// Every consumer of embeddings reads its vectors through one: holistic
+// column alignment (ColumnEmbedder), value matching and entity matching. The
+// sequential merge re-embeds the same strings over and over: every round
 // embeds the incoming column's values, and group representatives — which
 // mostly survive from round to round — are re-embedded each time they are
-// compared. This cache memoizes value→vector lookups across columns and
-// stores vectors *pre-normalized* to unit length, so the matcher's cosine
-// distance degrades to a single dot product (CosineDistancePrenormalized)
-// instead of three (Dot + two norm recomputations) per cell.
+// compared. A LakeEngine keeps one cache per session, so a string embedded
+// by alignment, or by an earlier request, is a hit for every later lookup.
+// Vectors are stored *pre-normalized* to unit length, so the matcher's
+// cosine distance degrades to a single dot product
+// (CosineDistancePrenormalized) instead of three (Dot + two norm
+// recomputations) per cell. For a prenormalized model (every MakeModel
+// profile) a stored vector is Embed's output unchanged.
 //
-// Concurrency: lookups are sharded by string hash; each shard has its own
-// mutex, so parallel cost-matrix workers warming the cache contend only
-// within a shard. Entries are shared_ptr so a returned vector stays valid
-// across rehashes and (bounded mode) non-insertion.
+// Concurrency: lookups are sharded by string hash over a fixed 16 shards;
+// each shard has its own mutex, so parallel cost-matrix workers warming the
+// cache contend only within a shard. The memo is unbounded, and entries are
+// shared_ptr so a returned vector stays valid across rehashes.
 #ifndef LAKEFUZZ_EMBEDDING_EMBEDDING_CACHE_H_
 #define LAKEFUZZ_EMBEDDING_EMBEDDING_CACHE_H_
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "embedding/model.h"
 
 namespace lakefuzz {
 
-struct EmbeddingCacheOptions {
-  /// Upper bound on total cached entries; 0 = unbounded. At the bound,
-  /// values are computed but not inserted (no eviction). Match results are
-  /// unaffected either way; note that with a bound AND parallel warm-up,
-  /// *which* keys land in the cache — and therefore the hit/miss counters —
-  /// depends on arrival order across threads.
-  size_t max_entries = 0;
-  /// Number of independently locked shards (rounded up to a power of two).
-  size_t shards = 16;
-};
-
 /// Memoizing, normalizing embedding lookup table. Thread-safe.
 class EmbeddingCache {
  public:
-  explicit EmbeddingCache(std::shared_ptr<const EmbeddingModel> model,
-                          EmbeddingCacheOptions options = {});
+  explicit EmbeddingCache(std::shared_ptr<const EmbeddingModel> model);
 
   /// The unit-normalized embedding of `value`. The returned vector is
   /// immutable and remains valid for the cache's lifetime (or the caller's
@@ -53,8 +46,9 @@ class EmbeddingCache {
 
   const EmbeddingModel& model() const { return *model_; }
 
-  size_t size() const;
   size_t hits() const { return hits_.load(std::memory_order_relaxed); }
+  /// One miss per distinct string embedded, at any thread count: the number
+  /// of entries the memo holds.
   size_t misses() const { return misses_.load(std::memory_order_relaxed); }
 
   /// Hit/miss counters read as one pair — the unit of per-request deltas
@@ -69,6 +63,8 @@ class EmbeddingCache {
   Counters counters() const { return Counters{hits(), misses()}; }
 
  private:
+  static constexpr size_t kNumShards = 16;
+
   struct Shard {
     mutable std::mutex mu;
     std::unordered_map<std::string, std::shared_ptr<const Vec>> map;
@@ -77,15 +73,11 @@ class EmbeddingCache {
   Shard& ShardFor(std::string_view value) const;
 
   std::shared_ptr<const EmbeddingModel> model_;
-  EmbeddingCacheOptions options_;
   /// True when the model already emits unit vectors (the invariant threaded
   /// through EmbeddingModel::prenormalized()); skips the defensive
   /// re-normalization.
   bool model_prenormalized_;
-  mutable std::vector<Shard> shards_;
-  /// Total entries across shards; enforces max_entries globally rather than
-  /// as a per-shard quota.
-  mutable std::atomic<size_t> total_entries_{0};
+  mutable std::array<Shard, kNumShards> shards_;
   mutable std::atomic<size_t> hits_{0};
   mutable std::atomic<size_t> misses_{0};
 };

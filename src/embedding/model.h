@@ -3,15 +3,14 @@
 // The paper embeds each cell value with a language model and compares
 // embeddings by cosine distance (Sec 2.2, "Embed Column Values"). Any
 // implementation of this interface can be plugged into the matcher —
-// including user-provided ones (see examples/custom_model.cc).
+// including user-provided ones (see examples/custom_model.cc). A model does
+// not memoize: consumers read its vectors through an EmbeddingCache
+// (embedding/embedding_cache.h), the one memo of Embed.
 #ifndef LAKEFUZZ_EMBEDDING_MODEL_H_
 #define LAKEFUZZ_EMBEDDING_MODEL_H_
 
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 
 #include "embedding/vector_ops.h"
 
@@ -38,32 +37,6 @@ class EmbeddingModel {
   /// (a single dot product) instead of the norm-recomputing CosineDistance.
   /// EmbeddingCache re-normalizes defensively when this is false.
   virtual bool prenormalized() const { return false; }
-};
-
-/// Memoizing decorator: caches embeddings by exact input string. The value
-/// matcher embeds each distinct value once per column, but representative
-/// values recur across the sequential merge rounds — caching them is the
-/// difference between O(values) and O(values × columns) embedding calls.
-class CachingModel : public EmbeddingModel {
- public:
-  explicit CachingModel(std::shared_ptr<const EmbeddingModel> inner)
-      : inner_(std::move(inner)) {}
-
-  Vec Embed(std::string_view value) const override;
-  size_t dim() const override { return inner_->dim(); }
-  std::string name() const override { return inner_->name(); }
-  bool prenormalized() const override { return inner_->prenormalized(); }
-
-  /// Number of cached entries (for tests / diagnostics).
-  size_t CacheSize() const;
-
-  /// The wrapped model (EmbeddingCache unwraps it to avoid double-caching).
-  std::shared_ptr<const EmbeddingModel> inner() const { return inner_; }
-
- private:
-  std::shared_ptr<const EmbeddingModel> inner_;
-  mutable std::mutex mu_;
-  mutable std::unordered_map<std::string, Vec> cache_;
 };
 
 }  // namespace lakefuzz

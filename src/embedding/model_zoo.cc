@@ -98,8 +98,7 @@ std::shared_ptr<const EmbeddingModel> MakeModel(ModelKind kind, size_t dim) {
       cfg.seed = 0x7b1e;
       break;
   }
-  return std::make_shared<CachingModel>(
-      std::make_shared<HashedNgramModel>(std::move(cfg)));
+  return std::make_shared<HashedNgramModel>(std::move(cfg));
 }
 
 }  // namespace lakefuzz

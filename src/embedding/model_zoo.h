@@ -36,7 +36,8 @@ std::string_view ModelKindToString(ModelKind kind);
 Result<ModelKind> ModelKindFromString(std::string_view name);
 
 /// Builds the profile for `kind`. Every call returns an equivalent,
-/// deterministic model (wrapped in a CachingModel).
+/// deterministic, prenormalized HashedNgramModel; wrap it in an
+/// EmbeddingCache to memoize its vectors.
 std::shared_ptr<const EmbeddingModel> MakeModel(ModelKind kind,
                                                 size_t dim = 256);
 

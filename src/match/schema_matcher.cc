@@ -11,8 +11,9 @@
 namespace lakefuzz {
 
 HolisticSchemaMatcher::HolisticSchemaMatcher(
-    std::shared_ptr<const EmbeddingModel> model, SchemaMatcherOptions options)
-    : model_(std::move(model)), options_(options) {}
+    std::shared_ptr<const EmbeddingCache> embeddings,
+    SchemaMatcherOptions options)
+    : embeddings_(std::move(embeddings)), options_(options) {}
 
 Result<AlignedSchema> HolisticSchemaMatcher::Align(
     const EncodedTables& tables, const ValueDict& dict) const {
@@ -27,7 +28,7 @@ Result<AlignedSchema> HolisticSchemaMatcher::Align(
     }
   }
 
-  ColumnEmbedder embedder(model_, options_.embedder);
+  ColumnEmbedder embedder(embeddings_, options_.embedder);
   std::vector<Vec> sigs(cols.size());
   std::vector<std::string> values;
   for (size_t i = 0; i < cols.size(); ++i) {
@@ -37,7 +38,7 @@ Result<AlignedSchema> HolisticSchemaMatcher::Align(
                                        options_.embedder.sample_size)) {
       values.push_back(dict.Decode(code).ToString());
     }
-    sigs[i] = embedder.EmbedColumn(values, t.schema.field(cols[i].col).name);
+    sigs[i] = embedder.EmbedColumn(values);
   }
 
   // Candidate edges between columns of different tables, best-first.

@@ -12,7 +12,10 @@
 // dictionary, i.e. its first distinct values by Value equality. Each renders
 // as the session's interned copy, as in matching and the FD output, which
 // differs from the table's own cell only for a Double zero of the other
-// sign ("-0" vs "0").
+// sign ("-0" vs "0"). Value embeddings are read through the EmbeddingCache
+// the matcher is given (a LakeEngine passes its session memo), so
+// signatures pool the memo's unit vectors: a custom model that is not
+// prenormalized has each value normalized before pooling.
 #ifndef LAKEFUZZ_MATCH_SCHEMA_MATCHER_H_
 #define LAKEFUZZ_MATCH_SCHEMA_MATCHER_H_
 
@@ -42,7 +45,7 @@ struct SchemaMatcherOptions {
 /// Greedy constrained agglomerative clustering of column signatures.
 class HolisticSchemaMatcher {
  public:
-  HolisticSchemaMatcher(std::shared_ptr<const EmbeddingModel> model,
+  HolisticSchemaMatcher(std::shared_ptr<const EmbeddingCache> embeddings,
                         SchemaMatcherOptions options = SchemaMatcherOptions());
 
   /// Aligns the integration set, encoded into `dict`, into an
@@ -53,7 +56,7 @@ class HolisticSchemaMatcher {
                               const ValueDict& dict) const;
 
  private:
-  std::shared_ptr<const EmbeddingModel> model_;
+  std::shared_ptr<const EmbeddingCache> embeddings_;
   SchemaMatcherOptions options_;
 };
 

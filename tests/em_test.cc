@@ -86,7 +86,8 @@ TEST(EntityMatcherTest, EmbeddingModeBridgesAliases) {
   double without = EntityMatcher(plain).RowSimilarity(t, 0, 1);
 
   EntityMatcherOptions with = plain;
-  with.model = MakeModel(ModelKind::kMistral, 128);
+  with.embeddings =
+      std::make_shared<EmbeddingCache>(MakeModel(ModelKind::kMistral, 128));
   double with_model = EntityMatcher(with).RowSimilarity(t, 0, 1);
   EXPECT_GT(with_model, without);
 }

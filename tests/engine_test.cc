@@ -82,12 +82,6 @@ TEST(EngineOptionsTest, RejectsAbsurdThreadCount) {
   EXPECT_EQ(LakeEngine::Create(opts).code(), ErrorCode::kInvalidArgument);
 }
 
-TEST(EngineOptionsTest, RejectsZeroCacheShards) {
-  EngineOptions opts;
-  opts.embedding_cache.shards = 0;
-  EXPECT_EQ(opts.Validate().code(), ErrorCode::kInvalidArgument);
-}
-
 // ----------------------------------------------------------- ErrorCode
 
 TEST(ErrorCodeTest, NewTaxonomyEntries) {
@@ -346,8 +340,23 @@ TEST(LakeEngineTest, RepeatedIntegrateIsStableAndReusesCache) {
   EXPECT_EQ(stats2.embedding_cache_misses, 0u);
   // The first call populated the session cache (misses = distinct strings).
   EXPECT_GT(first->report.match_stats.embedding_cache_misses, 0u);
-  EXPECT_EQ(engine->embedding_cache().misses(),
+  EXPECT_EQ(engine->embedding_cache()->misses(),
             first->report.match_stats.embedding_cache_misses);
+}
+
+// Holistic alignment and value matching read one session memo: the strings
+// alignment samples to sign columns are already embedded when the matcher
+// looks them up, so one cold holistic request embeds each string once.
+TEST(LakeEngineTest, AlignmentAndMatchingShareTheSessionMemo) {
+  auto engine = MakeEngineWithSmallSet();
+  auto result = engine->Integrate({"a", "b"});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->integrated.NumRows(), 3u);  // Berlinn/Berlin merged
+  EXPECT_GT(result->report.match_stats.embedding_cache_hits, 0u);
+  EXPECT_EQ(result->report.match_stats.embedding_cache_misses, 0u);
+  // Alignment sampled every distinct string of both tables: 2 tables x 2
+  // columns x 2 distinct values, no string shared.
+  EXPECT_EQ(engine->embedding_cache()->misses(), 8u);
 }
 
 TEST(LakeEngineTest, EmptyNameListRejected) {
@@ -442,6 +451,46 @@ TEST(LakeEngineTest, ParallelEngineMatchesSerialEngine) {
   auto parallel_result = (*parallel)->Integrate({"a", "b"}, req);
   ASSERT_TRUE(parallel_result.ok());
   ExpectTablesIdentical(parallel_result->integrated, serial_result->integrated);
+}
+
+// Two holistic requests at once on a pooled engine: each request thread
+// aligns through the session memo while the other's matcher fills it from
+// the pool (96 open values per column, above the parallel-embed batch).
+// Results and the memo's miss count equal a serial engine's.
+TEST(LakeEngineTest, ConcurrentHolisticRequestsShareTheSessionMemo) {
+  std::vector<std::vector<Value>> rows_a;
+  std::vector<std::vector<Value>> rows_b;
+  for (int i = 0; i < 96; ++i) {
+    rows_a.push_back({Value::String("Berlin " + std::to_string(i)),
+                      Value::Int(i)});
+    rows_b.push_back({Value::String("Berlinn " + std::to_string(i)),
+                      Value::Int(i)});
+  }
+  auto a = Table::FromRows("a", {"City", "Id"}, rows_a);
+  auto b = Table::FromRows("b", {"Town", "Key"}, rows_b);
+  ASSERT_TRUE(a.ok() && b.ok());
+  auto make = [&](size_t threads) {
+    auto engine = LakeEngine::Create(EngineOptions().SetNumThreads(threads));
+    EXPECT_TRUE(engine.ok());
+    EXPECT_TRUE((*engine)->RegisterTable("a", *a).ok());
+    EXPECT_TRUE((*engine)->RegisterTable("b", *b).ok());
+    return std::move(engine).value();
+  };
+  auto serial = make(1);
+  auto serial_ab = serial->Integrate({"a", "b"});
+  auto serial_ba = serial->Integrate({"b", "a"});
+  ASSERT_TRUE(serial_ab.ok() && serial_ba.ok());
+
+  auto pooled = make(2);
+  Result<PipelineResult> pooled_ab = Status::Internal("not run");
+  std::thread other([&] { pooled_ab = pooled->Integrate({"a", "b"}); });
+  auto pooled_ba = pooled->Integrate({"b", "a"});
+  other.join();
+  ASSERT_TRUE(pooled_ab.ok() && pooled_ba.ok());
+  ExpectTablesIdentical(pooled_ab->integrated, serial_ab->integrated);
+  ExpectTablesIdentical(pooled_ba->integrated, serial_ba->integrated);
+  EXPECT_EQ(pooled->embedding_cache()->misses(),
+            serial->embedding_cache()->misses());
 }
 
 TEST(LakeEngineTest, RegularFdMode) {

@@ -132,7 +132,7 @@ TEST(IntegrationTest, SchemaMatcherFeedsFuzzyFdWithoutHeaders) {
   const EncodedTables tables = EncodeTables({*t1, *t2}, &dict);
 
   auto model = MakeModel(ModelKind::kMistral);
-  HolisticSchemaMatcher matcher(model);
+  HolisticSchemaMatcher matcher(std::make_shared<EmbeddingCache>(model));
   auto aligned = matcher.Align(tables, dict.dict());
   ASSERT_TRUE(aligned.ok());
   ASSERT_EQ(aligned->NumUniversal(), 2u);

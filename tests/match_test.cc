@@ -10,6 +10,10 @@ namespace {
 
 Value S(const char* s) { return Value::String(s); }
 
+std::shared_ptr<const EmbeddingCache> MistralMemo() {
+  return std::make_shared<EmbeddingCache>(MakeModel(ModelKind::kMistral, 128));
+}
+
 std::vector<Table> CityTablesWithBadHeaders() {
   // Same content as the paper's setting: headers are unreliable (here:
   // different names per table), so alignment must come from the values.
@@ -28,7 +32,7 @@ std::vector<Table> CityTablesWithBadHeaders() {
 }
 
 TEST(SchemaMatcherTest, AlignsByContentDespiteHeaders) {
-  HolisticSchemaMatcher matcher(MakeModel(ModelKind::kMistral, 128));
+  HolisticSchemaMatcher matcher(MistralMemo());
   auto tables = CityTablesWithBadHeaders();
   auto aligned = matcher.Align(TestEncoded(tables),
                                TestSessionDict()->dict());
@@ -41,7 +45,7 @@ TEST(SchemaMatcherTest, AlignsByContentDespiteHeaders) {
 }
 
 TEST(SchemaMatcherTest, NeverMergesColumnsOfOneTable) {
-  HolisticSchemaMatcher matcher(MakeModel(ModelKind::kMistral, 128));
+  HolisticSchemaMatcher matcher(MistralMemo());
   // Two near-identical columns inside one table must stay separate.
   auto t = Table::FromRows("T", {"a", "b"},
                            {{S("Berlin"), S("Berlin")},
@@ -54,7 +58,7 @@ TEST(SchemaMatcherTest, NeverMergesColumnsOfOneTable) {
 }
 
 TEST(SchemaMatcherTest, UnrelatedColumnsStaySeparate) {
-  HolisticSchemaMatcher matcher(MakeModel(ModelKind::kMistral, 128));
+  HolisticSchemaMatcher matcher(MistralMemo());
   auto t1 = Table::FromRows("T1", {"city"},
                             {{S("Berlin")}, {S("Toronto")}});
   auto t2 = Table::FromRows("T2", {"rating"},
@@ -67,7 +71,7 @@ TEST(SchemaMatcherTest, UnrelatedColumnsStaySeparate) {
 }
 
 TEST(SchemaMatcherTest, ThreeTablesTransitiveAlignment) {
-  HolisticSchemaMatcher matcher(MakeModel(ModelKind::kMistral, 128));
+  HolisticSchemaMatcher matcher(MistralMemo());
   // c1 and c3 share only one value (signature similarity below threshold),
   // but both overlap c2 heavily — the cluster must still close transitively.
   auto t1 = Table::FromRows("T1", {"c1"}, {{S("Berlin")}, {S("Paris")},
@@ -85,7 +89,7 @@ TEST(SchemaMatcherTest, ThreeTablesTransitiveAlignment) {
 }
 
 TEST(SchemaMatcherTest, UniversalNamesPreferMajorityHeader) {
-  HolisticSchemaMatcher matcher(MakeModel(ModelKind::kMistral, 128));
+  HolisticSchemaMatcher matcher(MistralMemo());
   auto t1 = Table::FromRows("T1", {"City"}, {{S("Berlin")}, {S("Toronto")}});
   auto t2 = Table::FromRows("T2", {"City"}, {{S("Toronto")}, {S("Boston")}});
   auto t3 = Table::FromRows("T3", {"location"},
@@ -99,7 +103,7 @@ TEST(SchemaMatcherTest, UniversalNamesPreferMajorityHeader) {
 }
 
 TEST(SchemaMatcherTest, ResultValidates) {
-  HolisticSchemaMatcher matcher(MakeModel(ModelKind::kMistral, 128));
+  HolisticSchemaMatcher matcher(MistralMemo());
   const EncodedTables tables = TestEncoded(CityTablesWithBadHeaders());
   auto aligned = matcher.Align(tables, TestSessionDict()->dict());
   ASSERT_TRUE(aligned.ok());
@@ -109,7 +113,7 @@ TEST(SchemaMatcherTest, ResultValidates) {
 TEST(SchemaMatcherTest, HigherThresholdSplitsClusters) {
   SchemaMatcherOptions strict;
   strict.similarity_threshold = 1.01;  // nothing can merge
-  HolisticSchemaMatcher matcher(MakeModel(ModelKind::kMistral, 128), strict);
+  HolisticSchemaMatcher matcher(MistralMemo(), strict);
   auto tables = CityTablesWithBadHeaders();
   auto aligned = matcher.Align(TestEncoded(tables),
                                TestSessionDict()->dict());

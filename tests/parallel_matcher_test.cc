@@ -15,7 +15,6 @@
 #include "datagen/corruption.h"
 #include "datagen/imdb.h"
 #include "embedding/embedding_cache.h"
-#include "embedding/hashed_model.h"
 #include "embedding/model_zoo.h"
 #include "fd/session_dict.h"
 #include "util/rng.h"
@@ -166,38 +165,6 @@ TEST(EmbeddingCacheTest, PrenormalizedDistanceMatchesGeneralCosine) {
   EXPECT_NEAR(CosineDistancePrenormalized(*a, *b),
               CosineDistance(model->Embed("Berlin"), model->Embed("Berlinn")),
               1e-5);
-}
-
-TEST(EmbeddingCacheTest, UnwrapsCachingModelToAvoidDoubleCaching) {
-  HashedModelConfig config;
-  config.dim = 64;
-  auto caching = std::make_shared<CachingModel>(
-      std::make_shared<HashedNgramModel>(config));
-  EmbeddingCache cache(caching);
-  cache.GetNormalized("Berlin");
-  cache.GetNormalized("Paris");
-  // The cache embeds via the unwrapped inner model; the outer memo layer
-  // must not accumulate a second copy of every vector.
-  EXPECT_EQ(caching->CacheSize(), 0u);
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(EmbeddingCacheTest, BoundedCacheStillReturnsCorrectVectors) {
-  auto model = MakeModel(ModelKind::kMistral, 64);
-  EmbeddingCacheOptions opts;
-  opts.max_entries = 4;  // bound is global, not per-shard (default 16 shards)
-  EmbeddingCache cache(model, opts);
-  Rng rng(7);
-  for (int round = 0; round < 2; ++round) {
-    Rng replay(7);
-    for (int i = 0; i < 32; ++i) {
-      std::string s = replay.AlphaString(8);
-      auto v = cache.GetNormalized(s);
-      Vec direct = model->Embed(s);
-      for (size_t d = 0; d < direct.size(); ++d) EXPECT_EQ((*v)[d], direct[d]);
-    }
-  }
-  EXPECT_LE(cache.size(), 4u);
 }
 
 // ----------------------------------------------------------- parallel fills
