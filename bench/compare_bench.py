@@ -10,10 +10,22 @@ across PRs).
 Baselines are committed from whatever machine produced them, so absolute
 wall-clock comparison would gate on runner speed, not code. By default the
 gate therefore self-normalizes: it computes the median candidate/baseline
-p50 ratio across all shared records (the machine-speed factor) and flags a
+p50 ratio across shared records (the machine-speed factor) and flags a
 record when it is slower than that median by more than the threshold:
 
     cand_p50 > base_p50 * median_ratio * (1 + threshold) + slack_ms
+
+The factor is taken only from records that ran at the same effective
+parallelism on both machines, min(threads, cores_granted) under each
+artifact's hardware block. A thread-scaled record measures a different
+thing on a machine with more cores: its ratio mixes runner speed with
+parallel speedup, and against a 1-core baseline the t2-t8 rows of a
+4-core run would pull the factor far below the serial rows' and flag
+those serial rows although they ran faster than their baseline. When
+both artifacts report the same cores_granted every record qualifies, so
+the factor is the median over all shared records. When either hardware
+block (or its cores_granted) is missing, or no record qualifies, the
+factor falls back to all shared records.
 
 A code change that slows one benchmark while the rest hold moves that
 record's ratio away from the median and trips the gate on any machine; a
@@ -124,6 +136,23 @@ def work_changes(baseline, candidate):
     return changes
 
 
+def speed_factor_keys(shared, base_hw, cand_hw):
+    """Returns (keys, note): the shared record keys the machine-speed factor
+    is taken from, and how they were chosen (see the module docstring)."""
+    base_cores = None if base_hw is None else base_hw.get("cores_granted")
+    cand_cores = None if cand_hw is None else cand_hw.get("cores_granted")
+    if base_cores is None or cand_cores is None:
+        return shared, "all shared records: a hardware block is missing"
+    same = [key for key in shared
+            if min(int(key[1]), base_cores) == min(int(key[1]), cand_cores)]
+    if not same:
+        return shared, ("all shared records: none ran at equal effective "
+                        "parallelism")
+    return same, ("records at equal effective parallelism "
+                  f"min(threads, cores): {base_cores} vs {cand_cores} "
+                  "core(s) granted")
+
+
 def check_speedup_gates(gates, candidate, hardware):
     """Returns the number of FAILED gates (skips are reported, not failed)."""
     failures = 0
@@ -210,8 +239,9 @@ def main():
                   f"advertised")
 
     shared = [key for key in baseline if key in candidate]
+    factor_keys, basis = speed_factor_keys(shared, base_hw, cand_hw)
     ratios = []
-    for key in shared:
+    for key in factor_keys:
         base_p50 = float(baseline[key].get("p50_ms", 0.0))
         cand_p50 = float(candidate[key].get("p50_ms", 0.0))
         if base_p50 > 0:
@@ -220,7 +250,7 @@ def main():
     if not args.no_normalize and ratios:
         speed = statistics.median(ratios)
     print(f"machine-speed factor (median cand/base p50 over "
-          f"{len(ratios)} records): {speed:.3f}"
+          f"{len(ratios)} records; {basis}): {speed:.3f}"
           + ("  [normalization disabled]" if args.no_normalize else ""))
 
     regressions = []

@@ -48,13 +48,11 @@ Status BudgetExhaustedError(const RequestContext& ctx) {
 struct FdScratch {
   explicit FdScratch(const FdProblem& problem)
       : merged(problem.num_columns(), FdProblem::kNullCode),
-        in_set(problem.num_tuples(), 0),
         excluded(problem.num_tuples(), 0),
         seen_stamp(problem.num_tuples(), 0),
         table_used(problem.num_tables(), 0) {}
 
   std::vector<uint32_t> merged;  ///< current join, as dictionary codes
-  std::vector<char> in_set;
   std::vector<char> excluded;
   std::vector<uint64_t> seen_stamp;
   std::vector<char> table_used;
@@ -196,7 +194,6 @@ class ComponentEnumerator {
       s_.merged[c] = row[c];
       flipped->push_back(static_cast<uint32_t>(c));
     }
-    s_.in_set[tid] = true;
     s_.table_used[problem_.table_id(tid)] = 1;
     members_.push_back(tid);
   }
@@ -205,7 +202,6 @@ class ComponentEnumerator {
     for (size_t k = 0; k < num_flipped; ++k) {
       s_.merged[flipped[k]] = FdProblem::kNullCode;
     }
-    s_.in_set[tid] = false;
     s_.table_used[problem_.table_id(tid)] = 0;
     members_.pop_back();
   }
@@ -215,11 +211,9 @@ class ComponentEnumerator {
   /// derived, so it must not be carried over — connectivity starts here.
   void SeedExtensions(uint32_t v, ArenaVector<uint32_t>* child) {
     ++s_.epoch;
-    problem_.ForEachCoPosted(v, [&](uint32_t nb) {
-      if (s_.in_set[nb]) return;
+    problem_.ForEachCoPosted(v, s_.table_used.data(), [&](uint32_t nb) {
       if (s_.seen_stamp[nb] == s_.epoch) return;
       s_.seen_stamp[nb] = s_.epoch;
-      if (s_.table_used[problem_.table_id(nb)]) return;
       if (!ConsistentWithMerged(nb)) return;
       child->push_back(nb);
     });
@@ -233,13 +227,14 @@ class ComponentEnumerator {
   /// as S grows, so
   ///   ext(S ∪ {v}) = {u ∈ ext(S) : table(u) ≠ table(v), u agrees with v's
   ///                   newly `flipped` columns}
-  ///                ∪ {u ∈ N(v) \ ext(S) : full table + consistency check}.
+  ///                ∪ {u ∈ N(v) \ ext(S) : table(u) unused, u consistent}.
   /// A neighbor of an earlier member that failed its check once can never
   /// pass later, so re-testing only v's neighbors loses nothing. This
   /// replaces the former per-node rescan of *every* member's posting lists
   /// (the superlinear term on hub-heavy join graphs) with O(|ext| · |flipped|
-  /// + deg(v)). The final sort keeps exploration order — and therefore
-  /// results — identical to the materialized-adjacency implementation.
+  /// + tuples of unused tables co-posted with v). The final sort keeps
+  /// exploration order — and therefore results — identical to the
+  /// materialized-adjacency implementation.
   void ChildExtensions(const uint32_t* ext, size_t ext_size, uint32_t v,
                        const uint32_t* flipped, size_t num_flipped,
                        ArenaVector<uint32_t>* child) {
@@ -247,9 +242,8 @@ class ComponentEnumerator {
     ++s_.epoch;
     for (size_t i = 0; i < ext_size; ++i) {
       const uint32_t u = ext[i];
-      if (s_.in_set[u]) continue;  // v itself (just included)
       s_.seen_stamp[u] = s_.epoch;
-      if (problem_.table_id(u) == v_table) continue;
+      if (problem_.table_id(u) == v_table) continue;  // v itself, too
       const uint32_t* row = problem_.CodeRow(u);
       bool ok = true;
       for (size_t k = 0; k < num_flipped; ++k) {
@@ -261,13 +255,12 @@ class ComponentEnumerator {
       }
       if (ok) child->push_back(u);
     }
-    problem_.ForEachCoPosted(v, [&](uint32_t nb) {
-      if (s_.in_set[nb]) return;
+    // One tuple per relation: a tuple whose table is already represented
+    // (S's members included) can never extend S, neither now nor in any
+    // superset of S, so the used tables' blocks are skipped unvisited.
+    problem_.ForEachCoPosted(v, s_.table_used.data(), [&](uint32_t nb) {
       if (s_.seen_stamp[nb] == s_.epoch) return;
       s_.seen_stamp[nb] = s_.epoch;
-      // One tuple per relation: a tuple whose table is already represented
-      // can never extend S (neither now nor in any superset of S).
-      if (s_.table_used[problem_.table_id(nb)]) return;
       if (!ConsistentWithMerged(nb)) return;
       child->push_back(nb);
     });

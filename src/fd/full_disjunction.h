@@ -10,6 +10,12 @@
 //   connected: the graph linking tuples that share an equal non-null value
 //     on some column is connected over the set.
 //
+// A legal set holds at most one tuple per table, so every link inside it
+// joins two tables: "connected" over FdProblem's cross-table join graph is
+// the same as the definition above. Two tuples of one table that share a
+// value are no edge, yet still fall into one component when some tuple of
+// another table is co-posted with both.
+//
 // Algorithm: per join-graph component, branch-and-exclude enumeration of the
 // ⊆-maximal connected join-consistent sets (each set found exactly once; the
 // exclusion set prunes subtrees whose maximal supersets were already
@@ -62,7 +68,7 @@ struct FdStats {
   size_t results_before_subsumption = 0;
   size_t results = 0;
   /// Interned-core counters: distinct non-null codes in the problem and
-  /// CSR join-graph extent.
+  /// CSR join-graph extent (FdIndexStats: cross-table lists only).
   size_t distinct_values = 0;
   size_t posting_lists = 0;
   size_t posting_entries = 0;

@@ -19,12 +19,13 @@ Result<FdProblem> FdProblem::BuildInterned(const EncodedTables& tables,
   for (const auto& t : tables) total_rows += t->NumRows();
   problem.codes_.assign(total_rows * cols, kNullCode);
   problem.table_ids_.reserve(total_rows);
-  problem.num_tables_ = static_cast<uint32_t>(tables.size());
+  problem.table_begin_.reserve(tables.size() + 1);
 
   size_t base = 0;
   for (size_t l = 0; l < tables.size(); ++l) {
     const EncodedTable& t = *tables[l];
     const size_t rows = t.NumRows();
+    problem.table_begin_.push_back(static_cast<uint32_t>(base));
     for (size_t c = 0; c < t.codes.size(); ++c) {
       const uint32_t* src = t.codes[c].data();
       uint32_t* dst = problem.codes_.data() + base * cols +
@@ -44,13 +45,17 @@ Result<FdProblem> FdProblem::BuildInterned(const EncodedTables& tables,
                               static_cast<uint32_t>(l));
     base += rows;
   }
+  problem.table_begin_.push_back(static_cast<uint32_t>(base));
   return problem;
 }
 
 std::vector<uint32_t> FdProblem::Neighbors(uint32_t tid) const {
   assert(index_built_);
+  std::vector<char> own_table(num_tables(), 0);
+  own_table[table_id(tid)] = 1;
   std::vector<uint32_t> out;
-  ForEachCoPosted(tid, [&out](uint32_t other) { out.push_back(other); });
+  ForEachCoPosted(tid, own_table.data(),
+                  [&out](uint32_t other) { out.push_back(other); });
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
@@ -67,8 +72,9 @@ void FdProblem::BuildIndex(ThreadPool* pool) {
   const size_t cols = num_columns_;
 
   // ---- Phase 1: sharded posting maps over (column, code) integer keys
-  // (fd/posting_shards.h). Singleton lists are then dropped — they induce
-  // no join edges.
+  // (fd/posting_shards.h). Lists within one table are then dropped — they
+  // induce no join edges. A list is TID-sorted and TIDs are table-ordered,
+  // so it spans two tables iff its first and last tuples' tables differ.
   std::vector<PostingShard> shard = BuildPostingShards(
       pool, n, cols,
       [this, cols](uint32_t tid) {
@@ -80,7 +86,9 @@ void FdProblem::BuildIndex(ThreadPool* pool) {
     shard[s].index.clear();
     size_t kept = 0;
     for (size_t i = 0; i < lists.size(); ++i) {
-      if (lists[i].size() < 2) continue;
+      if (table_ids_[lists[i].front()] == table_ids_[lists[i].back()]) {
+        continue;
+      }
       if (kept != i) lists[kept] = std::move(lists[i]);
       ++kept;
     }

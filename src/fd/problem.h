@@ -6,14 +6,17 @@
 // from encoded tables' session codes, so TIDs always run in table order,
 // then row order — each table's tuples form one contiguous TID range.
 // BuildIndex then builds posting lists over (column, code) pairs. The
-// posting lists *are* the join graph, stored implicitly in CSR form: tuples
-// sharing an equal non-null value on a universal column are joinable
-// neighbors, and a posting list of k tuples represents its k·(k−1)
-// adjacency edges in O(k) space — no materialized all-pairs edge lists.
+// posting lists *are* the join graph, stored implicitly in CSR form: two
+// tuples are adjacent when they come from different tables and share an
+// equal non-null value on a universal column, and a posting list of k
+// tuples represents its cross-table edges in O(k) space — no materialized
+// all-pairs edge lists. A list whose tuples all come from one table adds no
+// edge (an FD set holds at most one tuple per table), so it is not kept.
 // Connected components of the graph partition the FD computation.
 #ifndef LAKEFUZZ_FD_PROBLEM_H_
 #define LAKEFUZZ_FD_PROBLEM_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <unordered_map>
@@ -31,7 +34,8 @@ class ThreadPool;
 /// Size counters of the CSR join-graph index (reported by FdStats).
 struct FdIndexStats {
   size_t distinct_values = 0;   ///< distinct non-null codes in the problem
-  size_t posting_lists = 0;     ///< multi-tuple (joinable) posting lists
+  /// Cross-table posting lists: those spanning two or more tables.
+  size_t posting_lists = 0;
   size_t posting_entries = 0;   ///< Σ posting-list lengths (CSR size)
 };
 
@@ -68,7 +72,9 @@ class FdProblem {
   size_t num_tuples() const { return table_ids_.size(); }
 
   /// Number of input tables (0 for an empty integration set).
-  uint32_t num_tables() const { return num_tables_; }
+  uint32_t num_tables() const {
+    return static_cast<uint32_t>(table_begin_.size() - 1);
+  }
   /// Source table of `tid`; non-decreasing in `tid` (table-ordered TIDs).
   uint32_t table_id(uint32_t tid) const { return table_ids_[tid]; }
 
@@ -87,26 +93,36 @@ class FdProblem {
     return codes_.data() + static_cast<size_t>(tid) * num_columns_;
   }
 
-  /// TIDs adjacent to `tid` in the join graph: tuples sharing at least one
-  /// equal non-null (column, value). Materialized on demand from the CSR
-  /// index — sorted, deduplicated, excludes `tid` itself. Requires
+  /// TIDs adjacent to `tid` in the join graph: tuples of other tables
+  /// sharing at least one equal non-null (column, value). Materialized on
+  /// demand from the CSR index — sorted, deduplicated. Requires
   /// BuildIndex().
   std::vector<uint32_t> Neighbors(uint32_t tid) const;
 
-  /// Streams the co-posted tuples of `tid` (every tuple sharing a posting
-  /// list with it, excluding `tid`). A tuple sharing several values with
-  /// `tid` is visited once per shared posting list — callers dedup, which
-  /// the FD enumerator does with epoch stamps anyway. This is the zero-
-  /// allocation hot-path form of Neighbors(). Requires BuildIndex().
+  /// Streams the tuples co-posted with `tid` (sharing a posting list with
+  /// it) whose table t has skip_table[t] == 0. skip_table holds one flag
+  /// per table and must mask `tid`'s own table, so neither `tid` nor a
+  /// tuple of its table is visited. A masked table's block inside a list is
+  /// jumped over by binary search on the next table's first TID, so its
+  /// tuples cost O(log k) per list instead of one visit each. A tuple
+  /// sharing several values with `tid` is visited once per shared list —
+  /// callers dedup, which the FD enumerator does with epoch stamps anyway.
+  /// Requires BuildIndex().
   template <typename F>
-  void ForEachCoPosted(uint32_t tid, F&& fn) const {
+  void ForEachCoPosted(uint32_t tid, const char* skip_table, F&& fn) const {
     assert(index_built_);
+    assert(skip_table[table_ids_[tid]]);
     for (uint64_t k = tuple_offsets_[tid]; k < tuple_offsets_[tid + 1]; ++k) {
       const uint32_t p = tuple_postings_[k];
-      for (uint64_t e = posting_offsets_[p]; e < posting_offsets_[p + 1];
-           ++e) {
-        const uint32_t other = posting_tids_[e];
-        if (other != tid) fn(other);
+      const uint32_t* it = posting_tids_.data() + posting_offsets_[p];
+      const uint32_t* end = posting_tids_.data() + posting_offsets_[p + 1];
+      while (it != end) {
+        const uint32_t t = table_ids_[*it];
+        if (skip_table[t]) {
+          it = std::lower_bound(it, end, table_begin_[t + 1]);
+        } else {
+          fn(*it++);
+        }
       }
     }
   }
@@ -129,7 +145,11 @@ class FdProblem {
   size_t num_columns_;
   std::vector<std::string> column_names_;
   std::vector<uint32_t> table_ids_;  ///< table id per TID
-  uint32_t num_tables_ = 0;
+  /// First TID of each table, plus num_tuples() at the end: table l owns
+  /// TIDs [table_begin_[l], table_begin_[l + 1]). Non-decreasing (an empty
+  /// table owns an empty range); ForEachCoPosted relies on it to skip a
+  /// table's block of a TID-sorted posting list.
+  std::vector<uint32_t> table_begin_;
 
   bool index_built_ = false;
   /// Session dictionary the rows were encoded against; not owned, must
@@ -137,11 +157,12 @@ class FdProblem {
   const ValueDict* dict_;
   std::vector<uint32_t> codes_;  ///< num_tuples × num_columns code cells
 
-  // CSR join graph. Posting lists keep only multi-tuple lists (singletons
-  // induce no edges). posting_offsets_ has one extra trailing entry; the
-  // TIDs of posting p are posting_tids_[posting_offsets_[p] ..
-  // posting_offsets_[p+1]). tuple_offsets_/tuple_postings_ map each TID to
-  // the posting lists containing it.
+  // CSR join graph. Only cross-table lists are kept (a singleton or
+  // one-table list induces no edge). posting_offsets_ has one extra
+  // trailing entry; the TIDs of posting p, in ascending order, are
+  // posting_tids_[posting_offsets_[p] .. posting_offsets_[p+1]).
+  // tuple_offsets_/tuple_postings_ map each TID to the posting lists
+  // containing it.
   std::vector<uint64_t> posting_offsets_;
   std::vector<uint32_t> posting_tids_;
   std::vector<uint64_t> tuple_offsets_;

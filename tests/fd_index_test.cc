@@ -14,6 +14,7 @@
 #include "datagen/imdb.h"
 #include "embedding/model_zoo.h"
 #include "fd/full_disjunction.h"
+#include "fd/oracle.h"
 #include "fd/problem.h"
 #include "fd/value_dict.h"
 #include "fd_problems.h"
@@ -85,15 +86,16 @@ std::vector<Table> RandomTables(const IndexShape& shape, Rng* rng) {
                        /*null_rate=*/0.35, rng);
 }
 
-/// The legacy definition, materialized pairwise over the padded input rows:
-/// i and j are adjacent iff they share an equal non-null value on some
-/// column.
+/// The definition, materialized pairwise over the padded input rows: i and
+/// j are adjacent iff they come from different tables and share an equal
+/// non-null value on some column.
 std::vector<std::vector<uint32_t>> BruteAdjacency(
     const std::vector<PaddedRow>& rows) {
   const size_t n = rows.size();
   std::vector<std::vector<uint32_t>> adj(n);
   for (uint32_t i = 0; i < n; ++i) {
     for (uint32_t j = i + 1; j < n; ++j) {
+      if (rows[i].table_id == rows[j].table_id) continue;
       const auto& a = rows[i].values;
       const auto& b = rows[j].values;
       for (size_t c = 0; c < a.size(); ++c) {
@@ -194,6 +196,79 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(p.value_domain);
     });
 
+// ---------------------------------------------- the skipping iterator
+
+TEST(CoPostedIteratorProperty, VisitsCrossTableNeighborsOfUnmaskedTables) {
+  // Random shapes with uneven table sizes, one table left empty (an empty
+  // TID block), and a random table mask per tuple that always masks the
+  // tuple's own table, as ForEachCoPosted requires. The deduplicated
+  // visits must be exactly the brute cross-table neighbours from unmasked
+  // tables.
+  Rng rng(909);
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t num_tables = 2 + rng.Uniform(4);
+    const size_t max_rows = 1 + rng.Uniform(10);
+    std::vector<Table> tables =
+        UniformTables(num_tables, max_rows, 1 + rng.Uniform(4),
+                      2 + rng.Uniform(4), /*null_rate=*/0.35, &rng);
+    const size_t empty = rng.Uniform(num_tables);
+    for (size_t l = 0; l < num_tables; ++l) {
+      std::vector<size_t> keep(l == empty ? 0 : 1 + rng.Uniform(max_rows));
+      for (size_t r = 0; r < keep.size(); ++r) keep[r] = r;
+      tables[l] = tables[l].SelectRows(keep);
+    }
+    auto aligned = AlignByName(TestEncoded(tables));
+    ASSERT_TRUE(aligned.ok());
+    FdProblem problem = EncodedProblemByName(tables);
+    problem.BuildIndex();
+    const auto brute = BruteAdjacency(PaddedRows(tables, *aligned));
+    std::vector<char> skip(num_tables);
+    for (uint32_t tid = 0; tid < problem.num_tuples(); ++tid) {
+      for (char& m : skip) m = rng.Bernoulli(0.4) ? 1 : 0;
+      skip[problem.table_id(tid)] = 1;
+      std::vector<uint32_t> visited;
+      problem.ForEachCoPosted(tid, skip.data(), [&](uint32_t other) {
+        visited.push_back(other);
+      });
+      std::sort(visited.begin(), visited.end());
+      visited.erase(std::unique(visited.begin(), visited.end()),
+                    visited.end());
+      std::vector<uint32_t> expected;
+      for (uint32_t nb : brute[tid]) {
+        if (!skip[problem.table_id(nb)]) expected.push_back(nb);
+      }
+      EXPECT_EQ(visited, expected) << "trial " << trial << " tid " << tid;
+    }
+  }
+}
+
+TEST(FdProblemTest, SameTableValueAddsNoJoinEdge) {
+  // A = {k, role} holds (1, actor) and (2, actor); B = {k, x} holds
+  // (1, u). "actor" is shared within A only, and an FD set holds at most
+  // one tuple per table, so it is no join edge: only the k = 1 list is
+  // kept and A's second tuple is a component of its own.
+  auto a = Table::FromRows("A", {"k", "role"},
+                           {{Value::Int(1), S("actor")},
+                            {Value::Int(2), S("actor")}});
+  auto b = Table::FromRows("B", {"k", "x"}, {{Value::Int(1), S("u")}});
+  ASSERT_TRUE(a.ok() && b.ok());
+  const std::vector<Table> tables{*a, *b};
+  auto aligned = AlignByName(TestEncoded(tables));
+  ASSERT_TRUE(aligned.ok());
+  auto problem = EncodedProblem(tables, *aligned);
+  ASSERT_TRUE(problem.ok());
+  problem->BuildIndex();
+  EXPECT_EQ(problem->index_stats().posting_lists, 1u);
+  EXPECT_EQ(problem->Components(),
+            (std::vector<std::vector<uint32_t>>{{0, 2}, {1}}));
+
+  auto result = FullDisjunction().Run(&*problem);
+  ASSERT_TRUE(result.ok());
+  auto oracle = NaiveFdOracle(tables, *aligned);
+  ASSERT_TRUE(oracle.ok());
+  EXPECT_EQ(result->tuples, *oracle);
+}
+
 // --------------------------------------------------- multi-shard at scale
 
 TEST(CsrIndexShardedTest, LargeProblemParallelBuildMatchesSerial) {
@@ -276,10 +351,10 @@ TEST(CsrIndexShardedTest, LargeSubsumptionShardedMatchesSerial) {
 // ------------------------------------------------------ non-quadratic index
 
 TEST(CsrIndexStressTest, SharedValueByManyTuplesStaysLinear) {
-  // One value shared by 10k tuples: the legacy adjacency materialized
-  // ~10^8 edges here; the CSR index must store one posting list of 10k
-  // entries. Runs under ASan in CI, so an accidental O(k²) regression blows
-  // the time/memory budget immediately.
+  // One value shared by 10k tuples of two tables: the legacy adjacency
+  // materialized ~10^8 edges here; the CSR index must store one posting
+  // list of 10k entries. Runs under ASan in CI, so an accidental O(k²)
+  // regression blows the time/memory budget immediately.
   constexpr uint32_t kTuples = 10000;
   std::vector<Table> tables(
       2, Table("t", Schema::FromNames({"shared", "unique"})));
@@ -297,8 +372,33 @@ TEST(CsrIndexStressTest, SharedValueByManyTuplesStaysLinear) {
   EXPECT_EQ(problem.index_stats().distinct_values, 1u + kTuples);
   ASSERT_EQ(problem.Components().size(), 1u);
   EXPECT_EQ(problem.Components()[0].size(), kTuples);
-  EXPECT_EQ(problem.Neighbors(0).size(), kTuples - 1);
-  EXPECT_EQ(problem.Neighbors(kTuples / 2).size(), kTuples - 1);
+  // The hub list alternates between the two tables: each tuple's
+  // neighbours are the other table's half.
+  EXPECT_EQ(problem.Neighbors(0).size(), kTuples / 2);
+  EXPECT_EQ(problem.Neighbors(kTuples / 2).size(), kTuples / 2);
+}
+
+TEST(CsrIndexStressTest, SharedValueWithinOneTableAddsNoEdge) {
+  // One value shared by 10k tuples of a single table: no two of them can
+  // sit in one FD set, so the list is no join edge and is not kept. Every
+  // tuple is a singleton component.
+  constexpr uint32_t kTuples = 10000;
+  std::vector<Table> tables(
+      1, Table("t", Schema::FromNames({"shared", "unique"})));
+  for (uint32_t i = 0; i < kTuples; ++i) {
+    ASSERT_TRUE(tables[0]
+                    .AppendRow({S("hub"), Value::Int(static_cast<int64_t>(i))})
+                    .ok());
+  }
+  FdProblem problem = EncodedProblemByName(tables);
+  problem.BuildIndex();
+  EXPECT_EQ(problem.index_stats().posting_lists, 0u);
+  EXPECT_EQ(problem.index_stats().posting_entries, 0u);
+  ASSERT_EQ(problem.Components().size(), kTuples);
+  for (uint32_t tid = 0; tid < kTuples; ++tid) {
+    ASSERT_EQ(problem.Components()[tid], std::vector<uint32_t>{tid});
+  }
+  EXPECT_TRUE(problem.Neighbors(0).empty());
 }
 
 // ------------------------------------------- thread-count output invariance

@@ -5,12 +5,17 @@
 //       remain incomplete", paper Sec 1);
 //   (2) the output is subsumption-free;
 //   (3) every result's provenance is a connected, join-consistent set with
-//       at most one tuple per table, and its values are exactly their join.
+//       at most one tuple per table, and its values are exactly their join;
+//   (4) a column that only one table has leaves the FD's other columns
+//       unchanged: it adds no join edge, since an FD set holds at most one
+//       tuple of that table.
 //
 // Checked on randomized instances across a grid of shapes, for the one
 // executor inline and on pools of 1, 2 and 8 workers, and through the fuzzy
 // pipeline.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "core/fuzzy_fd.h"
 #include "embedding/model_zoo.h"
@@ -160,6 +165,79 @@ TEST_P(FdInvariantProperty, ExecutorUpholdsInvariantsAtEveryPoolSize) {
       auto result = FullDisjunction().Run(&copy, pool);
       ASSERT_TRUE(result.ok());
       CheckInvariants(rows, *result);
+    }
+  }
+}
+
+/// `rows` without duplicates and without rows another row subsumes,
+/// sorted.
+std::vector<std::vector<Value>> MaximalRows(
+    std::vector<std::vector<Value>> rows) {
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  std::vector<FdResultTuple> tuples;
+  for (auto& row : rows) tuples.push_back(FdResultTuple{std::move(row), {}});
+  std::vector<std::vector<Value>> out;
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    bool subsumed = false;
+    for (size_t j = 0; j < tuples.size() && !subsumed; ++j) {
+      subsumed = j != i && Subsumes(tuples[j], tuples[i]);
+    }
+    if (!subsumed) out.push_back(tuples[i].values);
+  }
+  return out;
+}
+
+TEST_P(FdInvariantProperty, PrivateColumnLeavesOtherColumnsUnchanged) {
+  // Table 0 gains a column no other table has, drawn from a 2-letter
+  // domain so that many of its rows repeat a value. Projected on the
+  // original columns, the new FD must give the original FD's rows once
+  // duplicates and subsumed rows are dropped: a private value can keep
+  // apart two rows the original FD collapsed, but never adds a join.
+  static ThreadPool one(1), two(2), eight(8);
+  Rng rng(GetParam().seed ^ 0x5EED);
+  for (int trial = 0; trial < 10; ++trial) {
+    const std::vector<Table> tables = RandomTables(GetParam(), &rng);
+    std::vector<Table> widened = tables;
+    std::vector<std::string> names;
+    for (const auto& f : tables[0].schema().fields()) names.push_back(f.name);
+    names.push_back("private");
+    Table t0(tables[0].name(), Schema::FromNames(names));
+    for (size_t r = 0; r < tables[0].NumRows(); ++r) {
+      std::vector<Value> row = tables[0].Row(r);
+      row.push_back(Value::String(rng.Bernoulli(0.5) ? "p" : "q"));
+      ASSERT_TRUE(t0.AppendRow(std::move(row)).ok());
+    }
+    widened[0] = std::move(t0);
+
+    FdProblem original = EncodedProblemByName(tables);
+    auto expected = FullDisjunction().Run(&original);
+    ASSERT_TRUE(expected.ok());
+    std::vector<std::vector<Value>> expected_rows;
+    for (const auto& t : expected->tuples) expected_rows.push_back(t.values);
+    std::sort(expected_rows.begin(), expected_rows.end());
+
+    const FdProblem problem = EncodedProblemByName(widened);
+    const std::vector<std::string>& universal = problem.column_names();
+    const size_t dropped = static_cast<size_t>(
+        std::find(universal.begin(), universal.end(), "private") -
+        universal.begin());
+    ASSERT_LT(dropped, universal.size());
+    std::vector<std::string> kept = universal;
+    kept.erase(kept.begin() + static_cast<std::ptrdiff_t>(dropped));
+    ASSERT_EQ(kept, original.column_names());
+    for (ThreadPool* pool : {&one, &two, &eight}) {
+      FdProblem copy = problem;
+      auto result = FullDisjunction().Run(&copy, pool);
+      ASSERT_TRUE(result.ok());
+      std::vector<std::vector<Value>> projected;
+      for (const auto& t : result->tuples) {
+        std::vector<Value> row = t.values;
+        row.erase(row.begin() + static_cast<std::ptrdiff_t>(dropped));
+        projected.push_back(std::move(row));
+      }
+      EXPECT_EQ(MaximalRows(std::move(projected)), expected_rows)
+          << "trial " << trial << " workers " << pool->num_threads();
     }
   }
 }
