@@ -32,7 +32,6 @@ struct BenchRunStats {
   /// in milliseconds; percentiles are computed over these.
   std::vector<double> unit_ms;
   size_t cost_evaluations = 0;
-  size_t pruned_evaluations = 0;
   size_t embedding_cache_hits = 0;
   size_t embedding_cache_misses = 0;
 };
@@ -56,7 +55,6 @@ inline Prf EvaluateAutoJoinSet(const AutoJoinSet& set,
   if (run_stats != nullptr) {
     run_stats->unit_ms.push_back(elapsed_ms);
     run_stats->cost_evaluations += result->stats.cost_evaluations;
-    run_stats->pruned_evaluations += result->stats.pruned_evaluations;
     run_stats->embedding_cache_hits += result->stats.embedding_cache_hits;
     run_stats->embedding_cache_misses += result->stats.embedding_cache_misses;
   }
@@ -161,7 +159,6 @@ class BenchJsonWriter {
     double mean_ms = 0.0;
     double total_s = 0.0;
     size_t cost_evaluations = 0;
-    size_t pruned_evaluations = 0;
     size_t embedding_cache_hits = 0;
     size_t embedding_cache_misses = 0;
     /// Free-form numeric extras (f1, output tuples, ...), emitted in order.
@@ -186,7 +183,6 @@ class BenchJsonWriter {
       rec.mean_ms = rec.total_s * 1e3 / static_cast<double>(rec.samples);
     }
     rec.cost_evaluations = stats.cost_evaluations;
-    rec.pruned_evaluations = stats.pruned_evaluations;
     rec.embedding_cache_hits = stats.embedding_cache_hits;
     rec.embedding_cache_misses = stats.embedding_cache_misses;
     rec.extra = std::move(extra);
@@ -204,11 +200,10 @@ class BenchJsonWriter {
           "  {\"name\": \"%s\", \"threads\": %zu, \"samples\": %zu, "
           "\"p50_ms\": %.4f, \"p95_ms\": %.4f, \"mean_ms\": %.4f, "
           "\"total_s\": %.4f, \"cost_evaluations\": %zu, "
-          "\"pruned_evaluations\": %zu, \"embedding_cache_hits\": %zu, "
-          "\"embedding_cache_misses\": %zu",
+          "\"embedding_cache_hits\": %zu, \"embedding_cache_misses\": %zu",
           r.name.c_str(), r.threads, r.samples, r.p50_ms, r.p95_ms, r.mean_ms,
-          r.total_s, r.cost_evaluations, r.pruned_evaluations,
-          r.embedding_cache_hits, r.embedding_cache_misses);
+          r.total_s, r.cost_evaluations, r.embedding_cache_hits,
+          r.embedding_cache_misses);
       for (const auto& [key, value] : r.extra) {
         out += StrFormat(", \"%s\": %.6f", key.c_str(), value);
       }

@@ -128,7 +128,6 @@ int main(int argc, char** argv) {
       // Matcher counters are deterministic across repetitions; keep the
       // last rep's values rather than summing rep copies.
       run.cost_evaluations = fuzzy_report.match_stats.cost_evaluations;
-      run.pruned_evaluations = fuzzy_report.match_stats.pruned_evaluations;
       run.embedding_cache_hits =
           fuzzy_report.match_stats.embedding_cache_hits;
       run.embedding_cache_misses =

@@ -79,10 +79,9 @@ with contextlib.suppress(AttributeError, ValueError):
 # Record fields that count deterministic work; see the module docstring.
 EXACT_FIELDS = (
     "search_nodes", "output_tuples", "rows", "cost_evaluations",
-    "pruned_evaluations", "posting_lists", "distinct_values",
-    "embedding_cache_hits", "embedding_cache_misses", "tables",
-    "indexed_columns", "tables_written", "bytes_written",
-    "columns_resketched", "resketched",
+    "posting_lists", "distinct_values", "embedding_cache_hits",
+    "embedding_cache_misses", "tables", "indexed_columns", "tables_written",
+    "bytes_written", "columns_resketched", "resketched",
 )
 
 

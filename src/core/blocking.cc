@@ -12,6 +12,13 @@
 namespace lakefuzz {
 namespace {
 
+/// Character n-gram size of the surface keys.
+constexpr size_t kNgram = 3;
+/// N-gram keys occurring in more than this fraction of the indexed side's
+/// values are skipped (stop-gram suppression; keeps candidate sets
+/// near-linear).
+constexpr double kMaxKeyFrequency = 0.25;
+
 /// All blocking keys of one value, hashed to 64-bit.
 std::vector<uint64_t> KeysOf(const std::string& value,
                              const BlockingOptions& options) {
@@ -19,7 +26,7 @@ std::vector<uint64_t> KeysOf(const std::string& value,
   std::string norm = Normalize(value);
   // Unpadded grams: padded boundary grams would make every short string a
   // candidate of every string sharing a first/last letter.
-  for (const auto& gram : CharNgrams(norm, options.ngram, /*pad=*/false)) {
+  for (const auto& gram : CharNgrams(norm, kNgram, /*pad=*/false)) {
     keys.push_back(Fnv1a64("g:" + gram));
   }
   auto tokens = WordTokens(norm);
@@ -57,7 +64,7 @@ std::vector<std::pair<size_t, size_t>> GenerateCandidates(
     }
   }
   const size_t max_posting = std::max<size_t>(
-      8, static_cast<size_t>(options.max_key_frequency *
+      8, static_cast<size_t>(kMaxKeyFrequency *
                              static_cast<double>(small.size())));
 
   std::vector<std::pair<size_t, size_t>> pairs;

@@ -22,11 +22,6 @@
 namespace lakefuzz {
 
 struct BlockingOptions {
-  /// Keys: character n-gram size.
-  size_t ngram = 3;
-  /// Skip n-gram keys occurring in more than this fraction of one side's
-  /// values (stop-gram suppression; keeps candidate sets near-linear).
-  double max_key_frequency = 0.25;
   /// Knowledge base for concept keys; nullptr disables semantic keys.
   std::shared_ptr<const KnowledgeBase> knowledge_base;
 };

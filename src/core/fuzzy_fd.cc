@@ -235,7 +235,6 @@ Result<CodeRemaps> RewriteCore(const FuzzyFdOptions& options,
     agg_stats.dense_solves += matched.stats.dense_solves;
     agg_stats.sparse_solves += matched.stats.sparse_solves;
     agg_stats.cost_evaluations += matched.stats.cost_evaluations;
-    agg_stats.pruned_evaluations += matched.stats.pruned_evaluations;
     agg_stats.embedding_cache_hits += matched.stats.embedding_cache_hits;
     agg_stats.embedding_cache_misses += matched.stats.embedding_cache_misses;
     agg_stats.thresholds_used.insert(agg_stats.thresholds_used.end(),

@@ -3,12 +3,12 @@
 #include "assignment/jonker_volgenant.h"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "assignment/parallel_cost.h"
+#include "core/auto_threshold.h"
 #include "embedding/vector_ops.h"
 #include "text/normalize.h"
 #include "util/str.h"
@@ -59,13 +59,10 @@ Result<ValueMatchResult> ValueMatcher::MatchColumns(
     const RequestContext& ctx) const {
   const bool use_embeddings =
       options_.shared_cache != nullptr || options_.model != nullptr;
-  const bool use_bounded_distance =
-      !use_embeddings && options_.bounded_string_distance != nullptr;
-  if (!use_embeddings && options_.string_distance == nullptr &&
-      !use_bounded_distance) {
+  if (!use_embeddings && options_.string_distance == nullptr) {
     return Status::InvalidArgument(
-        "ValueMatcherOptions: one of shared_cache, model, string_distance, "
-        "or bounded_string_distance must be set");
+        "ValueMatcherOptions: one of shared_cache, model, or string_distance "
+        "must be set");
   }
   for (size_t c = 0; c < columns.size(); ++c) {
     std::unordered_set<std::string> distinct(columns[c].begin(),
@@ -100,20 +97,6 @@ Result<ValueMatchResult> ValueMatcher::MatchColumns(
   // Embedding calls are heavyweight relative to pool dispatch; a much
   // smaller batch than a cost fill already amortizes the pool.
   constexpr size_t kMinParallelEmbeds = 64;
-
-  std::atomic<size_t> pruned_evaluations{0};
-
-  auto string_cost = [&](const std::string& rep, const std::string& value,
-                         double budget) -> double {
-    if (use_bounded_distance) {
-      bool pruned = false;
-      double d =
-          options_.bounded_string_distance(rep, value, budget, &pruned);
-      if (pruned) pruned_evaluations.fetch_add(1, std::memory_order_relaxed);
-      return d;
-    }
-    return options_.string_distance(rep, value);
-  };
 
   // Global frequency of each value across all aligning columns — the
   // electorate for representative selection (paper Sec 2.2, Ex. 4).
@@ -160,6 +143,10 @@ Result<ValueMatchResult> ValueMatcher::MatchColumns(
   // clamped to feasibility inside the solver, so every solve stays exactly
   // optimal.
   JvDuals probe_duals;
+  // auto_threshold searches the default θ window; the configured θ is its
+  // fallback.
+  AutoThresholdOptions auto_theta;
+  auto_theta.fallback = options_.threshold;
 
   for (size_t c = 1; c < columns.size(); ++c) {
     // Cooperative cancellation / deadline between merge rounds — the unit
@@ -172,17 +159,13 @@ Result<ValueMatchResult> ValueMatcher::MatchColumns(
     if (options_.exact_match_prepass) {
       std::unordered_map<std::string, size_t> rep_index;
       for (size_t gi = 0; gi < combined.size(); ++gi) {
-        std::string key = options_.normalize_identity
-                              ? NormalizeForIdentity(combined[gi].group.representative)
-                              : combined[gi].group.representative;
-        rep_index.emplace(std::move(key), gi);  // first group wins
+        rep_index.emplace(
+            NormalizeForIdentity(combined[gi].group.representative),
+            gi);  // first group wins
       }
       std::vector<char> group_claimed(combined.size(), 0);
       for (size_t vi = 0; vi < values.size(); ++vi) {
-        std::string key = options_.normalize_identity
-                              ? NormalizeForIdentity(values[vi])
-                              : values[vi];
-        auto it = rep_index.find(key);
+        auto it = rep_index.find(NormalizeForIdentity(values[vi]));
         if (it == rep_index.end() || group_claimed[it->second]) continue;
         group_claimed[it->second] = 1;
         value_matched[vi] = 1;
@@ -224,26 +207,13 @@ Result<ValueMatchResult> ValueMatcher::MatchColumns(
       }
       const size_t cells = open_groups.size() * open_values.size();
       const bool dense = cells <= options_.max_dense_cells;
-      // Pruning budget for the bounded string distance. A pruned pair is
-      // reported as distance 1.0 instead of its true above-budget value, so
-      // pruning is enabled only where that substitution provably cannot
-      // change the result: sparse mode drops edges >= θ before solving, and
-      // dense mask-before-solve masks cells >= θ to forbidden either way.
-      // The default dense solve-then-filter mode optimizes the
-      // *unconstrained* matrix — a capped above-θ cost could flip which
-      // below-θ pairs win — and auto-threshold reads the entire distance
-      // distribution; both get budget 1.0, which the bounded-distance
-      // contract defines as fully exact.
-      const bool prune_safe =
-          !options_.auto_threshold && (!dense || options_.mask_before_solve);
-      const double distance_budget = prune_safe ? options_.threshold : 1.0;
       auto pair_cost = [&](size_t r, size_t k) -> double {
         const GroupState& g = combined[open_groups[r]];
         if (use_embeddings) {
           return CosineDistancePrenormalized(*g.rep_embedding, *value_embs[k]);
         }
-        return string_cost(g.group.representative, values[open_values[k]],
-                           distance_budget);
+        return options_.string_distance(g.group.representative,
+                                        values[open_values[k]]);
       };
 
       ThresholdedOptions topts;
@@ -267,9 +237,7 @@ Result<ValueMatchResult> ValueMatcher::MatchColumns(
           std::vector<double> dists;
           dists.reserve(probe.pairs.size());
           for (auto [r, k] : probe.pairs) dists.push_back(cost.at(r, k));
-          AutoThresholdOptions ato = options_.auto_threshold_options;
-          ato.fallback = options_.threshold;
-          topts.threshold = SelectThresholdByGap(std::move(dists), ato);
+          topts.threshold = SelectThresholdByGap(std::move(dists), auto_theta);
           result.stats.thresholds_used.push_back(topts.threshold);
           if (!topts.mask_before_solve &&
               topts.algorithm == AssignmentAlgorithm::kOptimal) {
@@ -320,9 +288,7 @@ Result<ValueMatchResult> ValueMatcher::MatchColumns(
           std::vector<double> dists;
           dists.reserve(edges.size());
           for (const auto& e : edges) dists.push_back(e.cost);
-          AutoThresholdOptions ato = options_.auto_threshold_options;
-          ato.fallback = options_.threshold;
-          topts.threshold = SelectThresholdByGap(std::move(dists), ato);
+          topts.threshold = SelectThresholdByGap(std::move(dists), auto_theta);
         }
         result.stats.thresholds_used.push_back(topts.threshold);
         LAKEFUZZ_ASSIGN_OR_RETURN(
@@ -352,8 +318,6 @@ Result<ValueMatchResult> ValueMatcher::MatchColumns(
     }
   }
 
-  result.stats.pruned_evaluations =
-      pruned_evaluations.load(std::memory_order_relaxed);
   if (cache != nullptr) {
     // Delta against the call-start snapshot: identical to the absolute
     // counters for a per-call cache, and the per-call share for a

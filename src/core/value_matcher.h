@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "assignment/thresholded.h"
-#include "core/auto_threshold.h"
 #include "core/blocking.h"
 #include "embedding/embedding_cache.h"
 #include "embedding/model.h"
@@ -48,16 +47,14 @@ struct ValueMatcherOptions {
   /// (extension; Auto-FuzzyJoin direction — see core/auto_threshold.h).
   /// `threshold` then only serves as the fallback.
   bool auto_threshold = false;
-  AutoThresholdOptions auto_threshold_options;
   AssignmentAlgorithm algorithm = AssignmentAlgorithm::kOptimal;
   /// See ThresholdedOptions::mask_before_solve (default: the paper's
   /// solve-then-filter behavior, which ablation A2 shows is also better).
   bool mask_before_solve = false;
-  /// Unify identity-equal values (exact bytes, or equal after case/space
-  /// normalization) before the assignment stage.
+  /// Unify identity-equal values (equal NormalizeForIdentity keys: case
+  /// folded, whitespace collapsed and trimmed, punctuation kept) before the
+  /// assignment stage.
   bool exact_match_prepass = true;
-  /// Identity normalization in the pre-pass (false = exact bytes only).
-  bool normalize_identity = true;
   /// Above this many cells, the dense cost matrix is replaced by blocking +
   /// sparse per-component assignment.
   size_t max_dense_cells = size_t{1} << 22;
@@ -69,17 +66,6 @@ struct ValueMatcherOptions {
   /// Ignored when `shared_cache` is set.
   std::shared_ptr<const EmbeddingModel> model;
   StringDistanceFn string_distance;
-  /// Optional threshold-aware replacement for `string_distance` (takes
-  /// precedence when both are set): exact below its budget, may prune
-  /// hopeless pairs to 1.0 (see MakeBoundedStringDistance). Match results
-  /// are guaranteed identical to the plain distance, so the matcher passes
-  /// θ as the budget only where a capped above-θ value provably cannot
-  /// change the assignment: sparse mode (edges ≥ θ are dropped before
-  /// solving) and dense mode with `mask_before_solve` (cells ≥ θ are
-  /// masked either way). In the default dense solve-then-filter mode and
-  /// under `auto_threshold` the budget is lifted to 1.0 — every value
-  /// exact, zero prunes; the banded DP still applies.
-  BoundedStringDistanceFn bounded_string_distance;
   /// Cross-call embedding memo owned by a long-lived session (a LakeEngine
   /// passes the one its alignment also reads). When set, the matcher runs
   /// in embedding mode on the memo's model and memoizes into it instead of
@@ -112,8 +98,9 @@ struct ValueMatchStats {
   size_t dense_solves = 0;
   size_t sparse_solves = 0;
   size_t cost_evaluations = 0;
-  /// Pairs the bounded string distance proved hopeless without a full DP
-  /// (subset of cost_evaluations).
+  /// Always 0: every cost is computed exactly. Kept only because the
+  /// repository benchmark's `core.pruned_ratio` still reads it; it goes
+  /// with the next change to that benchmark.
   size_t pruned_evaluations = 0;
   /// Embedding-cache traffic (embedding mode only): hits are value→vector
   /// lookups answered from the cache, misses the distinct strings this call

@@ -1,8 +1,6 @@
 #include "text/distance.h"
 
 #include <algorithm>
-#include <cmath>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -25,93 +23,6 @@ size_t Levenshtein(std::string_view a, std::string_view b) {
     std::swap(prev, cur);
   }
   return prev[b.size()];
-}
-
-size_t LevenshteinLengthLowerBound(std::string_view a, std::string_view b) {
-  return a.size() > b.size() ? a.size() - b.size() : b.size() - a.size();
-}
-
-size_t LevenshteinBagLowerBound(std::string_view a, std::string_view b) {
-  // counts[ch] = (occurrences in a) - (occurrences in b). Characters `a`
-  // has in surplus need a delete/substitute each; `b`'s surplus an
-  // insert/substitute — one substitution can fix one of each, so the bound
-  // is max(surplus_a, surplus_b).
-  int counts[256] = {0};
-  for (unsigned char ch : a) ++counts[ch];
-  for (unsigned char ch : b) --counts[ch];
-  size_t surplus_a = 0;
-  size_t surplus_b = 0;
-  for (int c : counts) {
-    if (c > 0) {
-      surplus_a += static_cast<size_t>(c);
-    } else {
-      surplus_b += static_cast<size_t>(-c);
-    }
-  }
-  return std::max(surplus_a, surplus_b);
-}
-
-size_t LevenshteinBounded(std::string_view a, std::string_view b,
-                          size_t max_dist) {
-  if (a.size() < b.size()) std::swap(a, b);
-  const size_t m = a.size();
-  const size_t n = b.size();
-  // The distance never exceeds the longer length, so larger budgets are
-  // equivalent — and clamping keeps kPruned / the band bounds below from
-  // overflowing when callers pass e.g. SIZE_MAX as "no limit".
-  max_dist = std::min(max_dist, m);
-  if (m - n > max_dist) return max_dist + 1;
-  if (n == 0) return m;  // m - 0 <= max_dist from the check above
-  const size_t kPruned = max_dist + 1;
-  // Ukkonen band: cell (i, j) can hold a value <= max_dist only when
-  // |i - j| <= max_dist, so each row only evaluates that diagonal strip.
-  // Cells bordering the strip must read as "over budget"; the row loop
-  // maintains a kPruned sentinel at the band's upper edge (the lower edge is
-  // covered by cur[lo-1] below, and row 0 is fully initialized).
-  std::vector<size_t> prev(n + 1);
-  std::vector<size_t> cur(n + 1, kPruned);
-  for (size_t j = 0; j <= n; ++j) prev[j] = j;
-  for (size_t i = 1; i <= m; ++i) {
-    const size_t lo = i > max_dist ? i - max_dist : 1;
-    const size_t hi = std::min(n, i + max_dist);
-    cur[lo - 1] = lo == 1 ? std::min(i, kPruned) : kPruned;
-    size_t row_min = kPruned;
-    for (size_t j = lo; j <= hi; ++j) {
-      size_t sub = prev[j - 1] + (a[i - 1] == b[j - 1] ? 0 : 1);
-      size_t best = std::min({prev[j] + 1, cur[j - 1] + 1, sub});
-      cur[j] = std::min(best, kPruned);
-      row_min = std::min(row_min, cur[j]);
-    }
-    if (hi < n) cur[hi + 1] = kPruned;
-    if (row_min >= kPruned) return kPruned;  // the whole band is hopeless
-    std::swap(prev, cur);
-  }
-  return std::min(prev[n], kPruned);
-}
-
-size_t DamerauLevenshtein(std::string_view a, std::string_view b) {
-  const size_t m = a.size();
-  const size_t n = b.size();
-  if (m == 0) return n;
-  if (n == 0) return m;
-  // Three rolling rows (transposition looks two rows back).
-  std::vector<size_t> two(n + 1);
-  std::vector<size_t> prev(n + 1);
-  std::vector<size_t> cur(n + 1);
-  for (size_t j = 0; j <= n; ++j) prev[j] = j;
-  for (size_t i = 1; i <= m; ++i) {
-    cur[0] = i;
-    for (size_t j = 1; j <= n; ++j) {
-      size_t cost = a[i - 1] == b[j - 1] ? 0 : 1;
-      cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost});
-      if (i > 1 && j > 1 && a[i - 1] == b[j - 2] && a[i - 2] == b[j - 1]) {
-        cur[j] = std::min(cur[j], two[j - 2] + 1);
-      }
-    }
-    std::swap(two, prev);
-    std::swap(prev, cur);
-  }
-  return prev[n];
 }
 
 double NormalizedLevenshtein(std::string_view a, std::string_view b) {
@@ -177,25 +88,6 @@ double NgramJaccard(std::string_view a, std::string_view b, size_t n) {
   return uni == 0 ? 1.0 : static_cast<double>(inter) / uni;
 }
 
-double DiceBigram(std::string_view a, std::string_view b) {
-  auto ga = CharNgrams(a, 2, /*pad=*/false);
-  auto gb = CharNgrams(b, 2, /*pad=*/false);
-  if (ga.empty() && gb.empty()) return 1.0;
-  if (ga.empty() || gb.empty()) return 0.0;
-  std::unordered_map<std::string, size_t> counts;
-  for (const auto& g : ga) ++counts[g];
-  size_t inter = 0;
-  for (const auto& g : gb) {
-    auto it = counts.find(g);
-    if (it != counts.end() && it->second > 0) {
-      --it->second;
-      ++inter;
-    }
-  }
-  return 2.0 * static_cast<double>(inter) /
-         static_cast<double>(ga.size() + gb.size());
-}
-
 double TokenJaccard(std::string_view a, std::string_view b) {
   auto ta = WordTokens(a);
   auto tb = WordTokens(b);
@@ -207,54 +99,6 @@ double TokenJaccard(std::string_view a, std::string_view b) {
   for (const auto& t : sa) inter += sb.count(t);
   size_t uni = sa.size() + sb.size() - inter;
   return uni == 0 ? 1.0 : static_cast<double>(inter) / uni;
-}
-
-double BoundedNormalizedLevenshtein(std::string_view a, std::string_view b,
-                                    double budget, bool* pruned) {
-  if (pruned != nullptr) *pruned = false;
-  const size_t max_len = std::max(a.size(), b.size());
-  if (max_len == 0) return 0.0;
-  if (budget >= 1.0) return NormalizedLevenshtein(a, b);  // nothing to prune
-  if (budget <= 0.0) {
-    if (pruned != nullptr) *pruned = true;
-    return 1.0;
-  }
-  // Exactness contract: every raw distance d with d/max_len < budget must be
-  // computed exactly. d < budget·max_len  ⇒  d <= max_dist below, so the
-  // banded DP covers the entire sub-budget range.
-  const size_t max_dist =
-      static_cast<size_t>(std::ceil(budget * static_cast<double>(max_len)));
-  // Cheap lower bounds first: O(1) length test, then O(|a|+|b|) character
-  // bags. Either proving d > max_dist skips the DP entirely.
-  size_t lb = LevenshteinLengthLowerBound(a, b);
-  if (lb <= max_dist) {
-    lb = std::max(lb, LevenshteinBagLowerBound(a, b));
-  }
-  if (lb > max_dist) {
-    if (pruned != nullptr) *pruned = true;
-    return 1.0;
-  }
-  size_t d = LevenshteinBounded(a, b, max_dist);
-  if (d > max_dist) {
-    if (pruned != nullptr) *pruned = true;
-    return 1.0;
-  }
-  return static_cast<double>(d) / static_cast<double>(max_len);
-}
-
-BoundedStringDistanceFn MakeBoundedStringDistance(StringDistanceKind kind) {
-  if (kind == StringDistanceKind::kNormalizedLevenshtein) {
-    return [](std::string_view a, std::string_view b, double budget,
-              bool* pruned) {
-      return BoundedNormalizedLevenshtein(a, b, budget, pruned);
-    };
-  }
-  StringDistanceFn plain = MakeStringDistance(kind);
-  return [plain = std::move(plain)](std::string_view a, std::string_view b,
-                                    double /*budget*/, bool* pruned) {
-    if (pruned != nullptr) *pruned = false;
-    return plain(a, b);
-  };
 }
 
 std::string_view StringDistanceKindToString(StringDistanceKind kind) {
@@ -269,16 +113,6 @@ std::string_view StringDistanceKindToString(StringDistanceKind kind) {
       return "token-jaccard";
   }
   return "unknown";
-}
-
-Result<StringDistanceKind> StringDistanceKindFromString(
-    std::string_view name) {
-  if (name == "levenshtein") return StringDistanceKind::kNormalizedLevenshtein;
-  if (name == "jaro-winkler") return StringDistanceKind::kJaroWinkler;
-  if (name == "ngram-jaccard") return StringDistanceKind::kNgramJaccard;
-  if (name == "token-jaccard") return StringDistanceKind::kTokenJaccard;
-  return Status::InvalidArgument("unknown string distance: " +
-                                 std::string(name));
 }
 
 StringDistanceFn MakeStringDistance(StringDistanceKind kind) {

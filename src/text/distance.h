@@ -13,33 +13,11 @@
 #include <string>
 #include <string_view>
 
-#include "util/result.h"
-
 namespace lakefuzz {
 
 /// Unit-cost edit distance (insert/delete/substitute). O(|a|·|b|) time,
 /// O(min) space.
 size_t Levenshtein(std::string_view a, std::string_view b);
-
-/// Banded (Ukkonen) Levenshtein with early exit: returns the exact distance
-/// when it is <= max_dist, otherwise max_dist + 1 as soon as every band cell
-/// exceeds the budget. O((max_dist+1)·min(|a|,|b|)) time instead of the full
-/// O(|a|·|b|) DP — the fast path the matcher uses to skip hopeless pairs.
-size_t LevenshteinBounded(std::string_view a, std::string_view b,
-                          size_t max_dist);
-
-/// Length-difference lower bound: Levenshtein(a, b) >= ||a| - |b||. O(1).
-size_t LevenshteinLengthLowerBound(std::string_view a, std::string_view b);
-
-/// Bag-of-characters lower bound: ignoring positions, each character of `a`
-/// missing from `b`'s multiset (and vice versa) needs its own edit.
-/// O(|a| + |b|), no allocation; always >= the length bound's information on
-/// substitution-heavy pairs.
-size_t LevenshteinBagLowerBound(std::string_view a, std::string_view b);
-
-/// Edit distance with adjacent transposition (optimal string alignment
-/// variant of Damerau-Levenshtein).
-size_t DamerauLevenshtein(std::string_view a, std::string_view b);
 
 /// Levenshtein normalized to [0,1] by max length (0 = identical).
 double NormalizedLevenshtein(std::string_view a, std::string_view b);
@@ -54,9 +32,6 @@ double JaroWinklerSimilarity(std::string_view a, std::string_view b);
 /// both empty → 1).
 double NgramJaccard(std::string_view a, std::string_view b, size_t n = 3);
 
-/// Dice coefficient of character bigram multisets.
-double DiceBigram(std::string_view a, std::string_view b);
-
 /// Jaccard similarity of word-token sets.
 double TokenJaccard(std::string_view a, std::string_view b);
 
@@ -69,7 +44,6 @@ enum class StringDistanceKind {
 };
 
 std::string_view StringDistanceKindToString(StringDistanceKind kind);
-Result<StringDistanceKind> StringDistanceKindFromString(std::string_view name);
 
 /// A [0,1] distance function over strings.
 using StringDistanceFn =
@@ -77,26 +51,6 @@ using StringDistanceFn =
 
 /// Returns the distance function for `kind`.
 StringDistanceFn MakeStringDistance(StringDistanceKind kind);
-
-/// A threshold-aware [0,1] distance: must return the exact distance whenever
-/// it is < `budget`; for hopeless pairs it may skip work and return any
-/// value >= budget (1.0 by convention), setting *pruned. Callers that solve
-/// unconstrained and filter afterwards should pass budget = 1.0 + eps to
-/// keep every value exact.
-using BoundedStringDistanceFn = std::function<double(
-    std::string_view, std::string_view, double budget, bool* pruned)>;
-
-/// NormalizedLevenshtein with the full pruning ladder: length lower bound →
-/// bag-of-characters lower bound → banded DP with early exit. Exact below
-/// `budget`; returns 1.0 with *pruned = true once any stage proves the
-/// distance >= budget.
-double BoundedNormalizedLevenshtein(std::string_view a, std::string_view b,
-                                    double budget, bool* pruned);
-
-/// Threshold-aware variant of MakeStringDistance. Levenshtein gets the
-/// banded fast path above; the other kinds have no sub-quadratic band, so
-/// they evaluate exactly and never prune.
-BoundedStringDistanceFn MakeBoundedStringDistance(StringDistanceKind kind);
 
 }  // namespace lakefuzz
 

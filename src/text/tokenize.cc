@@ -41,14 +41,4 @@ std::vector<std::string> CharNgrams(std::string_view s, size_t n, bool pad) {
   return out;
 }
 
-std::vector<std::string> CharNgramRange(std::string_view s, size_t n_min,
-                                        size_t n_max, bool pad) {
-  std::vector<std::string> out;
-  for (size_t n = n_min; n <= n_max; ++n) {
-    auto grams = CharNgrams(s, n, pad);
-    out.insert(out.end(), grams.begin(), grams.end());
-  }
-  return out;
-}
-
 }  // namespace lakefuzz

@@ -18,10 +18,6 @@ std::vector<std::string> WordTokens(std::string_view s);
 std::vector<std::string> CharNgrams(std::string_view s, size_t n,
                                     bool pad = true);
 
-/// Union of n-grams for every n in [n_min, n_max].
-std::vector<std::string> CharNgramRange(std::string_view s, size_t n_min,
-                                        size_t n_max, bool pad = true);
-
 }  // namespace lakefuzz
 
 #endif  // LAKEFUZZ_TEXT_TOKENIZE_H_

@@ -2,8 +2,10 @@
 // and the Fuzzy Full Disjunction pipeline (paper Fig. 1).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <set>
+#include <string_view>
 
 #include "core/blocking.h"
 #include "core/fuzzy_fd.h"
@@ -11,6 +13,9 @@
 #include "embedding/knowledge_base.h"
 #include "embedding/model_zoo.h"
 #include "fd_problems.h"
+#include "text/normalize.h"
+#include "util/hash.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace lakefuzz {
@@ -273,6 +278,196 @@ TEST(ValueMatcherTest, CrossColumnPairsEnumeration) {
   }
 }
 
+// ------------------------------------------ ValueMatcher brute-force reference
+
+/// A pseudo-random distance in [0, 1): the top 53 bits of the pair's hash.
+/// Plain FNV-1a puts keys that differ only in the case of their last byte
+/// within ~1e-6 of each other, a near-tie the solver may break either way;
+/// Mix64 spreads them.
+double HashDistance(std::string_view rep, std::string_view value) {
+  std::string key(rep);
+  key += '\x1f';
+  key += value;
+  return static_cast<double>(Mix64(Fnv1a64(key)) >> 11) * 0x1.0p-53;
+}
+
+/// Exhaustive optimal assignment over one round's cost matrix, as
+/// (row, col) pairs: each element of the smaller side is paired with a
+/// distinct element of the larger. Unmasked, it minimizes the summed cost.
+/// Masked, it minimizes (pairs with cost >= θ, summed cost of the others)
+/// in that order, which is what solving with those cells forbidden does.
+std::vector<std::pair<size_t, size_t>> BruteForceAssignment(
+    const std::vector<std::vector<double>>& cost, double theta,
+    bool masked) {
+  const bool rows_small = cost.size() <= cost[0].size();
+  const size_t n_small = std::min(cost.size(), cost[0].size());
+  const size_t n_large = std::max(cost.size(), cost[0].size());
+  using Key = std::pair<size_t, double>;
+  Key best_key{std::numeric_limits<size_t>::max(), 0.0};
+  std::vector<size_t> pick(n_small);
+  std::vector<size_t> best;
+  std::vector<char> used(n_large, 0);
+  auto search = [&](auto& self, size_t s, Key key) -> void {
+    if (key > best_key) return;  // costs are non-negative
+    if (s == n_small) {
+      if (key < best_key) {
+        best_key = key;
+        best = pick;
+      }
+      return;
+    }
+    for (size_t l = 0; l < n_large; ++l) {
+      if (used[l]) continue;
+      const double d = rows_small ? cost[s][l] : cost[l][s];
+      used[l] = 1;
+      pick[s] = l;
+      self(self, s + 1,
+           masked && d >= theta ? Key{key.first + 1, key.second}
+                                : Key{key.first, key.second + d});
+      used[l] = 0;
+    }
+  };
+  search(search, 0, Key{0, 0.0});
+  std::vector<std::pair<size_t, size_t>> pairs;
+  for (size_t s = 0; s < n_small; ++s) {
+    pairs.emplace_back(rows_small ? s : best[s], rows_small ? best[s] : s);
+  }
+  return pairs;
+}
+
+/// Definition 2 recomputed per merge round from the rules in
+/// value_matcher.h: the identity pre-pass (first group wins, one value per
+/// group), an exhaustive assignment over the open groups and values, pairs
+/// kept below θ, the representative re-elected after each join (highest
+/// global frequency, earliest member on ties), and unmatched values
+/// appended as singletons in value order. Returns false when two open
+/// groups of some round share a representative: their cost rows are
+/// identical, so two assignments are optimal and either answer is right.
+bool MatchByBruteForce(const std::vector<std::vector<std::string>>& columns,
+                       const ValueMatcherOptions& opts,
+                       ValueMatchResult* out) {
+  std::map<std::string, size_t> freq;
+  for (const auto& col : columns) {
+    for (const auto& v : col) ++freq[v];
+  }
+  std::vector<ValueGroup>& groups = out->groups;
+  auto join = [&](size_t g, size_t c, const std::string& value) {
+    auto& members = groups[g].members;
+    members.emplace_back(c, value);
+    size_t best = 0;
+    for (size_t m = 1; m < members.size(); ++m) {
+      if (freq[members[m].second] > freq[members[best].second]) best = m;
+    }
+    groups[g].representative = members[best].second;
+  };
+  for (size_t c = 0; c < columns.size(); ++c) {
+    const auto& values = columns[c];
+    std::vector<char> taken(values.size(), 0);
+    std::vector<char> closed(groups.size(), 0);
+    if (c > 0 && opts.exact_match_prepass) {
+      std::map<std::string, size_t> index;
+      for (size_t g = 0; g < groups.size(); ++g) {
+        index.emplace(NormalizeForIdentity(groups[g].representative), g);
+      }
+      for (size_t v = 0; v < values.size(); ++v) {
+        auto it = index.find(NormalizeForIdentity(values[v]));
+        if (it == index.end() || closed[it->second]) continue;
+        closed[it->second] = taken[v] = 1;
+        join(it->second, c, values[v]);
+        ++out->stats.exact_matches;
+      }
+    }
+    std::vector<size_t> open_groups;
+    for (size_t g = 0; g < groups.size(); ++g) {
+      if (!closed[g]) open_groups.push_back(g);
+    }
+    std::vector<size_t> open_values;
+    for (size_t v = 0; v < values.size(); ++v) {
+      if (!taken[v]) open_values.push_back(v);
+    }
+    if (!open_groups.empty() && !open_values.empty()) {
+      std::set<std::string> reps;
+      std::vector<std::vector<double>> cost(open_groups.size());
+      for (size_t r = 0; r < open_groups.size(); ++r) {
+        const std::string& rep = groups[open_groups[r]].representative;
+        if (!reps.insert(rep).second) return false;
+        for (size_t v : open_values) {
+          cost[r].push_back(HashDistance(rep, values[v]));
+        }
+      }
+      for (auto [r, k] : BruteForceAssignment(cost, opts.threshold,
+                                              opts.mask_before_solve)) {
+        if (cost[r][k] >= opts.threshold) continue;
+        taken[open_values[k]] = 1;
+        join(open_groups[r], c, values[open_values[k]]);
+        ++out->stats.assignment_matches;
+      }
+    }
+    for (size_t v = 0; v < values.size(); ++v) {
+      if (taken[v]) continue;
+      ValueGroup g;
+      g.members.emplace_back(c, values[v]);
+      g.representative = values[v];
+      groups.push_back(std::move(g));
+    }
+  }
+  return true;
+}
+
+TEST(ValueMatcherReference, MatchesBruteForceOnTinyColumns) {
+  // Case and whitespace variants ("a" / "A", "B " / "b") let the identity
+  // pre-pass fire.
+  const std::vector<std::string> kValues = {"a",  "A",  "b",  "B ", "c",
+                                            "ab", "Ab", "ba", "cc", "x"};
+  // Built once: pool start-up would dominate the trials under TSan.
+  ThreadPool pool1(1);
+  ThreadPool pool2(2);
+  ThreadPool pool8(8);
+  ThreadPool* pools[] = {&pool1, &pool2, &pool8};
+  Rng rng(0x5eb0);
+  constexpr size_t kTrials = 3000;
+  size_t checked = 0;
+  size_t exact_matches = 0;
+  size_t assignment_matches = 0;
+  for (size_t trial = 0; trial < kTrials; ++trial) {
+    std::vector<std::vector<std::string>> columns(1 + rng.Uniform(4));
+    for (auto& col : columns) {
+      col = kValues;
+      rng.Shuffle(&col);
+      col.resize(rng.Uniform(6));
+    }
+    ValueMatcherOptions opts;
+    opts.string_distance = HashDistance;
+    opts.threshold = rng.UniformReal(0.2, 0.8);
+    opts.exact_match_prepass = rng.Bernoulli(0.5);
+    opts.mask_before_solve = rng.Bernoulli(0.5);
+    opts.pool = pools[trial % 3];
+
+    ValueMatchResult expected;
+    if (!MatchByBruteForce(columns, opts, &expected)) continue;
+    auto result = ValueMatcher(opts).MatchColumns(columns);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->groups.size(), expected.groups.size())
+        << "trial " << trial;
+    for (size_t g = 0; g < expected.groups.size(); ++g) {
+      EXPECT_EQ(result->groups[g].members, expected.groups[g].members)
+          << "trial " << trial << " group " << g;
+      EXPECT_EQ(result->groups[g].representative,
+                expected.groups[g].representative)
+          << "trial " << trial << " group " << g;
+    }
+    EXPECT_EQ(result->stats.exact_matches, expected.stats.exact_matches);
+    EXPECT_EQ(result->stats.assignment_matches,
+              expected.stats.assignment_matches);
+    ++checked;
+    exact_matches += expected.stats.exact_matches;
+    assignment_matches += expected.stats.assignment_matches;
+  }
+  EXPECT_GT(checked, kTrials / 2);
+  EXPECT_GT(exact_matches, 0u);
+  EXPECT_GT(assignment_matches, 0u);
+}
+
 // ---------------------------------------------------------------- FuzzyFD
 
 std::vector<Table> Fig1Tables() {
@@ -376,9 +571,10 @@ TEST(FuzzyFdTest, DegeneratesToRegularFdWithImpossibleThreshold) {
   ASSERT_TRUE(aligned.ok());
   FuzzyFdOptions opts = PaperFuzzyFdOptions();
   // θ = 0 with the strict `dist < θ` rule admits nothing — even distance-0
-  // pairs like case variants — so only byte-equal values unify (a no-op).
+  // pairs like case variants — and without the identity pre-pass no value
+  // is rewritten (a no-op).
   opts.matcher.threshold = 0.0;
-  opts.matcher.normalize_identity = false;  // prepass = byte equality only
+  opts.matcher.exact_match_prepass = false;
   FuzzyFullDisjunction fuzzy(opts);
   auto fuzzy_result =
       fuzzy.RunToTuples(TestEncoded(tables), *aligned, /*fuzzy=*/true);

@@ -1,7 +1,6 @@
 // Tests for the parallel, cache-aware scoring substrate behind
 // ValueMatcher::MatchColumns: thread-count determinism on a corrupted-IMDB
-// fixture, the EmbeddingCache, the parallel cost-matrix / edge fillers, and
-// the pruning string-distance fast path.
+// fixture, the EmbeddingCache, and the parallel cost-matrix / edge fillers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -105,11 +104,9 @@ TEST(ParallelMatcherTest, StringDistanceResultsIdenticalAcrossThreadCounts) {
     std::unique_ptr<ThreadPool> pool;
     if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
     ValueMatcherOptions opts;
-    opts.bounded_string_distance =
-        MakeBoundedStringDistance(StringDistanceKind::kNormalizedLevenshtein);
+    opts.string_distance =
+        MakeStringDistance(StringDistanceKind::kNormalizedLevenshtein);
     opts.threshold = 0.35;
-    // Masking makes the θ-budget pruning path active (see value_matcher.cc);
-    // this test then covers pruning and threading together.
     opts.mask_before_solve = true;
     opts.pool = pool.get();
     auto result = ValueMatcher(opts).MatchColumns(columns);
@@ -119,8 +116,8 @@ TEST(ParallelMatcherTest, StringDistanceResultsIdenticalAcrossThreadCounts) {
       continue;
     }
     EXPECT_EQ(Canonical(*result), Canonical(baseline));
-    EXPECT_EQ(result->stats.pruned_evaluations,
-              baseline.stats.pruned_evaluations);
+    EXPECT_EQ(result->stats.cost_evaluations,
+              baseline.stats.cost_evaluations);
   }
 }
 
@@ -202,56 +199,6 @@ TEST(ParallelCostTest, EdgeScoringMatchesSerialReference) {
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].cost, parallel[i].cost);
   }
-}
-
-// ----------------------------------------------------- pruning equivalence
-
-TEST(ParallelMatcherTest, BoundedDistanceNeverPrunesInSolveThenFilterMode) {
-  // Default dense mode solves the unconstrained matrix and filters after;
-  // a capped cost could change the optimum, so the matcher lifts the budget
-  // to 1.0 there — every value exact, zero prunes, identical groups.
-  auto columns = CorruptedImdbColumns(100);
-  ValueMatcherOptions plain;
-  plain.string_distance =
-      MakeStringDistance(StringDistanceKind::kNormalizedLevenshtein);
-  plain.threshold = 0.35;
-  auto unpruned = ValueMatcher(plain).MatchColumns(columns);
-  ASSERT_TRUE(unpruned.ok());
-
-  ValueMatcherOptions fast = plain;
-  fast.string_distance = nullptr;
-  fast.bounded_string_distance =
-      MakeBoundedStringDistance(StringDistanceKind::kNormalizedLevenshtein);
-  auto bounded = ValueMatcher(fast).MatchColumns(columns);
-  ASSERT_TRUE(bounded.ok());
-  EXPECT_EQ(Canonical(*bounded), Canonical(*unpruned));
-  EXPECT_EQ(bounded->stats.pruned_evaluations, 0u);
-  EXPECT_EQ(bounded->stats.cost_evaluations, unpruned->stats.cost_evaluations);
-}
-
-TEST(ParallelMatcherTest, PruningPreservesGroupsWhenMaskingBeforeSolve) {
-  // With mask_before_solve, any cost >= θ becomes forbidden whether pruned
-  // or computed exactly — pruning is provably result-preserving and active.
-  auto columns = CorruptedImdbColumns(100);
-  ValueMatcherOptions plain;
-  plain.string_distance =
-      MakeStringDistance(StringDistanceKind::kNormalizedLevenshtein);
-  plain.threshold = 0.35;
-  plain.mask_before_solve = true;
-  auto unpruned = ValueMatcher(plain).MatchColumns(columns);
-  ASSERT_TRUE(unpruned.ok());
-  EXPECT_EQ(unpruned->stats.pruned_evaluations, 0u);
-
-  ValueMatcherOptions fast = plain;
-  fast.string_distance = nullptr;
-  fast.bounded_string_distance =
-      MakeBoundedStringDistance(StringDistanceKind::kNormalizedLevenshtein);
-  auto pruned = ValueMatcher(fast).MatchColumns(columns);
-  ASSERT_TRUE(pruned.ok());
-  EXPECT_EQ(Canonical(*pruned), Canonical(*unpruned));
-  // Shuffled corrupted titles are mostly far apart: the ladder must fire.
-  EXPECT_GT(pruned->stats.pruned_evaluations, 0u);
-  EXPECT_EQ(pruned->stats.cost_evaluations, unpruned->stats.cost_evaluations);
 }
 
 }  // namespace
