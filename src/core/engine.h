@@ -169,8 +169,8 @@ struct RequestOptions {
   /// or, under BudgetPolicy::kTruncate, a partial result with
   /// FuzzyFdReport::truncation populated.
   Deadline deadline;
-  /// Per-request resource ceilings (FD search nodes, result tuples, FD
-  /// scratch bytes); zero fields are unlimited.
+  /// Per-request resource ceilings (FD search nodes, result tuples); zero
+  /// fields are unlimited.
   ResourceBudget budget;
   /// What budget/deadline exhaustion does: kFail (default) surfaces the
   /// typed error, kTruncate degrades to the best partial result computed

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory_resource>
 #include <unordered_set>
 
 #include "util/hash.h"
@@ -23,22 +24,14 @@ inline uint64_t MinHashAt(uint64_t value_hash, uint64_t salt) {
 /// cells.
 class SketchAccumulator {
  public:
-  /// `hoisted_salts` (from a SketchScratch) skips the per-column salt
-  /// derivation; null derives them locally.
-  SketchAccumulator(std::string name, const SketchOptions& options,
-                    const std::vector<uint64_t>* hoisted_salts) {
+  SketchAccumulator(std::string name, const SketchOptions& options) {
     sketch_.name = std::move(name);
     const size_t k = std::max<size_t>(1, options.signature_size);
     sketch_.signature.assign(k, UINT64_MAX);
-    if (hoisted_salts != nullptr) {
-      salts_ = hoisted_salts->data();
-    } else {
-      // Per-function salts; Mix64(seed + i) decorrelates consecutive
-      // function indices.
-      local_salts_.resize(k);
-      for (size_t i = 0; i < k; ++i) local_salts_[i] = Mix64(options.seed + i);
-      salts_ = local_salts_.data();
-    }
+    // Per-function salts; Mix64(seed + i) decorrelates consecutive function
+    // indices.
+    salts_.resize(k);
+    for (size_t i = 0; i < k; ++i) salts_[i] = Mix64(options.seed + i);
   }
 
   void AddNull() { ++sketch_.profile.nulls; }
@@ -89,24 +82,26 @@ class SketchAccumulator {
 
  private:
   ColumnSketch sketch_;
-  const uint64_t* salts_ = nullptr;
-  std::vector<uint64_t> local_salts_;
+  std::vector<uint64_t> salts_;
   double len_sum_ = 0.0;
   uint64_t n_string_ = 0, n_int_ = 0, n_double_ = 0, n_bool_ = 0;
 };
 
-/// Dedup set on a per-lane arena (no-op deallocate; the whole set vanishes
-/// at the next Reset) or on the heap when no scratch is supplied.
-template <typename T>
-using ArenaSet = std::unordered_set<T, std::hash<T>, std::equal_to<T>,
-                                    ArenaStlAllocator<T>>;
+}  // namespace
 
-template <typename Set>
-ColumnSketch SketchCodes(SketchAccumulator&& acc,
-                         const std::vector<uint32_t>& codes,
-                         const ValueDict& dict, Set& seen) {
+// Both builders dedup on a std::pmr::unordered_set over a monotonic buffer
+// local to the call: a node allocation is a pointer bump and a free is a
+// no-op, which keeps the per-value dedup off the general-purpose heap.
+
+ColumnSketch BuildColumnSketch(std::string name,
+                               const std::vector<uint32_t>& codes,
+                               const ValueDict& dict,
+                               const SketchOptions& options) {
+  SketchAccumulator acc(std::move(name), options);
   // Duplicate occurrences cannot change a minimum, so the k-hash work runs
   // once per *distinct* code.
+  std::pmr::monotonic_buffer_resource buffer;
+  std::pmr::unordered_set<uint32_t> seen(&buffer);
   seen.reserve(codes.size() / 2 + 1);
   for (uint32_t code : codes) {
     if (code == ValueDict::kNullCode) {
@@ -119,12 +114,15 @@ ColumnSketch SketchCodes(SketchAccumulator&& acc,
   return std::move(acc).Finish(codes.size(), seen.size());
 }
 
-template <typename Set>
-ColumnSketch SketchValues(SketchAccumulator&& acc,
-                          const std::vector<Value>& values, Set& seen) {
+ColumnSketch BuildColumnSketchFromValues(std::string name,
+                                         const std::vector<Value>& values,
+                                         const SketchOptions& options) {
+  SketchAccumulator acc(std::move(name), options);
   // Dedup by content hash — the same 64-bit hash MinHash consumes, so a
   // (cosmically unlikely) collision merges two values here exactly as it
   // would merge their signatures.
+  std::pmr::monotonic_buffer_resource buffer;
+  std::pmr::unordered_set<uint64_t> seen(&buffer);
   seen.reserve(values.size() / 2 + 1);
   for (const Value& v : values) {
     if (v.is_null()) {
@@ -136,52 +134,6 @@ ColumnSketch SketchValues(SketchAccumulator&& acc,
     acc.AddDistinct(v, h);
   }
   return std::move(acc).Finish(values.size(), seen.size());
-}
-
-}  // namespace
-
-const std::vector<uint64_t>& SketchScratch::Salts(
-    const SketchOptions& options) {
-  const size_t k = std::max<size_t>(1, options.signature_size);
-  if (salts_.size() != k || salts_seed_ != options.seed) {
-    salts_seed_ = options.seed;
-    salts_.resize(k);
-    for (size_t i = 0; i < k; ++i) salts_[i] = Mix64(options.seed + i);
-  }
-  return salts_;
-}
-
-ColumnSketch BuildColumnSketch(std::string name,
-                               const std::vector<uint32_t>& codes,
-                               const ValueDict& dict,
-                               const SketchOptions& options,
-                               SketchScratch* scratch) {
-  if (scratch != nullptr) {
-    SketchAccumulator acc(std::move(name), options, &scratch->Salts(options));
-    scratch->arena()->Reset();
-    ArenaSet<uint32_t> seen(0, std::hash<uint32_t>(), std::equal_to<uint32_t>(),
-                            ArenaStlAllocator<uint32_t>(scratch->arena()));
-    return SketchCodes(std::move(acc), codes, dict, seen);
-  }
-  SketchAccumulator acc(std::move(name), options, nullptr);
-  std::unordered_set<uint32_t> seen;
-  return SketchCodes(std::move(acc), codes, dict, seen);
-}
-
-ColumnSketch BuildColumnSketchFromValues(std::string name,
-                                         const std::vector<Value>& values,
-                                         const SketchOptions& options,
-                                         SketchScratch* scratch) {
-  if (scratch != nullptr) {
-    SketchAccumulator acc(std::move(name), options, &scratch->Salts(options));
-    scratch->arena()->Reset();
-    ArenaSet<uint64_t> seen(0, std::hash<uint64_t>(), std::equal_to<uint64_t>(),
-                            ArenaStlAllocator<uint64_t>(scratch->arena()));
-    return SketchValues(std::move(acc), values, seen);
-  }
-  SketchAccumulator acc(std::move(name), options, nullptr);
-  std::unordered_set<uint64_t> seen;
-  return SketchValues(std::move(acc), values, seen);
 }
 
 double EstimateJaccard(const ColumnSketch& a, const ColumnSketch& b) {

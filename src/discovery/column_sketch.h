@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "fd/value_dict.h"
-#include "util/arena.h"
 
 namespace lakefuzz {
 
@@ -64,36 +63,14 @@ struct ColumnSketch {
   bool empty() const { return profile.distinct == 0; }
 };
 
-/// Reusable per-lane scratch for the sketch builders. Hoists the MinHash
-/// salt table (derived once per (seed, signature_size), not once per
-/// column) and owns the bump arena backing the per-column dedup set, reset
-/// per column. One scratch per worker lane — nothing here is thread-safe.
-/// Sketches are bit-identical with or without a scratch.
-class SketchScratch {
- public:
-  /// Salt table for `options`, derived on first use and cached until the
-  /// seed or signature size changes.
-  const std::vector<uint64_t>& Salts(const SketchOptions& options);
-
-  ArenaAllocator* arena() { return &arena_; }
-
- private:
-  std::vector<uint64_t> salts_;
-  uint64_t salts_seed_ = 0;
-  ArenaAllocator arena_;
-};
-
 /// Sketches one interned column. `codes` is one of an EncodedTable's code
 /// columns; `dict` supplies Decode/HashOf for profiling
 /// and hashing. Deterministic: depends only on the multiset of values, not
-/// on code numbering, intern interleaving, or thread count. `scratch`
-/// (optional) supplies the reusable salt table + dedup arena of the calling
-/// lane.
+/// on code numbering, intern interleaving, or thread count.
 ColumnSketch BuildColumnSketch(std::string name,
                                const std::vector<uint32_t>& codes,
                                const ValueDict& dict,
-                               const SketchOptions& options,
-                               SketchScratch* scratch = nullptr);
+                               const SketchOptions& options);
 
 /// Same sketch, built from raw cells without any dictionary (MinHash input
 /// is Value::Hash() on both paths, so the two builders agree bit for bit).
@@ -101,8 +78,7 @@ ColumnSketch BuildColumnSketch(std::string name,
 /// dictionary.
 ColumnSketch BuildColumnSketchFromValues(std::string name,
                                          const std::vector<Value>& values,
-                                         const SketchOptions& options,
-                                         SketchScratch* scratch = nullptr);
+                                         const SketchOptions& options);
 
 /// MinHash estimate of the value-set Jaccard similarity of two columns,
 /// in [0, 1]. Zero when either side is empty or signature sizes differ.

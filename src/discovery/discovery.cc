@@ -51,13 +51,10 @@ std::vector<ColumnSketch> DiscoveryIndex::SketchTable(
   std::vector<ColumnSketch> sketches(cols);
   // Column-parallel: each worker sketches one code column of the record.
   // Results land in distinct slots, so no synchronization beyond the
-  // ParallelFor barrier. Lane-indexed scratches carry the salt table and
-  // dedup arena across the columns a worker sketches.
-  std::vector<SketchScratch> scratches(MaxLanes(pool_, cols));
-  MaybeParallelForWithLane(pool_, cols, [&](size_t lane, size_t c) {
+  // ParallelFor barrier.
+  MaybeParallelFor(pool_, cols, [&](size_t c) {
     sketches[c] = BuildColumnSketch(table.schema.field(c).name,
-                                    table.codes[c], *dict_, sketch_options_,
-                                    &scratches[lane]);
+                                    table.codes[c], *dict_, sketch_options_);
   });
   return sketches;
 }
@@ -65,13 +62,9 @@ std::vector<ColumnSketch> DiscoveryIndex::SketchTable(
 std::vector<ColumnSketch> DiscoveryIndex::SketchQuery(
     const Table& table) const {
   std::vector<ColumnSketch> sketches(table.NumColumns());
-  std::vector<SketchScratch> scratches(
-      MaxLanes(pool_, table.NumColumns()));
-  MaybeParallelForWithLane(pool_, table.NumColumns(), [&](size_t lane,
-                                                          size_t c) {
+  MaybeParallelFor(pool_, table.NumColumns(), [&](size_t c) {
     sketches[c] = BuildColumnSketchFromValues(
-        table.schema().field(c).name, table.ColumnValues(c), sketch_options_,
-        &scratches[lane]);
+        table.schema().field(c).name, table.ColumnValues(c), sketch_options_);
   });
   return sketches;
 }
@@ -225,9 +218,8 @@ Status DiscoveryIndex::Resync(
       tasks.emplace_back(t, c);
     }
   }
-  std::vector<SketchScratch> scratches(MaxLanes(pool_, tasks.size()));
   std::atomic<bool> stop_flag{false};
-  MaybeParallelForWithLane(pool_, tasks.size(), [&](size_t lane, size_t i) {
+  MaybeParallelFor(pool_, tasks.size(), [&](size_t i) {
     // Cooperative stop checkpoint per sketch task: remaining tasks degrade
     // to no-ops so a fired token / expired deadline drains the bulk build
     // quickly (the typed status is re-derived on the driving thread below).
@@ -239,8 +231,7 @@ Status DiscoveryIndex::Resync(
     const auto [t, c] = tasks[i];
     const EncodedTable& table = *to_add[t].second;
     built[t][c] = BuildColumnSketch(table.schema.field(c).name,
-                                    table.codes[c], *dict_, sketch_options_,
-                                    &scratches[lane]);
+                                    table.codes[c], *dict_, sketch_options_);
   });
   // Nothing is inserted on a stop and the version stays behind: the index
   // remains observably stale and the next discovery call resyncs from

@@ -5,9 +5,7 @@
 #include <mutex>
 
 #include "obs/trace.h"
-#include "util/arena.h"
 #include "util/fault_injection.h"
-#include "util/rss.h"
 #include "util/thread_pool.h"
 
 namespace lakefuzz {
@@ -50,17 +48,23 @@ struct FdScratch {
       : merged(problem.num_columns(), FdProblem::kNullCode),
         excluded(problem.num_tuples(), 0),
         seen_stamp(problem.num_tuples(), 0),
-        table_used(problem.num_tables(), 0) {}
+        table_used(problem.num_tables(), 0),
+        levels(problem.num_tables()) {}
 
   std::vector<uint32_t> merged;  ///< current join, as dictionary codes
   std::vector<char> excluded;
   std::vector<uint64_t> seen_stamp;
   std::vector<char> table_used;
   uint64_t epoch = 0;
-  /// Per-lane bump arena for the enumerator's per-node temporaries
-  /// (extension sets, flipped-column lists): scope-framed alloc/rewind
-  /// instead of one malloc/free pair per search node.
-  ArenaAllocator arena;
+  /// The per-node temporaries of the branch loop at depth |S|. A set holds
+  /// at most one tuple per table, so |S| <= num_tables() - 1 there. The
+  /// levels keep their capacity, so a warm lane allocates nothing per node.
+  struct Level {
+    std::vector<uint32_t> flipped;  ///< Include's undo record
+    std::vector<uint32_t> child;    ///< the branch's extension set
+    std::vector<uint32_t> locally_excluded;  ///< earlier siblings
+  };
+  std::vector<Level> levels;
 };
 
 /// The fast path: a component is one legal set — emitted whole, without
@@ -184,7 +188,7 @@ class ComponentEnumerator {
 
   /// Adds `tid` to S; appends the columns that flipped null→non-null to
   /// *flipped (undo record for backtracking).
-  void Include(uint32_t tid, ArenaVector<uint32_t>* flipped) {
+  void Include(uint32_t tid, std::vector<uint32_t>* flipped) {
     const uint32_t* row = problem_.CodeRow(tid);
     for (size_t c = 0; c < num_cols_; ++c) {
       if (row[c] == FdProblem::kNullCode ||
@@ -209,7 +213,7 @@ class ComponentEnumerator {
   /// Extension set of the seed set S = {v}: v's join-graph neighbors,
   /// filtered. The root's `ext` (all component members) is *not* neighbor-
   /// derived, so it must not be carried over — connectivity starts here.
-  void SeedExtensions(uint32_t v, ArenaVector<uint32_t>* child) {
+  void SeedExtensions(uint32_t v, std::vector<uint32_t>* child) {
     ++s_.epoch;
     problem_.ForEachCoPosted(v, s_.table_used.data(), [&](uint32_t nb) {
       if (s_.seen_stamp[nb] == s_.epoch) return;
@@ -237,7 +241,7 @@ class ComponentEnumerator {
   /// materialized-adjacency implementation.
   void ChildExtensions(const uint32_t* ext, size_t ext_size, uint32_t v,
                        const uint32_t* flipped, size_t num_flipped,
-                       ArenaVector<uint32_t>* child) {
+                       std::vector<uint32_t>* child) {
     const uint32_t v_table = problem_.table_id(v);
     ++s_.epoch;
     for (size_t i = 0; i < ext_size; ++i) {
@@ -303,41 +307,32 @@ class ComponentEnumerator {
   /// both Extend (whole node) and a root-branch range execute. S is
   /// identical across iterations (Include/Undo pairs), but the exclusion
   /// set grows — candidates excluded by earlier siblings (or on range
-  /// entry) are skipped.
-  ///
-  /// Arena discipline: the node frame owns `locally_excluded`; each branch
-  /// iteration opens its own frame for the flipped-column and child-ext
-  /// temporaries and rewinds it before `locally_excluded` grows again, so
-  /// the latter's buffer stays on top of the arena and push_back extends it
-  /// in place (no dead copies pile up across siblings).
+  /// entry) are skipped. The node's temporaries live in the level of its
+  /// depth; `ext` belongs to the level above, which this node never writes.
   Status RunBranchRange(const uint32_t* ext, size_t ext_size, size_t begin,
                         size_t end) {
-    ArenaAllocator& a = s_.arena;
-    ArenaFrame node_frame(a);
-    ArenaVector<uint32_t> locally_excluded(a);
+    FdScratch::Level& level = s_.levels[members_.size()];
+    level.locally_excluded.clear();
     Status st = Status::OK();
     for (size_t i = begin; i < end; ++i) {
       const uint32_t v = ext[i];
       if (s_.excluded[v]) continue;
-      {
-        ArenaFrame iter_frame(a);
-        ArenaVector<uint32_t> flipped(a);
-        Include(v, &flipped);
-        ArenaVector<uint32_t> child(a);
-        if (members_.size() == 1) {
-          SeedExtensions(v, &child);
-        } else {
-          ChildExtensions(ext, ext_size, v, flipped.data(), flipped.size(),
-                          &child);
-        }
-        st = Extend(child.data(), child.size());
-        Undo(v, flipped.data(), flipped.size());
+      level.flipped.clear();
+      Include(v, &level.flipped);
+      level.child.clear();
+      if (members_.size() == 1) {
+        SeedExtensions(v, &level.child);
+      } else {
+        ChildExtensions(ext, ext_size, v, level.flipped.data(),
+                        level.flipped.size(), &level.child);
       }
+      st = Extend(level.child.data(), level.child.size());
+      Undo(v, level.flipped.data(), level.flipped.size());
       if (!st.ok()) break;
       s_.excluded[v] = 1;
-      locally_excluded.push_back(v);
+      level.locally_excluded.push_back(v);
     }
-    for (uint32_t v : locally_excluded) s_.excluded[v] = 0;
+    for (uint32_t v : level.locally_excluded) s_.excluded[v] = 0;
     return st;
   }
 
@@ -387,19 +382,6 @@ std::vector<WorkItem> PlanWorkItems(
     }
   }
   return items;
-}
-
-/// ResourceBudget::max_scratch_bytes gate, polled before every component: a
-/// component may not start on scratch that already holds more arena bytes
-/// than the budget allows.
-Status ScratchBudgetStop(const RequestContext& ctx, size_t reserved_bytes) {
-  if (ctx.budget.max_scratch_bytes == 0 ||
-      reserved_bytes <= ctx.budget.max_scratch_bytes) {
-    return Status::OK();
-  }
-  return Status::ResourceExhausted(
-      "full disjunction scratch budget exhausted "
-      "(ResourceBudget::max_scratch_bytes)");
 }
 
 }  // namespace
@@ -474,18 +456,11 @@ Result<std::vector<FdCodeTuple>> FullDisjunction::RunCodes(
       return;
     }
     // Per-item checkpoint: once the token fires or the deadline passes, the
-    // remaining items become no-ops instead of enumerating. A component's
-    // first item also checks this lane's scratch against the budget (only
-    // this lane's arena is read: ArenaAllocator is not thread-safe, and
-    // other lanes are mid-item); its later ranges are already admitted.
-    // Small items rarely reach the enumerator's amortized budget draw, so
-    // exhaustion is also enforced here against the settled shared counter.
+    // remaining items become no-ops instead of enumerating. Small items
+    // rarely reach the enumerator's amortized budget draw, so exhaustion is
+    // also enforced here against the settled shared counter.
     const std::vector<uint32_t>& comp = *comps[item.comp];
-    FdScratch& scratch = scratches[lane];
     Status st = ctx.CheckStop("full disjunction");
-    if (st.ok() && item.begin == 0) {
-      st = ScratchBudgetStop(ctx, scratch.arena.bytes_reserved());
-    }
     if (st.ok() && budget.load(std::memory_order_relaxed) <= 0) {
       st = BudgetExhaustedError(ctx);
     }
@@ -501,8 +476,8 @@ Result<std::vector<FdCodeTuple>> FullDisjunction::RunCodes(
           comp.size() >= kComponentSpanMinTuples ? enum_ctx.tracer : nullptr,
           whole ? "fd_component" : "fd_task", enum_ctx.trace_parent);
       span.AddAttr("tuples", static_cast<int64_t>(comp.size()));
-      ComponentEnumerator enumerator(*problem, comp, budget, &scratch,
-                                     enum_ctx);
+      ComponentEnumerator enumerator(*problem, comp, budget,
+                                     &scratches[lane], enum_ctx);
       auto res = enumerator.Enumerate(item.begin, item.end);
       span.AddAttr("nodes", static_cast<int64_t>(enumerator.nodes_used()));
       total_nodes.fetch_add(enumerator.nodes_used(),
@@ -539,11 +514,6 @@ Result<std::vector<FdCodeTuple>> FullDisjunction::RunCodes(
     }
   }
   stats->search_nodes = total_nodes.load();
-  for (const FdScratch& s : scratches) {
-    stats->arena_bytes_reserved += s.arena.bytes_reserved();
-    stats->arena_peak_bytes += s.arena.peak_bytes();
-  }
-  stats->peak_rss_bytes = PeakRssBytes();
 
   // Zero-copy flatten of the kept items in order: one exact reservation,
   // then pure moves.

@@ -83,13 +83,6 @@ struct FdStats {
   uint64_t pool_tasks = 0;
   double pool_busy_seconds = 0.0;
   double pool_wait_seconds = 0.0;
-  /// Scratch-arena footprint summed across all work lanes.
-  size_t arena_bytes_reserved = 0;
-  size_t arena_peak_bytes = 0;
-  /// Process-wide peak RSS (getrusage high-water mark) sampled when this
-  /// run finalized. Monotonic across a process: comparing it before/after a
-  /// workload bounds that workload's true memory cost, arena or not.
-  size_t peak_rss_bytes = 0;
   /// Degradation report: set when a deadline/budget stop under
   /// BudgetPolicy::kTruncate cut the run short (completed components were
   /// kept, the rest skipped). truncated == false means a complete result.

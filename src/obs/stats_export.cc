@@ -15,7 +15,6 @@ std::vector<std::pair<std::string, double>> FdExecutionExtras(
       {"pool_tasks", static_cast<double>(stats.pool_tasks)},
       {"pool_busy_s", stats.pool_busy_seconds},
       {"pool_wait_s", stats.pool_wait_seconds},
-      {"arena_peak_bytes", static_cast<double>(stats.arena_peak_bytes)},
       {"peak_rss_mb", PeakRssMb()},
   };
 }

@@ -9,11 +9,10 @@
 // a server can tell "client went away" from "request was too slow".
 //
 // A ResourceBudget bounds the request's resource appetite (FD search nodes,
-// result tuples, scratch arena bytes). What happens at exhaustion is the
-// BudgetPolicy's call: kFail surfaces kResourceExhausted / kDeadlineExceeded
-// as hard errors; kTruncate stops cleanly at the checkpoint and returns a
-// *partial* result with a populated Truncation report instead of throwing
-// completed work away.
+// result tuples). What happens at exhaustion is the BudgetPolicy's call:
+// kFail surfaces kResourceExhausted / kDeadlineExceeded as hard errors;
+// kTruncate stops cleanly at the checkpoint and returns a *partial* result
+// with a populated Truncation report instead of throwing completed work away.
 //
 // The same context carries the request's StageLedger: every stage records
 // its wall time there, traced or not, so any request can be explained after
@@ -91,13 +90,6 @@ struct ResourceBudget {
   /// Max result tuples surviving subsumption; under kTruncate the result is
   /// cut to the first `max_result_tuples` in deterministic output order.
   uint64_t max_result_tuples = 0;
-  /// Max bytes of FD scratch-arena reservation (accounted via
-  /// FdStats::arena_bytes_reserved between components).
-  uint64_t max_scratch_bytes = 0;
-
-  bool any_set() const {
-    return max_fd_nodes > 0 || max_result_tuples > 0 || max_scratch_bytes > 0;
-  }
 };
 
 /// Degradation report for a request that stopped early under

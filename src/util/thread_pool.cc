@@ -49,6 +49,8 @@ void ThreadPool::WorkerLoop() {
 void ThreadPool::ParallelForWithLane(
     size_t n, const std::function<void(size_t, size_t)>& fn) {
   if (n == 0) return;
+  // Dynamic scheduling with a shared index counter: work items can be very
+  // uneven (FD component sizes are skewed), so static chunking is wasteful.
   std::atomic<size_t> next{0};
   std::vector<std::future<void>> futures;
   size_t lanes = std::min(n, workers_.size());
@@ -59,26 +61,6 @@ void ThreadPool::ParallelForWithLane(
         size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= n) return;
         fn(lane, i);
-      }
-    }));
-  }
-  for (auto& f : futures) f.get();
-}
-
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  // Dynamic scheduling with a shared index counter: work items can be very
-  // uneven (FD component sizes are skewed), so static chunking is wasteful.
-  std::atomic<size_t> next{0};
-  std::vector<std::future<void>> futures;
-  size_t lanes = std::min(n, workers_.size());
-  futures.reserve(lanes);
-  for (size_t t = 0; t < lanes; ++t) {
-    futures.push_back(Submit([&next, n, &fn] {
-      while (true) {
-        size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        fn(i);
       }
     }));
   }

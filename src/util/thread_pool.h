@@ -72,7 +72,9 @@ class ThreadPool {
 
   /// Runs fn(i) for i in [0, n) across the pool and blocks until all finish.
   /// `fn` must be safe to invoke concurrently for distinct i.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
+  void ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
+    ParallelForWithLane(n, [&fn](size_t, size_t i) { fn(i); });
+  }
 
   /// Like ParallelFor, but passes fn(lane, i) where `lane` is a dense id in
   /// [0, min(n, num_threads())) identifying the executing work lane — at most
@@ -127,10 +129,10 @@ inline void MaybeParallelFor(ThreadPool* pool, size_t n,
   }
 }
 
-/// Lane-aware twin of MaybeParallelFor: fn(lane, i) with lane < MaxLanes(
-/// pool, n). Serial fallback runs every item on lane 0. Stages with
-/// per-lane scratch (sketch builders, FD enumeration) use this to reuse
-/// worker-private state without locks.
+/// Lane-aware twin of MaybeParallelFor: fn(lane, i) with lane <
+/// pool->num_threads(). Serial fallback runs every item on lane 0. FD
+/// enumeration, its one user, keeps one scratch per lane this way and
+/// reuses it without locks.
 inline void MaybeParallelForWithLane(
     ThreadPool* pool, size_t n, const std::function<void(size_t, size_t)>& fn) {
   if (pool == nullptr || n <= 1) {
@@ -138,13 +140,6 @@ inline void MaybeParallelForWithLane(
   } else {
     pool->ParallelForWithLane(n, fn);
   }
-}
-
-/// Number of distinct lanes MaybeParallelForWithLane can touch — the size
-/// to allocate for lane-indexed scratch.
-inline size_t MaxLanes(ThreadPool* pool, size_t n) {
-  if (pool == nullptr || n <= 1) return 1;
-  return std::min(n, pool->num_threads());
 }
 
 }  // namespace lakefuzz

@@ -789,9 +789,7 @@ TEST(CatalogGoldenTest, MinHashSignatureBytesAreStable) {
   for (int i = 0; i < 16; ++i) vals.push_back(S("v" + std::to_string(i)));
   vals.push_back(Value::Int(7));
   vals.push_back(Value::Null());
-  SketchScratch scratch;
-  ColumnSketch s =
-      BuildColumnSketchFromValues("col", vals, SketchOptions(), &scratch);
+  ColumnSketch s = BuildColumnSketchFromValues("col", vals, SketchOptions());
   ASSERT_EQ(s.signature.size(), 64u);
   EXPECT_EQ(s.signature[0], 503156245670146792ull);
   EXPECT_EQ(s.signature[1], 239188940156540417ull);
@@ -804,9 +802,7 @@ TEST(CatalogGoldenTest, LshBandKeysAreStable) {
   for (int i = 0; i < 16; ++i) vals.push_back(S("v" + std::to_string(i)));
   vals.push_back(Value::Int(7));
   vals.push_back(Value::Null());
-  SketchScratch scratch;
-  ColumnSketch s =
-      BuildColumnSketchFromValues("col", vals, SketchOptions(), &scratch);
+  ColumnSketch s = BuildColumnSketchFromValues("col", vals, SketchOptions());
   LshIndex lsh(16, 4);
   std::vector<uint64_t> keys;
   lsh.ComputeBandKeys(s.signature, &keys);
@@ -844,19 +840,7 @@ TEST(CatalogFingerprintTest, ContentKeyedNotCodeKeyed) {
   EXPECT_NE(fingerprint(lake[0], &forward), fingerprint(lake[1], &forward));
 }
 
-// ------------------------------------------------------------- peak RSS
-
-TEST(CatalogStatsTest, IntegrateReportsPeakRss) {
-  auto engine = MakeEngineWithSmallLake(1);
-  auto result = engine->Integrate({"cities", "rates"});
-  ASSERT_TRUE(result.ok());
-  EXPECT_GT(result->report.fd_stats.peak_rss_bytes, 0u);
-  // getrusage's high-water mark is monotonic within a process.
-  auto again = engine->Integrate({"cities", "mayors"});
-  ASSERT_TRUE(again.ok());
-  EXPECT_GE(again->report.fd_stats.peak_rss_bytes,
-            result->report.fd_stats.peak_rss_bytes);
-}
+// ---------------------------------------------------------------- stats
 
 TEST(CatalogStatsTest, EngineAccumulatesCatalogCounters) {
   const std::string dir = FreshDir("stats");

@@ -144,9 +144,6 @@ TEST(ChaosTest, EngineStaysConsistentUnderRandomizedLifecycleStress) {
     if (rng.Bernoulli(0.25)) {
       req.budget.max_result_tuples = rng.UniformInt(1, 8);
     }
-    if (rng.Bernoulli(0.1)) {
-      req.budget.max_scratch_bytes = rng.UniformInt(1, 1 << 20);
-    }
     // Telemetry rides through the chaos: half the requests carry a tracer
     // (occasionally one with a tiny span cap, to exercise the dropped-span
     // path), proving spans stay balanced and TSan-clean across deadlines,

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 #include <thread>
 #include <unordered_set>
@@ -99,6 +100,77 @@ TEST(ColumnSketchTest, EmptyAndNullColumns) {
   EXPECT_TRUE(sn.empty());
   EXPECT_EQ(sn.profile.nulls, 5u);
   EXPECT_EQ(EstimateJaccard(se, sn), 0.0);
+}
+
+TEST(ColumnSketchTest, CodeAndValueBuildersAgreeBitForBit) {
+  // BuildColumnSketch (codes) and BuildColumnSketchFromValues (cells) each
+  // dedup on their own, yet must produce the same sketch: a registered
+  // table and an ad-hoc query of the same cells have to score alike.
+  const auto bits = [](double d) {
+    uint64_t u;
+    std::memcpy(&u, &d, sizeof(u));
+    return u;
+  };
+  Rng rng(23);
+  SketchOptions opts;
+  for (int trial = 0; trial < 300; ++trial) {
+    // Cells drawn with replacement from a small pool, so columns repeat
+    // values; ±0.0 are one value to both builders.
+    std::vector<Value> pool;
+    const size_t pool_size = 1 + rng.Uniform(60);
+    for (size_t i = 0; i < pool_size; ++i) {
+      switch (rng.Uniform(6)) {
+        case 0:
+          pool.push_back(Value::Null());
+          break;
+        case 1:
+          pool.push_back(Value::Int(rng.UniformInt(-500, 500)));
+          break;
+        case 2:
+          pool.push_back(Value::Double(0.25 * rng.UniformInt(-40, 40)));
+          break;
+        case 3:
+          pool.push_back(Value::Double(rng.Bernoulli(0.5) ? -0.0 : 0.0));
+          break;
+        case 4:
+          pool.push_back(Value::Bool(rng.Bernoulli(0.5)));
+          break;
+        default:
+          pool.push_back(Value::String(rng.AlphaString(rng.Uniform(12))));
+          break;
+      }
+    }
+    std::vector<Value> cells;
+    const size_t rows = rng.Uniform(401);
+    for (size_t r = 0; r < rows; ++r) {
+      cells.push_back(pool[rng.Uniform(pool_size)]);
+    }
+    ValueDict dict;
+    std::vector<uint32_t> codes;
+    for (const Value& v : cells) codes.push_back(dict.Intern(v));
+    std::vector<uint32_t> shuffled = codes;
+    rng.Shuffle(&shuffled);
+
+    const ColumnSketch want = BuildColumnSketch("c", codes, dict, opts);
+    const ColumnSketch from_values =
+        BuildColumnSketchFromValues("c", cells, opts);
+    const ColumnSketch from_shuffled =
+        BuildColumnSketch("c", shuffled, dict, opts);
+    for (const ColumnSketch* got : {&from_values, &from_shuffled}) {
+      const char* which = got == &from_values ? "values" : "shuffled";
+      ASSERT_EQ(got->signature, want.signature) << trial << " " << which;
+      const ColumnProfile& p = got->profile;
+      const ColumnProfile& q = want.profile;
+      EXPECT_EQ(p.rows, q.rows) << trial << " " << which;
+      EXPECT_EQ(p.nulls, q.nulls) << trial << " " << which;
+      EXPECT_EQ(p.distinct, q.distinct) << trial << " " << which;
+      EXPECT_EQ(bits(p.frac_string), bits(q.frac_string)) << trial;
+      EXPECT_EQ(bits(p.frac_int), bits(q.frac_int)) << trial;
+      EXPECT_EQ(bits(p.frac_double), bits(q.frac_double)) << trial;
+      EXPECT_EQ(bits(p.frac_bool), bits(q.frac_bool)) << trial;
+      EXPECT_EQ(bits(p.avg_len), bits(q.avg_len)) << trial << " " << which;
+    }
+  }
 }
 
 // --------------------------------------------------------------------- LSH

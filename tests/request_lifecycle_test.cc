@@ -413,36 +413,6 @@ TEST(EngineBudgetTest, LegacyMaxSearchNodesKeepsFailedPrecondition) {
             ErrorCode::kFailedPrecondition);
 }
 
-TEST(EngineBudgetTest, ScratchBudgetStopsBetweenComponents) {
-  // The scratch check runs before every component on every work lane, so it
-  // needs a lake whose non-trivial components actually reserve arena bytes,
-  // and more of them than the 4-thread engine has lanes: some lane must
-  // then start a second component on scratch the first one grew.
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    auto engine = LakeEngine::Create(EngineOptions().SetNumThreads(threads));
-    ASSERT_TRUE(engine.ok());
-    std::vector<std::string> names =
-        RegisterAll(engine->get(), HubComponentTables(threads + 1));
-    RequestOptions req;
-    req.holistic_alignment = false;
-    req.fuzzy = false;
-    req.budget.max_scratch_bytes = 1;  // first component's reservation exceeds
-    auto hard = (*engine)->Integrate(names, req);
-    ASSERT_FALSE(hard.ok()) << threads << " threads";
-    EXPECT_EQ(hard.code(), ErrorCode::kResourceExhausted) << threads;
-    EXPECT_NE(hard.status().message().find("max_scratch_bytes"),
-              std::string::npos);
-
-    req.budget_policy = BudgetPolicy::kTruncate;
-    auto partial = (*engine)->Integrate(names, req);
-    ASSERT_TRUE(partial.ok()) << partial.status().ToString();
-    const Truncation& cut = partial->report.truncation;
-    EXPECT_TRUE(cut.truncated) << threads;
-    EXPECT_GE(cut.components_completed, 1u) << threads;
-    EXPECT_GE(cut.components_skipped, 1u) << threads;
-  }
-}
-
 TEST(EngineBudgetTest, ResultTupleBudgetFailsHardByDefault) {
   auto engine = MakeEngineWithSmallSet();
   RequestOptions req;

@@ -418,6 +418,51 @@ TEST(ThreadPoolTest, ZeroThreadsClampedToOne) {
   EXPECT_EQ(pool.Submit([] { return 1; }).get(), 1);
 }
 
+TEST(ThreadPoolTest, ParallelForWithLaneRunsOneItemPerLaneAtATime) {
+  // FD enumeration shares one scratch per lane without locks, which is safe
+  // only while no two items run on one lane at once. Many tiny items of
+  // uneven length make the workers race for the shared index.
+  ThreadPool pool(4);
+  const size_t n = 4096;
+  std::vector<std::atomic<bool>> busy(pool.num_threads());
+  std::vector<std::atomic<int>> hits(n);
+  std::atomic<int> bad_lanes{0};
+  std::atomic<int> overlaps{0};
+  pool.ParallelForWithLane(n, [&](size_t lane, size_t i) {
+    hits[i].fetch_add(1);
+    if (lane >= busy.size()) {
+      bad_lanes.fetch_add(1);
+      return;
+    }
+    if (busy[lane].exchange(true)) overlaps.fetch_add(1);
+    volatile uint64_t x = 0;
+    for (size_t k = 0; k < 64 + i % 97; ++k) x += k;
+    busy[lane].store(false);
+  });
+  EXPECT_EQ(bad_lanes.load(), 0);
+  EXPECT_EQ(overlaps.load(), 0);
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(PoolStatsTest, CountersGrowAndSnapshotSubtractIsolatesPhase) {
+  ThreadPool pool(2);
+  const PoolStats before = pool.stats();
+  pool.ParallelFor(64, [](size_t) {
+    volatile uint64_t x = 0;
+    for (int i = 0; i < 20000; ++i) x += i;
+  });
+  const PoolStats delta = pool.stats() - before;
+  // ParallelFor submits one task per worker share; every one executed and
+  // spent measurable time.
+  EXPECT_GT(delta.tasks, 0u);
+  EXPECT_GT(delta.busy_ns, 0u);
+
+  const PoolStats idle_before = pool.stats();
+  const PoolStats idle_delta = pool.stats() - idle_before;
+  EXPECT_EQ(idle_delta.tasks, 0u);
+  EXPECT_EQ(idle_delta.busy_ns, 0u);
+}
+
 // ---------------------------------------------------------------- Stopwatch
 
 TEST(StopwatchTest, MeasuresNonNegativeMonotonicTime) {
