@@ -1,12 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the substrates behind the paper
 // pipeline: the JV assignment solver, Full Disjunction enumeration,
-// embedding throughput, string distances, CSV parsing, and subsumption.
+// embedding throughput, the dense cosine fill, string distances, CSV
+// parsing, and subsumption.
 #include <benchmark/benchmark.h>
 
 #include "assignment/jonker_volgenant.h"
 #include "core/value_matcher.h"
 #include "datagen/imdb.h"
 #include "embedding/model_zoo.h"
+#include "embedding/vector_ops.h"
 #include "fd/aligned_schema.h"
 #include "fd/full_disjunction.h"
 #include "fd/subsumption.h"
@@ -65,6 +67,78 @@ void BM_EmbedValue(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EmbedValue);
+
+/// n unit vectors per side, as the matcher's dense fill reads them: group
+/// representatives (rows) and column values (cols).
+struct FillInputs {
+  std::vector<Vec> rows;
+  std::vector<Vec> cols;
+  std::vector<const float*> row_ptrs;
+  std::vector<const float*> col_ptrs;
+};
+
+FillInputs MakeFillInputs(size_t n, size_t dim) {
+  Rng rng(17);
+  FillInputs in;
+  for (std::vector<Vec>* side : {&in.rows, &in.cols}) {
+    for (size_t i = 0; i < n; ++i) {
+      Vec v(dim);
+      for (float& x : v) x = static_cast<float>(rng.UniformReal(-1.0, 1.0));
+      NormalizeInPlace(&v);
+      side->push_back(std::move(v));
+    }
+  }
+  for (const Vec& v : in.rows) in.row_ptrs.push_back(v.data());
+  for (const Vec& v : in.cols) in.col_ptrs.push_back(v.data());
+  return in;
+}
+
+/// Adds a `time_per_cell` counter: wall seconds per filled cell (the
+/// console shows it in ns).
+void SetTimePerCell(benchmark::State& state, size_t cells) {
+  state.counters["time_per_cell"] = benchmark::Counter(
+      static_cast<double>(cells),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+// The matcher's dense fill (CosineDistanceBlock) and the per-cell kernel
+// that sparse edges use, on the same n×n inputs at the default d = 256. One
+// run of both rows gives the blocked kernel's ratio on this CPU.
+void BM_CosineDistanceBlock(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const size_t dim = static_cast<size_t>(state.range(1));
+  const FillInputs in = MakeFillInputs(n, dim);
+  std::vector<double> out(n * n);
+  for (auto _ : state) {
+    CosineDistanceBlock(in.row_ptrs.data(), n, in.col_ptrs.data(), n, dim,
+                        out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  SetTimePerCell(state, n * n);
+}
+BENCHMARK(BM_CosineDistanceBlock)
+    ->Args({64, 256})->Args({155, 256})->Args({323, 256});
+
+void BM_CosineDistancePerCell(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const size_t dim = static_cast<size_t>(state.range(1));
+  const FillInputs in = MakeFillInputs(n, dim);
+  std::vector<double> out(n * n);
+  for (auto _ : state) {
+    for (size_t r = 0; r < n; ++r) {
+      for (size_t c = 0; c < n; ++c) {
+        out[r * n + c] = CosineDistancePrenormalized(in.rows[r], in.cols[c]);
+      }
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  SetTimePerCell(state, n * n);
+}
+BENCHMARK(BM_CosineDistancePerCell)
+    ->Args({64, 256})->Args({155, 256})->Args({323, 256});
 
 void BM_Levenshtein(benchmark::State& state) {
   const size_t len = static_cast<size_t>(state.range(0));

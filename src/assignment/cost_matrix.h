@@ -32,6 +32,11 @@ class CostMatrix {
     assert(r < rows_ && c < cols_);
     data_[r * cols_ + c] = v;
   }
+  /// Row r's cols() cells; the rows that follow are contiguous after it.
+  double* row(size_t r) {
+    assert(r < rows_);
+    return data_.data() + r * cols_;
+  }
 
   bool forbidden(size_t r, size_t c) const {
     return at(r, c) == kForbidden;

@@ -41,7 +41,7 @@ size_t ResolveNumThreads(size_t num_threads) {
   return hw == 0 ? 1 : hw;
 }
 
-void FillCostMatrixParallel(CostMatrix* cost, const PairCostFn& fn,
+void FillCostMatrixParallel(CostMatrix* cost, const RowRangeCostFn& fn,
                             ThreadPool* pool) {
   const size_t rows = cost->rows();
   const size_t cols = cost->cols();
@@ -49,13 +49,8 @@ void FillCostMatrixParallel(CostMatrix* cost, const PairCostFn& fn,
   if (!WorthParallelizing(rows * cols)) pool = nullptr;
   // Block by rows: a row block is a contiguous slice of the row-major
   // backing array, so each worker streams through its own write range.
-  BlockedFor(rows, pool, [&](size_t lo, size_t hi) {
-    for (size_t r = lo; r < hi; ++r) {
-      for (size_t c = 0; c < cols; ++c) {
-        cost->set(r, c, fn(r, c));
-      }
-    }
-  });
+  BlockedFor(rows, pool,
+             [&](size_t lo, size_t hi) { fn(lo, hi, cost->row(lo)); });
 }
 
 void ScoreEdgesParallel(std::vector<SparseEdge>* edges, const PairCostFn& fn,

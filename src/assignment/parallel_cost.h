@@ -1,20 +1,24 @@
 // Parallel, cache-aware construction of assignment inputs.
 //
 // Cost-matrix construction is the value matcher's hot path: every residual
-// group×value pair costs an embedding dot product or an edit-distance DP.
-// The work is embarrassingly parallel — each cell depends only on its own
-// (row, col) — so it is row-blocked across a ThreadPool:
+// group×value pair costs an embedding dot product or a string distance.
+// Every cell depends only on its own (row, col), so the fill is row-blocked
+// across a ThreadPool and each block is handed to the caller as one row
+// range:
 //
 //   * the CostMatrix is row-major, so a contiguous row block is a contiguous
 //     write range — workers never share a cache line except at block seams;
+//   * a row range lets the caller fill several cells at once: embedding
+//     mode runs CosineDistanceBlock (embedding/vector_ops.h) over the whole
+//     range, string mode a per-cell loop;
 //   * blocks are oversubscribed (several per worker) and claimed dynamically,
 //     absorbing skew from variable-length strings;
-//   * output is deterministic regardless of thread count: the cost function
-//     must be a pure function of (row, col), and every cell is computed
-//     exactly once into its own slot.
+//   * output is deterministic regardless of thread count: each cell's value
+//     must be a pure function of (row, col), whatever range it falls in, and
+//     every cell is computed exactly once into its own slot.
 //
 // The same blocking applies to sparse candidate-edge scoring (contiguous
-// index ranges of the edge array).
+// index ranges of the edge array), one PairCostFn call per edge.
 #ifndef LAKEFUZZ_ASSIGNMENT_PARALLEL_COST_H_
 #define LAKEFUZZ_ASSIGNMENT_PARALLEL_COST_H_
 
@@ -32,6 +36,13 @@ namespace lakefuzz {
 /// on every invocation, and be safe to call concurrently.
 using PairCostFn = std::function<double(size_t row, size_t col)>;
 
+/// Fills rows [row_lo, row_hi) of a row-major cost matrix with C columns:
+/// cell (r, c) is out[(r - row_lo) * C + c]. Must write every cell of the
+/// range, give each cell the same value in any range, and be safe to call
+/// concurrently on disjoint ranges.
+using RowRangeCostFn =
+    std::function<void(size_t row_lo, size_t row_hi, double* out)>;
+
 /// Maps the user-facing thread-count knob to a worker count:
 /// 0 → hardware concurrency (at least 1), otherwise the value itself.
 size_t ResolveNumThreads(size_t num_threads);
@@ -45,10 +56,11 @@ inline constexpr size_t kMinParallelWork = 2048;
 /// dispatch.
 bool WorthParallelizing(size_t work_items);
 
-/// Fills every cell of `cost` with fn(r, c). Runs serially when `pool` is
-/// null or the matrix is too small to amortize dispatch; otherwise
-/// row-blocks across the pool. Deterministic for pure `fn`.
-void FillCostMatrixParallel(CostMatrix* cost, const PairCostFn& fn,
+/// Fills every cell of `cost` by calling fn on row ranges that cover it.
+/// Runs serially (one range of all rows) when `pool` is null or the matrix
+/// is too small to amortize dispatch; otherwise row-blocks across the pool.
+/// Deterministic for a pure `fn`.
+void FillCostMatrixParallel(CostMatrix* cost, const RowRangeCostFn& fn,
                             ThreadPool* pool);
 
 /// Scores edges[i].cost = fn(edges[i].row, edges[i].col) for all i, blocked

@@ -91,6 +91,17 @@ Result<ValueMatchResult> ValueMatcher::MatchColumns(
   }
   const EmbeddingCache::Counters counters_before =
       cache != nullptr ? cache->counters() : EmbeddingCache::Counters{};
+  // EmbeddingModel::Embed must return dim() floats, and the cost kernels
+  // read exactly that many from every vector; a model that breaks the
+  // contract is rejected here rather than read past a vector's end.
+  const size_t dim = cache != nullptr ? cache->model().dim() : 0;
+  auto check_dim = [&](const Vec& v, const std::string& value) -> Status {
+    if (v.size() == dim) return Status::OK();
+    return Status::InvalidArgument(StrFormat(
+        "embedding model %s returned %zu floats for value \"%s\"; its dim() "
+        "is %zu",
+        cache->model().name().c_str(), v.size(), value.c_str(), dim));
+  };
   auto pool_for = [&](size_t work_items, size_t min_work) -> ThreadPool* {
     return work_items < min_work ? nullptr : options_.pool;
   };
@@ -193,6 +204,9 @@ Result<ValueMatchResult> ValueMatcher::MatchColumns(
 
     if (!open_groups.empty() && !open_values.empty()) {
       std::vector<std::shared_ptr<const Vec>> value_embs;
+      // The vectors a cost cell reads, as the blocked kernel takes them.
+      std::vector<const float*> rep_rows;
+      std::vector<const float*> value_cols;
       if (use_embeddings) {
         // Warm the cache in parallel; each slot is written by exactly one
         // worker, and the vectors themselves are deterministic, so the
@@ -204,6 +218,19 @@ Result<ValueMatchResult> ValueMatcher::MatchColumns(
               value_embs[k] = cache->GetNormalized(values[open_values[k]]);
             },
             pool_for(open_values.size(), kMinParallelEmbeds));
+        rep_rows.reserve(open_groups.size());
+        for (size_t gi : open_groups) {
+          const GroupState& g = combined[gi];
+          LAKEFUZZ_RETURN_IF_ERROR(
+              check_dim(*g.rep_embedding, g.group.representative));
+          rep_rows.push_back(g.rep_embedding->data());
+        }
+        value_cols.reserve(open_values.size());
+        for (size_t k = 0; k < open_values.size(); ++k) {
+          LAKEFUZZ_RETURN_IF_ERROR(
+              check_dim(*value_embs[k], values[open_values[k]]));
+          value_cols.push_back(value_embs[k]->data());
+        }
       }
       const size_t cells = open_groups.size() * open_values.size();
       const bool dense = cells <= options_.max_dense_cells;
@@ -215,6 +242,18 @@ Result<ValueMatchResult> ValueMatcher::MatchColumns(
         return options_.string_distance(g.group.representative,
                                         values[open_values[k]]);
       };
+      auto fill_rows = [&](size_t lo, size_t hi, double* out) {
+        if (use_embeddings) {
+          CosineDistanceBlock(rep_rows.data() + lo, hi - lo,
+                              value_cols.data(), value_cols.size(), dim, out);
+          return;
+        }
+        for (size_t r = lo; r < hi; ++r) {
+          for (size_t k = 0; k < open_values.size(); ++k) {
+            *out++ = pair_cost(r, k);
+          }
+        }
+      };
 
       ThresholdedOptions topts;
       topts.threshold = options_.threshold;
@@ -224,7 +263,7 @@ Result<ValueMatchResult> ValueMatcher::MatchColumns(
       Assignment assignment;
       if (dense) {
         CostMatrix cost(open_groups.size(), open_values.size());
-        FillCostMatrixParallel(&cost, pair_cost,
+        FillCostMatrixParallel(&cost, fill_rows,
                                pool_for(cells, kMinParallelWork));
         result.stats.cost_evaluations += cells;
         if (options_.auto_threshold) {

@@ -131,8 +131,10 @@ class ValueMatcher {
 
   /// Matches values across aligned columns. `columns[i]` holds the distinct
   /// values of the i-th aligning column, in table order. Duplicate values
-  /// within one column violate clean-clean and are rejected. `ctx` is
-  /// polled (CheckStop) between merge rounds, once per aligning column.
+  /// within one column violate clean-clean and are rejected, as is an
+  /// embedding whose size is not the model's dim() (kInvalidArgument naming
+  /// the value). `ctx` is polled (CheckStop) between merge rounds, once per
+  /// aligning column.
   Result<ValueMatchResult> MatchColumns(
       const std::vector<std::vector<std::string>>& columns,
       const RequestContext& ctx = RequestContext()) const;

@@ -2,6 +2,7 @@
 #ifndef LAKEFUZZ_EMBEDDING_VECTOR_OPS_H_
 #define LAKEFUZZ_EMBEDDING_VECTOR_OPS_H_
 
+#include <cstddef>
 #include <vector>
 
 namespace lakefuzz {
@@ -33,16 +34,29 @@ double CosineDistance(const Vec& a, const Vec& b);
 /// EmbeddingModel::prenormalized()). Zero vectors yield 0, matching
 /// CosineSimilarity's convention.
 ///
-/// This is the matcher's per-cell kernel: on x86-64 an AVX2+FMA version
-/// (double accumulation, runtime-dispatched via cpuid) is used when the CPU
-/// supports it, with the scalar loop as fallback. Both accumulate in double;
-/// results agree to rounding-order noise (see the parity test).
+/// This is the per-cell kernel: on x86-64 an AVX2+FMA version (double
+/// accumulation, runtime-dispatched via cpuid) is used when the CPU supports
+/// it, with the scalar loop as fallback. Both accumulate in double; results
+/// agree to rounding-order noise (see the parity test).
 double DotPrenormalized(const Vec& a, const Vec& b);
 
 /// 1 - DotPrenormalized: cosine distance when both inputs are pre-normalized.
-/// The matcher hot path uses this; the general CosineDistance stays for
+/// Sparse edge scoring uses this; the general CosineDistance stays for
 /// external callers with arbitrary vectors.
 double CosineDistancePrenormalized(const Vec& a, const Vec& b);
+
+/// The matcher's dense cost fill: out[r * num_cols + c] =
+/// 1 - dot(rows[r], cols[c]) for every r < num_rows, c < num_cols, where
+/// each pointed-to vector holds `dim` pre-normalized floats. Every cell is
+/// bit-identical to CosineDistancePrenormalized on the same pair. With AVX2
+/// + FMA and `dim` a multiple of 8, cells are computed in 2×2 blocks that
+/// load and widen each row's and column's 8-float chunk once for four
+/// cells, each cell keeping the per-cell kernel's accumulation order; a
+/// leftover row or column, any other `dim`, and CPUs without AVX2 + FMA
+/// take the per-cell kernel itself.
+void CosineDistanceBlock(const float* const* rows, size_t num_rows,
+                         const float* const* cols, size_t num_cols,
+                         size_t dim, double* out);
 
 }  // namespace lakefuzz
 

@@ -4,7 +4,9 @@
 
 #include <limits>
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
 #include <string_view>
 
 #include "core/blocking.h"
@@ -96,6 +98,48 @@ TEST(ValueMatcherTest, RejectsDuplicateValuesInColumn) {
   auto r = matcher.MatchColumns({{"x", "x"}});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+/// Breaks EmbeddingModel's contract for one string: its vector has dim() + 1
+/// floats. Every other string gets the wrapped model's vector.
+class OversizedForOneValue : public EmbeddingModel {
+ public:
+  OversizedForOneValue(std::shared_ptr<const EmbeddingModel> base,
+                       std::string bad)
+      : base_(std::move(base)), bad_(std::move(bad)) {}
+  Vec Embed(std::string_view value) const override {
+    Vec v = base_->Embed(value);
+    if (value == bad_) v.push_back(0.0f);
+    return v;
+  }
+  size_t dim() const override { return base_->dim(); }
+  std::string name() const override { return "oversized"; }
+  bool prenormalized() const override { return base_->prenormalized(); }
+
+ private:
+  std::shared_ptr<const EmbeddingModel> base_;
+  std::string bad_;
+};
+
+TEST(ValueMatcherTest, RejectsEmbeddingOfWrongDimension) {
+  // The bad string is a column-0 representative or a column-1 value; both
+  // enter the residual problem, dense and sparse.
+  const std::vector<std::vector<std::string>> columns = {
+      {"Berlin", "Toronto", "Lima"}, {"Berlinn", "Torontoo", "Paris"}};
+  for (const std::string bad : {"Toronto", "Torontoo"}) {
+    for (size_t max_dense_cells : {size_t{1} << 22, size_t{0}}) {
+      ValueMatcherOptions opts;
+      opts.model = std::make_shared<OversizedForOneValue>(
+          MakeModel(ModelKind::kMistral, 256), bad);
+      opts.max_dense_cells = max_dense_cells;
+      auto r = ValueMatcher(opts).MatchColumns(columns);
+      ASSERT_FALSE(r.ok()) << bad << ", max_dense_cells " << max_dense_cells;
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(r.status().message().find("\"" + bad + "\""),
+                std::string::npos)
+          << r.status().ToString();
+    }
+  }
 }
 
 TEST(ValueMatcherTest, EmptyInputYieldsNoGroups) {

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "embedding/column_embedder.h"
 #include "embedding/hashed_model.h"
@@ -10,6 +13,7 @@
 #include "embedding/vector_ops.h"
 #include "embedding/vocab.h"
 #include "table/table.h"
+#include "util/rng.h"
 
 namespace lakefuzz {
 namespace {
@@ -75,6 +79,59 @@ TEST(VectorOpsTest, CosineDistancePrenormalizedMatchesDefinition) {
   Vec a{0.6f, 0.8f, 0.0f};
   Vec b{0.0f, 0.6f, 0.8f};
   EXPECT_NEAR(CosineDistancePrenormalized(a, b), 1.0 - Dot(a, b), 1e-12);
+}
+
+TEST(VectorOpsTest, CosineDistanceBlockMatchesPerCellBitForBit) {
+  // The blocked fill must write, for every shape, exactly the bits the
+  // per-cell kernel returns: 2×2 blocks, leftover rows and columns, and
+  // dimensions with and without a remainder past the last 8-float chunk.
+  Rng rng(0xb10c);
+  auto random_vector = [&rng](size_t dim, size_t kind) {
+    Vec v(dim, 0.0f);
+    if (kind == 0) return v;  // zero vector
+    for (float& x : v) x = static_cast<float>(rng.UniformReal(-1.0, 1.0));
+    if (kind == 1) NormalizeInPlace(&v);  // unit
+    return v;  // kind 2: not unit
+  };
+  constexpr size_t kMax = 17;
+  const size_t sizes[] = {0, 1, 2, 3, 5, 8, 17};
+  for (size_t dim : {0u, 1u, 7u, 8u, 9u, 16u, 255u, 256u, 300u}) {
+    std::vector<Vec> row_vecs, col_vecs;
+    for (size_t i = 0; i < kMax; ++i) {
+      // Mostly unit vectors, with zero and non-unit ones at varying
+      // positions inside and outside the 2×2 blocks.
+      const size_t row_kind = i % 5 == 3 ? 0 : (i % 4 == 2 ? 2 : 1);
+      const size_t col_kind = i % 6 == 4 ? 0 : (i % 3 == 0 ? 2 : 1);
+      row_vecs.push_back(random_vector(dim, row_kind));
+      col_vecs.push_back(random_vector(dim, col_kind));
+    }
+    std::vector<const float*> row_ptrs, col_ptrs;
+    for (const Vec& v : row_vecs) row_ptrs.push_back(v.data());
+    for (const Vec& v : col_vecs) col_ptrs.push_back(v.data());
+    for (size_t rows : sizes) {
+      for (size_t cols : sizes) {
+        // Two guard cells past the end catch a write outside the matrix.
+        std::vector<double> out(rows * cols + 2, -7.0);
+        CosineDistanceBlock(row_ptrs.data(), rows, col_ptrs.data(), cols, dim,
+                            out.data());
+        for (size_t r = 0; r < rows; ++r) {
+          for (size_t c = 0; c < cols; ++c) {
+            const double want =
+                CosineDistancePrenormalized(row_vecs[r], col_vecs[c]);
+            const double got = out[r * cols + c];
+            uint64_t want_bits = 0, got_bits = 0;
+            std::memcpy(&want_bits, &want, sizeof(want));
+            std::memcpy(&got_bits, &got, sizeof(got));
+            EXPECT_EQ(got_bits, want_bits)
+                << "dim " << dim << ", " << rows << "x" << cols << " cell ("
+                << r << ", " << c << "): " << got << " vs " << want;
+          }
+        }
+        EXPECT_EQ(out[rows * cols], -7.0);
+        EXPECT_EQ(out[rows * cols + 1], -7.0);
+      }
+    }
+  }
 }
 
 TEST(VectorOpsTest, AddScaled) {

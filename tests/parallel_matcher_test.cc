@@ -7,6 +7,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "assignment/parallel_cost.h"
@@ -15,6 +16,7 @@
 #include "datagen/imdb.h"
 #include "embedding/embedding_cache.h"
 #include "embedding/model_zoo.h"
+#include "embedding/vector_ops.h"
 #include "fd/session_dict.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -121,6 +123,83 @@ TEST(ParallelMatcherTest, StringDistanceResultsIdenticalAcrossThreadCounts) {
   }
 }
 
+/// Odd-sized columns of random words, where each later column holds a
+/// one-letter variant of some column-0 words (near-duplicates the assignment
+/// must pair), some exact copies (the pre-pass) and words of its own.
+std::vector<std::vector<std::string>> PlantedNearDuplicateColumns() {
+  Rng rng(0x5eed);
+  std::vector<std::string> base;
+  std::set<std::string> seen;
+  while (base.size() < 67) {
+    std::string w = rng.AlphaString(6 + rng.Uniform(8));
+    if (seen.insert(w).second) base.push_back(w);
+  }
+  std::vector<std::vector<std::string>> columns = {base};
+  for (size_t size : {size_t{59}, size_t{71}}) {
+    std::vector<std::string> col;
+    std::set<std::string> in_col;
+    while (col.size() < size) {
+      std::string w;
+      const double kind = rng.UniformReal();
+      if (kind < 0.6) {
+        w = base[rng.Uniform(base.size())];
+        w[rng.Uniform(w.size())] = static_cast<char>('a' + rng.Uniform(26));
+      } else if (kind < 0.7) {
+        w = base[rng.Uniform(base.size())];
+      } else {
+        w = rng.AlphaString(6 + rng.Uniform(8));
+      }
+      if (in_col.insert(w).second) col.push_back(std::move(w));
+    }
+    columns.push_back(std::move(col));
+  }
+  return columns;
+}
+
+TEST(ParallelMatcherTest, EmbeddingFillMatchesPerCellPath) {
+  // Embedding mode fills dense matrices with the blocked kernel; string
+  // mode, given CosineDistancePrenormalized over the same memo's vectors,
+  // fills them one cell at a time. Equal costs must give equal matches.
+  const auto columns = PlantedNearDuplicateColumns();
+  for (size_t dim : {size_t{256}, size_t{300}}) {
+    auto memo =
+        std::make_shared<EmbeddingCache>(MakeModel(ModelKind::kMistral, dim));
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      std::unique_ptr<ThreadPool> pool;
+      if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+      ValueMatcherOptions blocked;
+      blocked.shared_cache = memo;
+      blocked.pool = pool.get();
+      ValueMatcherOptions per_cell;
+      per_cell.string_distance = [&memo](std::string_view a,
+                                         std::string_view b) {
+        return CosineDistancePrenormalized(
+            *memo->GetNormalized(std::string(a)),
+            *memo->GetNormalized(std::string(b)));
+      };
+      per_cell.pool = pool.get();
+      auto got = ValueMatcher(blocked).MatchColumns(columns);
+      auto want = ValueMatcher(per_cell).MatchColumns(columns);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      SCOPED_TRACE(::testing::Message() << "dim " << dim << ", " << threads
+                                        << " threads");
+      ASSERT_EQ(got->groups.size(), want->groups.size());
+      for (size_t g = 0; g < got->groups.size(); ++g) {
+        EXPECT_EQ(got->groups[g].members, want->groups[g].members);
+        EXPECT_EQ(got->groups[g].representative,
+                  want->groups[g].representative);
+      }
+      EXPECT_EQ(got->stats.exact_matches, want->stats.exact_matches);
+      EXPECT_EQ(got->stats.assignment_matches,
+                want->stats.assignment_matches);
+      EXPECT_GT(got->stats.assignment_matches, 0u);
+      EXPECT_EQ(got->stats.dense_solves, 2u);
+      EXPECT_EQ(got->stats.cost_evaluations, want->stats.cost_evaluations);
+    }
+  }
+}
+
 TEST(ParallelMatcherTest, ZeroThreadsMeansHardwareConcurrency) {
   EXPECT_GE(ResolveNumThreads(0), 1u);
   EXPECT_EQ(ResolveNumThreads(1), 1u);
@@ -167,17 +246,27 @@ TEST(EmbeddingCacheTest, PrenormalizedDistanceMatchesGeneralCosine) {
 // ----------------------------------------------------------- parallel fills
 
 TEST(ParallelCostTest, FillMatchesSerialReference) {
-  auto fn = [](size_t r, size_t c) {
+  constexpr size_t kRows = 97;
+  constexpr size_t kCols = 53;
+  auto cell = [](size_t r, size_t c) {
     return static_cast<double>(r * 131 + c * 17) / 1000.0;
   };
-  CostMatrix serial(97, 53);
-  FillCostMatrixParallel(&serial, fn, nullptr);
+  auto fill = [&](size_t lo, size_t hi, double* out) {
+    for (size_t r = lo; r < hi; ++r) {
+      for (size_t c = 0; c < kCols; ++c) *out++ = cell(r, c);
+    }
+  };
+  // Every cell starts at -1, below every value the fill writes, so a row
+  // range that is skipped or misplaced shows.
+  CostMatrix serial(kRows, kCols, -1.0);
+  FillCostMatrixParallel(&serial, fill, nullptr);
   ThreadPool pool(4);
-  CostMatrix parallel(97, 53);
-  FillCostMatrixParallel(&parallel, fn, &pool);
-  for (size_t r = 0; r < serial.rows(); ++r) {
-    for (size_t c = 0; c < serial.cols(); ++c) {
-      EXPECT_EQ(serial.at(r, c), parallel.at(r, c));
+  CostMatrix parallel(kRows, kCols, -1.0);
+  FillCostMatrixParallel(&parallel, fill, &pool);
+  for (size_t r = 0; r < kRows; ++r) {
+    for (size_t c = 0; c < kCols; ++c) {
+      EXPECT_EQ(serial.at(r, c), cell(r, c));
+      EXPECT_EQ(parallel.at(r, c), cell(r, c));
     }
   }
 }
